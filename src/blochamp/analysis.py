@@ -17,14 +17,14 @@ import numpy as np
 
 from . import presets
 from .channels import ChannelSpec, assemble
-from .dynamics import IntegratorOpts, integrate, rhs
+from .dynamics import IntegratorOpts, integrate
 from .errors import InvalidParams, TargetUnreachable
-from .pauli import SIGMA_X, SIGMA_Y, SIGMA_Z, PsdState
+from .pauli import PsdState, reconstruct
 
 __all__ = [
     "FixedPoint", "FixedLine", "FixedPointReport", "find_fixed_points",
     "slowdown_exponent", "choi_spectrum", "choi_spectra",
-    "GateStage", "GatePlan", "plan_amplification", "rotate",
+    "GateStage", "GatePlan", "GATES", "plan_amplification", "rotate",
 ]
 
 # Rank decisions in the affine solve use this relative singular-value cutoff.
@@ -94,14 +94,12 @@ def find_fixed_points(spec: ChannelSpec) -> FixedPointReport:
     deduplicating converged roots.
     """
     gen = assemble(spec)
-    w = gen.omega.ell
     scale = _generator_scale(gen)
     marginal_tol = 1e-6 * scale
     restricted = gen.g != 0.0
 
-    pseudo_linear = np.abs(w[1:]).max() <= 1e-12 * max(1.0, float(np.linalg.norm(w)))
-    if gen.g == 0.0 or pseudo_linear:
-        a = gen.G_linear + (gen.g * w[0]) * np.eye(3)
+    if gen.g == 0.0 or gen.pseudo_linear:
+        a = gen.G_linear + (gen.g * gen.omega.ell[0]) * np.eye(3)
         b = gen.C_total
         return _affine_report(a, b, restricted, marginal_tol)
     return _newton_report(gen, restricted, marginal_tol)
@@ -135,6 +133,7 @@ def _affine_report(a, b, restricted, marginal_tol) -> FixedPointReport:
 
 
 def _residual_fn(gen):
+    """Velocity dr/dt on the unit-trace plane, and its Jacobian in r."""
     a0 = gen.G_linear
     b = gen.C_total
     w = gen.omega.ell
@@ -223,11 +222,9 @@ def slowdown_exponent(spec: ChannelSpec, fp: Sequence[float],
     if dn == 0.0:
         raise InvalidParams("approach_dir must be nonzero")
     d = d / dn
+    velocity, _ = _residual_fn(assemble(spec))
     deltas = np.logspace(-5, -2, 20)
-    speeds = np.empty_like(deltas)
-    for i, delta in enumerate(deltas):
-        dr, _ = rhs(spec, PsdState(1.0, fp - delta * d, physical=False))
-        speeds[i] = np.linalg.norm(dr)
+    speeds = np.array([np.linalg.norm(velocity(fp - delta * d)) for delta in deltas])
     if np.all(speeds < 1e-14):
         raise InvalidParams("speed vanishes along this direction; "
                             "it is exactly fixed")
@@ -252,11 +249,6 @@ _CHOI_BASIS = (
 )
 
 
-def _matrix_from_coords(tau: float, r: np.ndarray) -> np.ndarray:
-    return 0.5 * (tau * np.eye(2, dtype=complex)
-                  + r[0] * SIGMA_X + r[1] * SIGMA_Y + r[2] * SIGMA_Z)
-
-
 def choi_spectra(spec: ChannelSpec, ts: Sequence[float]) -> np.ndarray:
     """Choi eigenvalues (ascending) of the finite-time map at each time.
 
@@ -275,26 +267,19 @@ def choi_spectra(spec: ChannelSpec, ts: Sequence[float]) -> np.ndarray:
 
     t_max = float(ts.max())
     unique_ts = np.unique(ts)
-    propagated = []
+    basis = [PsdState(tau, r, physical=False) for tau, r in _CHOI_BASIS]
     if t_max == 0.0:
-        propagated = [{0.0: np.array([tau, *r])} for tau, r in _CHOI_BASIS]
+        propagated = [{0.0: state} for state in basis]
     else:
         opts = IntegratorOpts(rtol=1e-12, atol=1e-14, allow_off_cone=True)
-        for tau, r in _CHOI_BASIS:
-            traj = integrate(spec, PsdState(tau, r, physical=False), t_max,
-                             opts, sample_times=unique_ts)
-            table = {}
-            for i, t in enumerate(traj.t):
-                table[float(t)] = np.array([traj.tau[i], *traj.r[i]])
-            propagated.append(table)
+        propagated = []
+        for state in basis:
+            traj = integrate(spec, state, t_max, opts, sample_times=unique_ts)
+            propagated.append({float(t): traj.state(i) for i, t in enumerate(traj.t)})
 
     spectra = np.empty((ts.size, 4))
     for row, t in enumerate(ts):
-        imgs = [tab[float(t)] for tab in propagated]
-        phi_e00 = _matrix_from_coords(imgs[0][0], imgs[0][1:])
-        phi_e11 = _matrix_from_coords(imgs[1][0], imgs[1][1:])
-        herm = _matrix_from_coords(imgs[2][0], imgs[2][1:])
-        anti = _matrix_from_coords(imgs[3][0], imgs[3][1:])
+        phi_e00, phi_e11, herm, anti = (reconstruct(tab[float(t)]) for tab in propagated)
         phi_e01 = herm + 1j * anti
         phi_e10 = herm - 1j * anti
         choi = (np.kron(_E00, phi_e00) + np.kron(_E01, phi_e01)
@@ -336,7 +321,9 @@ class GatePlan:
     achieved: PsdState
 
 
-_GATES = ("linear_cptp", "one_jump", "three_jump", "linear_non_cp")
+# Gate name -> the preset that runs its main stage.
+GATES = {"linear_cptp": "linear_cptp", "one_jump": "onejump_nino",
+         "three_jump": "threejump_nino", "linear_non_cp": "linear_noncp"}
 
 
 def plan_amplification(gate: str, params: Mapping[str, float],
@@ -349,25 +336,22 @@ def plan_amplification(gate: str, params: Mapping[str, float],
     linear_non_cp) are preceded by a short linear_cptp stage that nudges the
     state to r = (epsilon, 0, 0) before the exponential growth takes over.
     """
-    if gate not in _GATES:
-        raise InvalidParams(f"unknown gate {gate!r}; choose from {_GATES}")
+    if gate not in GATES:
+        raise InvalidParams(f"unknown gate {gate!r}; choose from {tuple(GATES)}")
     if not 0.5 < target_purity < 1.0:
         raise InvalidParams("target_purity must lie strictly between 0.5 and 1")
     if not 0.0 < epsilon <= 0.1:
         raise InvalidParams("epsilon must lie in (0, 0.1]")
     r_target = math.sqrt(2.0 * target_purity - 1.0)
+    builder = presets.PRESETS[GATES[gate]]
 
-    if gate == "linear_cptp":
+    if gate in ("linear_cptp", "one_jump"):
         m = float(params.get("m", 1.0))
-        spec = presets.linear_cptp(m)
-        duration = -math.log(1.0 - r_target) / (4.0 * m * m)
-        return _single_stage_plan(gate, spec, duration, target_purity,
-                                  epsilon, t_max)
-    if gate == "one_jump":
-        m = float(params.get("m", 1.0))
-        spec = presets.onejump_nino(m)
-        duration = r_target / ((1.0 - r_target) * 2.0 * m * m)
-        return _single_stage_plan(gate, spec, duration, target_purity,
+        if gate == "linear_cptp":
+            duration = -math.log(1.0 - r_target) / (4.0 * m * m)
+        else:
+            duration = r_target / ((1.0 - r_target) * 2.0 * m * m)
+        return _single_stage_plan(gate, builder(m), duration, target_purity,
                                   epsilon, t_max)
 
     big_m = float(params.get("M", 1.0))
@@ -378,8 +362,7 @@ def plan_amplification(gate: str, params: Mapping[str, float],
             "otherwise the center of the ball is not unstable")
     if epsilon >= r_target:
         raise InvalidParams("epsilon must be smaller than the target radius")
-    main_spec = (presets.threejump_nino(big_m, gamma) if gate == "three_jump"
-                 else presets.linear_noncp(big_m, gamma))
+    main_spec = builder(big_m, gamma)
     pre_spec = presets.linear_cptp(1.0)
     t_pre = -math.log(1.0 - epsilon) / 4.0
     t_gate = _two_rate_gate_time(big_m - gamma, big_m + gamma, epsilon, r_target)

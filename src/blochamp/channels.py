@@ -22,11 +22,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import InvalidParams
-from .pauli import SIGMA, HermitianPauliVector, PauliVectorC
+from .pauli import HermitianPauliVector, PauliVectorC
 
 __all__ = [
     "JumpTerm", "ChannelSpec", "AffineGenerator", "ChannelClass",
-    "jump_generator", "jump_generator_closed_form", "assemble",
+    "jump_generator", "assemble",
     "classify", "initial_velocity", "shift_transform", "dualize",
     "spec_to_dict", "spec_from_dict", "save_spec", "load_spec",
 ]
@@ -78,6 +78,10 @@ class ChannelSpec:
         h = np.array(self.h, dtype=float).reshape(3)
         h.setflags(write=False)
         object.__setattr__(self, "h", h)
+        if not np.isfinite(self.g):
+            raise InvalidParams(f"g must be finite, got {self.g!r}")
+        if not np.isfinite(h).all():
+            raise InvalidParams(f"h must be finite, got {h.tolist()}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -94,7 +98,6 @@ class AffineGenerator:
     C_total: np.ndarray
     omega: HermitianPauliVector
     g: float
-    trL: float
     G_rot: np.ndarray
 
     def __post_init__(self):
@@ -103,78 +106,73 @@ class AffineGenerator:
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "g", float(self.g))
-        object.__setattr__(self, "trL", float(self.trL))
 
     @property
     def G_linear(self) -> np.ndarray:
         """All terms linear in r: jump/damping part plus precession."""
         return self.G_total + self.G_rot
 
+    @property
+    def pseudo_linear(self) -> bool:
+        """True when Omega is proportional to the identity, up to roundoff."""
+        w = self.omega.ell
+        return bool(np.abs(w[1:]).max() <= 1e-12 * max(1.0, float(np.linalg.norm(w))))
+
     def tr_x_omega(self, tau: float, r: np.ndarray) -> float:
         w = self.omega.ell
         return tau * w[0] + float(np.asarray(r) @ w[1:])
+
+
+def _cross_matrix(h: np.ndarray) -> np.ndarray:
+    """[h]_x, the matrix with [h]_x r = h x r."""
+    return np.array([[0.0, -h[2], h[1]],
+                     [h[2], 0.0, -h[0]],
+                     [-h[1], h[0], 0.0]])
+
+
+def _jump_blocks(j: JumpTerm) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Closed-form (G, C, B^dag B) of one jump B = xi0 I + xi.sigma.
+
+    With p = 2 Re(conj(xi0) xi) and v = Re(i xi x conj(xi)) = 2 Re(xi) x Im(xi):
+    G = (|xi0|^2 - |xi|^2) I - 2 [Im(conj(xi0) xi)]_x + 2 Re(conj(xi) xi^T),
+    C = p + v, and B^dag B has Pauli coefficients (|xi0|^2 + |xi|^2, p - v).
+    """
+    xi0, xi = j.xi.xi[0], j.xi.xi[1:]
+    n0, n = abs(xi0) ** 2, float(np.vdot(xi, xi).real)
+    q = np.conj(xi0) * xi
+    p = 2.0 * q.real
+    v = 2.0 * (_cross_matrix(xi.real) @ xi.imag)
+    g = ((n0 - n) * np.eye(3) - _cross_matrix(2.0 * q.imag)
+         + 2.0 * np.real(np.outer(np.conj(xi), xi)))
+    return g, p + v, np.concatenate(([n0 + n], p - v))
 
 
 def jump_generator(j: JumpTerm) -> tuple[np.ndarray, np.ndarray]:
     """Coordinate-space contribution (G, C) of one jump operator.
 
     G[a,b] = tr(sigma_a B sigma_b B^dag)/2 and C[a] = tr(sigma_a B B^dag)/2,
-    computed by direct 2x2 traces.
+    evaluated in closed form from the Pauli coefficients of B.
     """
-    b = j.matrix
-    bd = b.conj().T
-    g = np.empty((3, 3))
-    c = np.empty(3)
-    for a in range(3):
-        sa = SIGMA[a + 1]
-        c[a] = (np.trace(sa @ b @ bd)).real / 2.0
-        for bb in range(3):
-            g[a, bb] = (np.trace(sa @ b @ SIGMA[bb + 1] @ bd)).real / 2.0
+    g, c, _ = _jump_blocks(j)
     return g, c
-
-
-def jump_generator_closed_form(j: JumpTerm) -> np.ndarray:
-    """Algebraic form of the G matrix in terms of the coefficients xi.
-
-    Independent cross-check of :func:`jump_generator`, with the convention
-    eps_123 = +1 for the antisymmetric part.
-    """
-    xi = j.xi.xi
-    s = abs(xi[0]) ** 2 - abs(xi[1]) ** 2 - abs(xi[2]) ** 2 - abs(xi[3]) ** 2
-    g = s * np.eye(3)
-    v = 2.0 * np.imag(np.conj(xi[0]) * xi[1:])
-    g += np.array([[0.0, v[2], -v[1]],
-                   [-v[2], 0.0, v[0]],
-                   [v[1], -v[0], 0.0]])
-    g += 2.0 * np.real(np.outer(np.conj(xi[1:]), xi[1:]))
-    return g
-
-
-def _cross_matrix(h: np.ndarray) -> np.ndarray:
-    return np.array([[0.0, -h[2], h[1]],
-                     [h[2], 0.0, -h[0]],
-                     [-h[1], h[0], 0.0]])
 
 
 def assemble(spec: ChannelSpec) -> AffineGenerator:
     """Build the affine generator data (G, C, Omega) for a channel."""
     ell = spec.ell.ell
     g_total = 2.0 * ell[0] * np.eye(3)
-    c_total = 2.0 * ell[1:].copy()
-    omega_m = -2.0 * spec.ell.to_matrix()
+    c_total = 2.0 * ell[1:]
+    omega = -2.0 * ell
     for j in spec.jumps:
-        gj, cj = jump_generator(j)
+        gj, cj, btb = _jump_blocks(j)
         g_total += j.zeta * gj
         c_total += j.zeta * cj
-        b = j.matrix
-        omega_m -= j.zeta * (b.conj().T @ b)
-    omega = HermitianPauliVector.from_matrix(omega_m)
+        omega -= j.zeta * btb
     return AffineGenerator(
         G_total=g_total,
         C_total=c_total,
-        omega=omega,
+        omega=HermitianPauliVector(omega),
         g=spec.g,
-        trL=2.0 * ell[0],
         G_rot=2.0 * _cross_matrix(spec.h),
     )
 
@@ -210,46 +208,30 @@ def classify(spec: ChannelSpec) -> ChannelClass:
     if spec.g == 0.0 and not omega_zero:
         raise InvalidParams(
             "a linear channel (g=0) requires a vanishing Omega to conserve trace")
-    pseudo_linear = np.abs(w[1:]).max() <= 1e-12 * max(1.0, float(np.linalg.norm(w)))
-    dr0, dtau0 = initial_velocity(spec)
+    dr0, dtau0 = _initial_velocity(gen)
     unital = float(np.linalg.norm(dr0)) <= 1e-12 and abs(dtau0) <= 1e-12
     return ChannelClass(
         cp=all(j.zeta == 1 for j in spec.jumps),
         linear=spec.g == 0.0,
         taxonomy_class="i" if spec.g == 0.0 else "ii",
-        pseudo_linear=bool(pseudo_linear),
+        pseudo_linear=gen.pseudo_linear,
         unital=bool(unital),
         trace_preserving="unconditional" if omega_zero else "conditional",
     )
 
 
+def _initial_velocity(gen: AffineGenerator) -> tuple[np.ndarray, float]:
+    return gen.C_total.copy(), (gen.g - 1.0) * gen.omega.ell[0]
+
+
 def initial_velocity(spec: ChannelSpec) -> tuple[np.ndarray, float]:
     """Velocity (dr/dt, dtau/dt) at the maximally mixed state (tau=1, r=0).
 
-    Computed from the assembled coordinate form and cross-checked against
-    the operator identity
-    dX/dt|_{I/2} = (1/2) sum zeta [B, B^dag] - Omega/2 + g tr(Omega)/4 * I.
-    A nonzero value requires a nonnormal jump operator or a nonzero Omega.
+    Read off the assembled coordinate form: dr/dt = C and
+    dtau/dt = (g - 1) tr(Omega)/2.  A nonzero value requires a nonnormal
+    jump operator or a nonzero Omega.
     """
-    gen = assemble(spec)
-    dr = gen.C_total.copy()
-    dtau = (gen.g - 1.0) * gen.omega.ell[0]
-
-    v = np.zeros((2, 2), dtype=complex)
-    for j in spec.jumps:
-        b = j.matrix
-        bd = b.conj().T
-        v += 0.5 * j.zeta * (b @ bd - bd @ b)
-    omega_m = gen.omega.to_matrix()
-    v += -0.5 * omega_m + (gen.g * np.trace(omega_m).real / 4.0) * np.eye(2)
-    dr_op = np.array([np.trace(SIGMA[a + 1] @ v).real for a in range(3)])
-    dtau_op = np.trace(v).real
-
-    scale = max(1.0, float(np.abs(dr).max()), abs(dtau))
-    if np.abs(dr - dr_op).max() > 1e-12 * scale or abs(dtau - dtau_op) > 1e-12 * scale:
-        raise ArithmeticError("coordinate and operator forms of the initial "
-                              "velocity disagree; generator assembly is broken")
-    return dr, dtau
+    return _initial_velocity(assemble(spec))
 
 
 def shift_transform(spec: ChannelSpec, c: float) -> ChannelSpec:
@@ -272,11 +254,11 @@ def dualize(spec: ChannelSpec) -> ChannelSpec:
     """
     if abs(spec.g - 1.0) > 1e-12:
         raise InvalidParams("duality requires nonlinearity strength g = 1")
-    w = assemble(spec).omega.ell
-    if np.abs(w[1:]).max() > 1e-12 * max(1.0, float(np.linalg.norm(w))):
+    gen = assemble(spec)
+    if not gen.pseudo_linear:
         raise InvalidParams(
             "duality requires a pseudo-linear channel (Omega proportional to I)")
-    kappa = w[0]
+    kappa = gen.omega.ell[0]
     shifted = shift_transform(spec, kappa / 2.0)
     return replace(shifted, g=0.0)
 

@@ -12,6 +12,7 @@ import argparse
 import concurrent.futures
 import io
 import json
+import re
 import sys
 
 import numpy as np
@@ -27,17 +28,37 @@ def _fmt(v: float) -> str:
     return format(float(v), ".17g")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads '-' followed by a digit (-5.3e-05, -1e-3,0,1) as a value, not an
+    option, as Python 3.13 does; earlier versions only read -5 and -.5 so."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
+_PARAM_HELP = {
+    "m": "jump strength for the m presets",
+    "l0": "identity damping coefficient",
+    "l1": "sigma_x damping coefficient",
+    "M": "gain rate for the two-rate presets",
+    "gamma": "dissipation rate for the two-rate presets",
+}
+_PRESET_PARAMS = presets.preset_params()
+_GATE_PARAMS = presets.preset_params(analysis.GATES.values())
+
+
+def _given(args, names) -> dict:
+    return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
+
+
 def _add_channel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=presets.preset_names(),
                    help="named channel definition")
     p.add_argument("--spec", metavar="FILE",
                    help="JSON channel spec file (alternative to --preset)")
-    p.add_argument("--m", type=float, help="jump strength for the m presets")
-    p.add_argument("--l0", type=float, help="identity damping coefficient")
-    p.add_argument("--l1", type=float, help="sigma_x damping coefficient")
-    p.add_argument("--M", type=float, help="gain rate for the two-rate presets")
-    p.add_argument("--gamma", type=float,
-                   help="dissipation rate for the two-rate presets")
+    for name in _PRESET_PARAMS:
+        p.add_argument(f"--{name}", type=float, help=_PARAM_HELP.get(name))
 
 
 def _build_channel(args) -> ChannelSpec:
@@ -45,8 +66,7 @@ def _build_channel(args) -> ChannelSpec:
         raise BlochampError("provide exactly one of --preset or --spec")
     if args.spec is not None:
         return load_spec(args.spec)
-    params = {k: getattr(args, k) for k in ("m", "l0", "l1", "M", "gamma")
-              if getattr(args, k) is not None}
+    params = _given(args, _PRESET_PARAMS)
     return presets.expand_preset(presets.Preset(args.preset, params))
 
 
@@ -202,9 +222,8 @@ def _cmd_choi(args) -> int:
 
 
 def _cmd_gate_plan(args) -> int:
-    params = {k: getattr(args, k) for k in ("m", "M", "gamma")
-              if getattr(args, k) is not None}
-    plan = analysis.plan_amplification(args.gate, params, args.target_purity,
+    plan = analysis.plan_amplification(args.gate, _given(args, _GATE_PARAMS),
+                                       args.target_purity,
                                        epsilon=args.epsilon, t_max=args.t_max)
     achieved_purity, achieved_entropy = purity_entropy(plan.achieved)
     out = {
@@ -252,8 +271,7 @@ def _cmd_sweep(args) -> int:
     if args.preset is None:
         raise BlochampError("sweep requires --preset")
     values = [float(v) for v in args.values.split(",")]
-    base = {k: getattr(args, k) for k in ("m", "l0", "l1", "M", "gamma")
-            if getattr(args, k) is not None}
+    base = _given(args, _PRESET_PARAMS)
     base.pop(args.param, None)
     r0 = [args.x0, args.y0, args.z0]
     jobs = [(args.preset, base, args.param, v, args.t, r0, args.tau0)
@@ -286,7 +304,7 @@ def _cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="blochamp",
         description="Simulate and analyze single-qubit Markovian channels "
                     "for Bloch vector amplification.")
@@ -334,12 +352,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gate-plan", help="plan an amplification gate to a "
                                          "target purity")
-    p.add_argument("--gate", required=True,
-                   choices=("linear_cptp", "one_jump", "three_jump",
-                            "linear_non_cp"))
-    p.add_argument("--m", type=float)
-    p.add_argument("--M", type=float)
-    p.add_argument("--gamma", type=float)
+    p.add_argument("--gate", required=True, choices=tuple(analysis.GATES))
+    for name in _GATE_PARAMS:
+        p.add_argument(f"--{name}", type=float)
     p.add_argument("--target-purity", type=float, required=True)
     p.add_argument("--epsilon", type=float, default=1e-3,
                    help="pre-amplified radius for the two-stage gates")
@@ -352,7 +367,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_args(p)
     _add_initial_state_args(p)
     p.add_argument("--param", required=True,
-                   help="preset parameter to sweep (m, l0, l1, M, gamma)")
+                   help="preset parameter to sweep "
+                        f"({', '.join(_PRESET_PARAMS)})")
     p.add_argument("--values", required=True,
                    help="comma-separated parameter values")
     p.add_argument("--t", type=float, required=True)

@@ -254,8 +254,8 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
     leaves the cone beyond tolerance or the trace underflows.
     """
     opts = IntegratorOpts() if opts is None else opts
-    if t_end <= 0.0:
-        raise ValueError("t_end must be positive")
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
     if opts.method not in ("rk45_adaptive", "rk4_fixed"):
         raise ValueError(f"unknown method {opts.method!r}")
 
@@ -276,6 +276,8 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
         targets = [float(t_end)]
     else:
         ts = np.unique(np.asarray(sample_times, dtype=float))
+        if not np.isfinite(ts).all():
+            raise ValueError("sample_times must be finite")
         if ts.size and (ts[0] < 0.0 or ts[-1] > t_end * (1.0 + 1e-12)):
             raise ValueError("sample_times must lie within [0, t_end]")
         targets = [float(v) for v in ts if v > 0.0]

@@ -36,6 +36,8 @@ CONE_TOL = 1e-9
 
 def _frozen_array(obj, attr, value, shape, dtype=float):
     arr = np.array(value, dtype=dtype).reshape(shape)
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{type(obj).__name__}.{attr} must be finite, got {arr.tolist()}")
     arr.setflags(write=False)
     object.__setattr__(obj, attr, arr)
     return arr
@@ -116,6 +118,8 @@ class PsdState:
 
     def __post_init__(self):
         object.__setattr__(self, "tau", float(self.tau))
+        if not math.isfinite(self.tau):
+            raise ValueError(f"PsdState.tau must be finite, got {self.tau!r}")
         r = _frozen_array(self, "r", self.r, (3,))
         if self.physical:
             if self.tau < APEX_TAU:

@@ -23,7 +23,7 @@ from .errors import InvalidParams
 from .pauli import HermitianPauliVector, PauliVectorC
 
 __all__ = [
-    "Preset", "expand_preset", "PRESETS", "preset_names",
+    "Preset", "expand_preset", "PRESETS", "preset_names", "preset_params",
     "linear_cptp", "nojump_nino", "onejump_nino",
     "pseudolinear_nino", "threejump_nino", "linear_noncp",
     "jump_x_raising", "jump_xy_mix", "jump_z_shift", "jump_z_flip",
@@ -178,6 +178,13 @@ PRESETS = {
 
 def preset_names() -> tuple[str, ...]:
     return tuple(PRESETS)
+
+
+def preset_params(names=None) -> tuple[str, ...]:
+    """Parameter names the named presets (default: all) take, first seen first."""
+    builders = PRESETS.values() if names is None else [PRESETS[n] for n in names]
+    return tuple(dict.fromkeys(
+        p for b in builders for p in inspect.signature(b).parameters))
 
 
 @dataclass(frozen=True)

@@ -75,3 +75,23 @@ def matrix_rhs(spec, x):
         h_m = sum(hv * s for hv, s in zip(spec.h, SIGMA[1:]))
         dx += -1j * (h_m @ x - x @ h_m)
     return dx
+
+
+def trace_jump_generator(j):
+    """2x2-trace oracle for jump_generator: G[a,b] = tr(s_a B s_b B^dag)/2,
+    C[a] = tr(s_a B B^dag)/2."""
+    b = j.matrix
+    bd = b.conj().T
+    g = np.empty((3, 3))
+    c = np.empty(3)
+    for a in range(3):
+        sa = SIGMA[a + 1]
+        c[a] = np.trace(sa @ b @ bd).real / 2.0
+        for k in range(3):
+            g[a, k] = np.trace(sa @ b @ SIGMA[k + 1] @ bd).real / 2.0
+    return g, c
+
+
+def coords_of(m):
+    """(tau, r) of a 2x2 operator: tau = tr(m), r_a = tr(sigma_a m), real parts."""
+    return np.trace(m).real, np.array([np.trace(s @ m).real for s in SIGMA[1:]])

@@ -1,3 +1,6 @@
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -17,9 +20,15 @@ from blochamp import (
     save_spec,
     shift_transform,
 )
-from blochamp.channels import jump_generator, jump_generator_closed_form
-from blochamp import presets
-from conftest import matrix_rhs, random_jump, random_nino_spec, random_pseudolinear_spec
+from blochamp.channels import jump_generator
+from blochamp import presets, reconstruct
+from conftest import (coords_of, matrix_rhs, random_jump, random_nino_spec,
+                      random_pseudolinear_spec, trace_jump_generator)
+
+
+def random_spec(rng, g, n_jumps=None):
+    """Random channel with nonlinearity strength g and a random precession."""
+    return replace(random_nino_spec(rng, n_jumps), g=g, h=rng.normal(size=3))
 
 
 class TestJumpGenerator:
@@ -47,9 +56,11 @@ class TestJumpGenerator:
     def test_closed_form_agrees_with_traces(self, rng):
         for _ in range(200):
             j = random_jump(rng)
-            g, _ = jump_generator(j)
-            g2 = jump_generator_closed_form(j)
-            assert np.abs(g - g2).max() <= 1e-12 * max(1.0, np.abs(g).max())
+            g, c = jump_generator(j)
+            g_ref, c_ref = trace_jump_generator(j)
+            scale = max(1.0, np.abs(g_ref).max(), np.abs(c_ref).max())
+            assert np.abs(g - g_ref).max() <= 1e-12 * scale
+            assert np.abs(c - c_ref).max() <= 1e-12 * scale
 
     def test_zero_jump_rejected(self):
         with pytest.raises(InvalidParams):
@@ -58,6 +69,23 @@ class TestJumpGenerator:
     def test_bad_sign_rejected(self):
         with pytest.raises(InvalidParams):
             JumpTerm(PauliVectorC([0, 0, 1, 0]), 2)
+
+
+class TestChannelSpecValidation:
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_g_rejected(self, bad):
+        with pytest.raises(InvalidParams, match="g must be finite"):
+            ChannelSpec(HermitianPauliVector(np.zeros(4)), g=bad)
+
+    def test_non_finite_h_rejected(self):
+        with pytest.raises(InvalidParams, match="h must be finite"):
+            ChannelSpec(HermitianPauliVector(np.zeros(4)), h=[0.0, math.nan, 0.0])
+
+    def test_non_finite_spec_file_rejected(self, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text('{"ell": [NaN, 0, 0, 0], "jumps": []}')
+        with pytest.raises(ValueError, match="ell must be finite"):
+            load_spec(path)
 
 
 class TestAssemble:
@@ -104,8 +132,8 @@ class TestAssemble:
         assert np.abs(gen.omega.ell).max() == 0.0
 
     def test_omega_matches_matrix_computation(self, rng):
-        for _ in range(100):
-            spec = random_nino_spec(rng)
+        for i in range(200):
+            spec = random_nino_spec(rng, n_jumps=1 + i % 3)
             gen = assemble(spec)
             omega_m = -2.0 * spec.ell.to_matrix()
             for j in spec.jumps:
@@ -117,19 +145,17 @@ class TestAssemble:
 
     def test_rhs_matches_operator_space(self, rng):
         # The assembled coordinate equation equals the raw operator equation.
-        for _ in range(100):
-            spec = random_nino_spec(rng)
+        for i in range(150):
+            spec = random_spec(rng, g=(0.0, 0.5, 1.0)[i % 3])
             tau = 0.5 + rng.random()
             r = rng.normal(size=3)
             r *= 0.8 * tau * rng.random() / np.linalg.norm(r)
             state = PsdState(tau, r)
             dr, dtau = rhs(spec, state)
-            from blochamp import reconstruct
-
-            dx = matrix_rhs(spec, reconstruct(state))
-            assert abs(np.trace(dx).real - dtau) <= 1e-10
-            sx = np.array([[0, 1], [1, 0]])
-            assert abs(np.trace(sx @ dx).real - dr[0]) <= 1e-10
+            dtau_ref, dr_ref = coords_of(matrix_rhs(spec, reconstruct(state)))
+            scale = max(1.0, np.abs(dr_ref).max(), abs(dtau_ref))
+            assert abs(dtau - dtau_ref) <= 1e-12 * scale
+            assert np.abs(dr - dr_ref).max() <= 1e-12 * scale
 
     def test_precession_term(self):
         spec = ChannelSpec(HermitianPauliVector(np.zeros(4)), g=0.0,
@@ -180,6 +206,15 @@ class TestClassify:
 
 
 class TestInitialVelocity:
+    def test_matches_operator_form(self, rng):
+        for i in range(60):
+            spec = random_spec(rng, g=(0.0, 0.5, 1.0)[i % 3])
+            dr, dtau = initial_velocity(spec)
+            dtau_ref, dr_ref = coords_of(matrix_rhs(spec, 0.5 * np.eye(2)))
+            scale = max(1.0, np.abs(dr_ref).max(), abs(dtau_ref))
+            assert np.abs(dr - dr_ref).max() <= 1e-12 * scale
+            assert abs(dtau - dtau_ref) <= 1e-12 * scale
+
     def test_linear_cptp(self):
         dr, dtau = initial_velocity(presets.linear_cptp(1.0))
         assert np.allclose(dr, [4, 0, 0], atol=1e-12)

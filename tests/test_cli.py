@@ -139,6 +139,20 @@ class TestSweep:
         assert out_a == out_b
 
 
+class TestNegativeValues:
+    def test_exponent_form_initial_coordinate(self, capsys):
+        code, out, err = run(capsys, "simulate", "--preset", "linear_cptp",
+                             "--x0", "-5.3e-05", "--t", "1", "--samples", "2")
+        assert code == 0, err
+        assert float(out.split("\n")[1].split(",")[2]) == -5.3e-05
+
+    def test_exponent_form_direction(self, capsys):
+        code, out, err = run(capsys, "slowdown", "--preset", "linear_cptp",
+                             "--dir", "-1e-3,0,1")
+        assert code == 0, err
+        assert json.loads(out)["direction"] == [-1e-3, 0.0, 1.0]
+
+
 class TestVerify:
     def test_subset_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "paper", "--criteria",

@@ -99,6 +99,16 @@ class TestIntegrate:
         with pytest.raises(ValueError):
             integrate(presets.linear_cptp(1.0), MIXED, 0.0)
 
+    @pytest.mark.parametrize("t_end", [math.nan, math.inf])
+    def test_rejects_non_finite_time(self, t_end):
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            integrate(presets.linear_cptp(1.0), MIXED, t_end)
+
+    def test_rejects_non_finite_sample_times(self):
+        with pytest.raises(ValueError, match="sample_times must be finite"):
+            integrate(presets.linear_cptp(1.0), MIXED, 1.0,
+                      sample_times=[0.5, math.nan])
+
     def test_rejects_unknown_method(self):
         with pytest.raises(ValueError):
             integrate(presets.linear_cptp(1.0), MIXED, 1.0,

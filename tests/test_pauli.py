@@ -161,6 +161,14 @@ class TestPsdStateValidation:
     def test_cone_margin(self):
         assert PsdState(1.0, [0.6, 0, 0]).cone_margin == pytest.approx(0.4)
 
+    @pytest.mark.parametrize("physical", [True, False])
+    @pytest.mark.parametrize("tau,r,field", [(math.nan, [0, 0, 0], "tau"),
+                                             (math.inf, [0, 0, 0], "tau"),
+                                             (1.0, [math.nan, 0, 0], "r")])
+    def test_non_finite_rejected(self, tau, r, field, physical):
+        with pytest.raises(ValueError, match=f"PsdState.{field} must be finite"):
+            PsdState(tau, r, physical=physical)
+
 
 class TestPauliVectors:
     def test_complex_round_trip(self, rng):
@@ -178,6 +186,13 @@ class TestPauliVectors:
             assert np.abs(m - m.conj().T).max() <= 1e-14
             back = HermitianPauliVector.from_matrix(m)
             assert np.abs(back.ell - ell).max() <= 1e-12
+
+    @pytest.mark.parametrize("cls,field", [(PauliVectorC, "xi"),
+                                           (HermitianPauliVector, "ell")])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_rejected(self, cls, field, bad):
+        with pytest.raises(ValueError, match=f"{cls.__name__}.{field} must be finite"):
+            cls([0.0, bad, 0.0, 0.0])
 
     def test_from_matrix_rejects_non_hermitian(self):
         with pytest.raises(ValueError):

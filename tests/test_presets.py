@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,18 @@ def test_all_presets_expand_with_defaults():
     for name in preset_names():
         spec = expand_preset(Preset(name))
         assert spec.g in (0.0, 1.0)
+
+
+@pytest.mark.parametrize("name", preset_names())
+def test_non_finite_parameter_rejected(name):
+    param = presets.preset_params([name])[0]
+    with pytest.raises(ValueError, match="must be finite"):
+        expand_preset(Preset(name, {param: math.nan}))
+
+
+def test_preset_params_in_first_seen_order():
+    assert presets.preset_params() == ("m", "l0", "l1", "M", "gamma")
+    assert presets.preset_params(["threejump_nino"]) == ("M", "gamma")
 
 
 def test_linear_cptp_fields():
