@@ -218,6 +218,9 @@ def slowdown_exponent(spec: ChannelSpec, fp: Sequence[float],
     """
     fp = np.asarray(fp, dtype=float).reshape(3)
     d = np.asarray(approach_dir, dtype=float).reshape(3)
+    for name, v in (("fp", fp), ("approach_dir", d)):
+        if not np.isfinite(v).all():
+            raise InvalidParams(f"{name} must be finite")
     dn = np.linalg.norm(d)
     if dn == 0.0:
         raise InvalidParams("approach_dir must be nonzero")

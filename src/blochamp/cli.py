@@ -9,7 +9,6 @@ randomness is the seeded test-state generation inside ``verify``.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import io
 import json
 import re
@@ -78,12 +77,8 @@ def _add_initial_state_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_integrator_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--method", choices=("rk45_adaptive", "rk4_fixed"),
-                   default="rk45_adaptive")
     p.add_argument("--rtol", type=float, default=1e-10)
     p.add_argument("--atol", type=float, default=1e-12)
-    p.add_argument("--h-fixed", type=float, default=1e-3,
-                   help="step size for the fixed-step method")
     p.add_argument("--allow-off-cone", action="store_true",
                    help="disable the cone and apex halting checks")
     p.add_argument("--stop-on-surface", action="store_true",
@@ -91,8 +86,7 @@ def _add_integrator_args(p: argparse.ArgumentParser) -> None:
 
 
 def _opts_from_args(args) -> IntegratorOpts:
-    return IntegratorOpts(method=args.method, rtol=args.rtol, atol=args.atol,
-                          h_fixed=args.h_fixed,
+    return IntegratorOpts(rtol=args.rtol, atol=args.atol,
                           allow_off_cone=args.allow_off_cone,
                           stop_on_surface=args.stop_on_surface)
 
@@ -250,41 +244,21 @@ def _cmd_gate_plan(args) -> int:
 _SWEEP_OBSERVABLES = ("tau", "x", "y", "z", "r_norm", "purity", "entropy")
 
 
-def _sweep_one(job):
-    name, params, param, value, t, r0, tau0 = job
-    params = dict(params)
-    params[param] = value
-    spec = presets.expand_preset(presets.Preset(name, params))
-    traj = integrate(spec, PsdState(tau0, r0), t)
-    fin = traj.final_state
-    vals = {
-        "tau": fin.tau,
-        "x": fin.r[0], "y": fin.r[1], "z": fin.r[2],
-        "r_norm": fin.r_norm,
-        "purity": traj.purity[-1],
-        "entropy": traj.entropy[-1],
-    }
-    return [(param, value, obs, vals[obs]) for obs in _SWEEP_OBSERVABLES]
-
-
 def _cmd_sweep(args) -> int:
     if args.preset is None:
         raise BlochampError("sweep requires --preset")
     values = [float(v) for v in args.values.split(",")]
-    base = _given(args, _PRESET_PARAMS)
-    base.pop(args.param, None)
-    r0 = [args.x0, args.y0, args.z0]
-    jobs = [(args.preset, base, args.param, v, args.t, r0, args.tau0)
-            for v in values]
-    if args.jobs > 1:
-        with concurrent.futures.ProcessPoolExecutor(args.jobs) as pool:
-            results = list(pool.map(_sweep_one, jobs))
-    else:
-        results = [_sweep_one(j) for j in jobs]
+    params = _given(args, _PRESET_PARAMS)
     lines = ["param,value,observable,result"]
-    for rows in results:
-        for param, value, obs, res in rows:
-            lines.append(f"{param},{_fmt(value)},{obs},{_fmt(res)}")
+    for value in values:
+        params[args.param] = value
+        spec = presets.expand_preset(presets.Preset(args.preset, params))
+        traj = integrate(spec, PsdState(args.tau0, [args.x0, args.y0, args.z0]),
+                         args.t)
+        fin = traj.final_state
+        results = (fin.tau, *fin.r, fin.r_norm, traj.purity[-1], traj.entropy[-1])
+        lines += [f"{args.param},{_fmt(value)},{obs},{_fmt(res)}"
+                  for obs, res in zip(_SWEEP_OBSERVABLES, results)]
     _write_out("\n".join(lines) + "\n", args.out)
     return 0
 
@@ -372,8 +346,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", required=True,
                    help="comma-separated parameter values")
     p.add_argument("--t", type=float, required=True)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="parallel worker processes")
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_sweep)
 

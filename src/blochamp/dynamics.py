@@ -1,8 +1,8 @@
 """Time integration of the coordinate equations of motion.
 
-The state vector is y = (tau, x, y, z).  The default integrator is an
-embedded Dormand-Prince 4(5) pair with PI step control; a fixed-step
-classical fourth-order method is available for convergence measurements.
+The state vector is y = (tau, x, y, z).  The one integrator is an
+embedded Dormand-Prince 4(5) pair with adaptive step-size control; the
+exact solutions of the paper's gates are the convergence references.
 Trajectories record every accepted step (or a caller-supplied time grid),
 together with purity, entropy, tr(X Omega) and the cone margin tau - |r|.
 """
@@ -34,20 +34,29 @@ CSV_HEADER = "t,tau,x,y,z,purity,entropy,trXOmega,coneMargin"
 class IntegratorOpts:
     """Integration settings.
 
-    ``allow_off_cone`` disables the cone and apex halting checks (used for
-    instability probes and for propagating operator-basis elements);
-    ``stop_on_surface`` ends the run cleanly when the state reaches the pure
-    surface |r| = tau, which is where an amplification gate terminates.
+    ``rtol`` and ``atol`` must be finite, nonnegative and not both zero;
+    ``max_steps`` must be at least 1.  ``allow_off_cone`` disables the cone
+    and apex halting checks (used for instability probes and for propagating
+    operator-basis elements); ``stop_on_surface`` ends the run cleanly when
+    the state reaches the pure surface |r| = tau, which is where an
+    amplification gate terminates.
     """
 
-    method: str = "rk45_adaptive"
     rtol: float = 1e-10
     atol: float = 1e-12
-    h_init: float | None = None
-    h_fixed: float = 1e-3
     max_steps: int = 2_000_000
     allow_off_cone: bool = False
     stop_on_surface: bool = False
+
+    def __post_init__(self):
+        for name in ("rtol", "atol"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0.0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if self.rtol == 0.0 and self.atol == 0.0:
+            raise ValueError("rtol and atol must not both be zero")
+        if not self.max_steps >= 1:
+            raise ValueError(f"max_steps must be >= 1, got {self.max_steps!r}")
 
 
 @dataclass(frozen=True)
@@ -198,24 +207,16 @@ def _dp45_step(f, t, y, h, k1):
     return y_new, k[6], err
 
 
-def _rk4_step(f, t, y, h, k1=None):
-    k1 = f(t, y) if k1 is None else k1
-    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
-    k4 = f(t + h, y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _error_norm(err, y_old, y_new, rtol, atol):
     scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
     return float(np.sqrt(np.mean((err / scale) ** 2)))
 
 
-def _initial_step(f, y, k1, t_end, rtol, atol):
+def _initial_step(y, k1, t_end, rtol, atol):
     scale = atol + rtol * np.abs(y)
     d0 = float(np.linalg.norm(y / scale))
     d1 = float(np.linalg.norm(k1 / scale))
-    if d0 < 1e-5 or d1 < 1e-5:
+    if not (d0 >= 1e-5 and d1 >= 1e-5):  # also when atol = 0 gives 0/0
         h = t_end / 100.0
     else:
         h = 0.01 * d0 / d1
@@ -224,6 +225,17 @@ def _initial_step(f, y, k1, t_end, rtol, atol):
 
 def _margin(y) -> float:
     return float(y[0] - math.sqrt(y[1] ** 2 + y[2] ** 2 + y[3] ** 2))
+
+
+def _check_cone(t, y, initial: bool) -> None:
+    """Halt with ApexReached or ConeViolation when y is not a physical state."""
+    if y[0] < APEX_TAU:
+        raise ApexReached("initial trace below the apex cutoff" if initial
+                          else "trace underflow during integration", t, y[0], y[1:])
+    if math.sqrt(y[1] ** 2 + y[2] ** 2 + y[3] ** 2) > y[0] * (1.0 + CONE_RATIO_TOL):
+        raise ConeViolation("initial state outside the PSD cone" if initial
+                            else "state left the PSD cone during integration",
+                            t, y[0], y[1:])
 
 
 def _bisect_surface(step_to, t, y, h_hi):
@@ -256,8 +268,6 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
     opts = IntegratorOpts() if opts is None else opts
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
-    if opts.method not in ("rk45_adaptive", "rk4_fixed"):
-        raise ValueError(f"unknown method {opts.method!r}")
 
     gen = assemble(spec)
     f = _rhs_from_generator(gen)
@@ -266,10 +276,7 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
     y[0] = initial.tau
     y[1:] = initial.r
     if not opts.allow_off_cone:
-        if y[0] < APEX_TAU:
-            raise ApexReached("initial trace below the apex cutoff", 0.0, y[0], y[1:])
-        if math.sqrt(y[1] ** 2 + y[2] ** 2 + y[3] ** 2) > y[0] * (1.0 + CONE_RATIO_TOL):
-            raise ConeViolation("initial state outside the PSD cone", 0.0, y[0], y[1:])
+        _check_cone(0.0, y, initial=True)
 
     record_all = sample_times is None
     if record_all:
@@ -291,30 +298,17 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
         return _build_trajectory(spec, gen, rec_t, rec_y, StepStats(0, 0, 0.0),
                                  "surface")
 
-    def check_halts(t_new, y_new):
-        if opts.allow_off_cone:
-            return
-        tau_n = y_new[0]
-        if tau_n < APEX_TAU:
-            raise ApexReached("trace underflow during integration",
-                              t_new, tau_n, y_new[1:])
-        rn = math.sqrt(y_new[1] ** 2 + y_new[2] ** 2 + y_new[3] ** 2)
-        if rn > tau_n * (1.0 + CONE_RATIO_TOL):
-            raise ConeViolation("state left the PSD cone during integration",
-                                t_new, tau_n, y_new[1:])
-
-    driver = _run_fixed if opts.method == "rk4_fixed" else _run_adaptive
-    stats, stop_reason = driver(f, y, targets, opts, rec_t, rec_y, record_all,
-                                check_halts)
+    stats, stop_reason = _run_adaptive(f, y, targets, opts, rec_t, rec_y,
+                                       record_all)
     return _build_trajectory(spec, gen, rec_t, rec_y, stats, stop_reason)
 
 
-def _run_adaptive(f, y, targets, opts, rec_t, rec_y, record_all, check_halts):
+def _run_adaptive(f, y, targets, opts, rec_t, rec_y, record_all):
     rtol, atol = opts.rtol, opts.atol
     t = 0.0
     t_end = targets[-1]
     k1 = f(t, y)
-    h = opts.h_init if opts.h_init else _initial_step(f, y, k1, t_end, rtol, atol)
+    h = _initial_step(y, k1, t_end, rtol, atol)
     ti = 0
     n_acc = n_rej = 0
     max_err = 0.0
@@ -329,7 +323,7 @@ def _run_adaptive(f, y, targets, opts, rec_t, rec_y, record_all, check_halts):
             h = target - t
         y_new, k_new, err_vec = _dp45_step(f, t, y, h, k1)
         err = _error_norm(err_vec, y, y_new, rtol, atol)
-        if err > 1.0:
+        if not err <= 1.0:  # a NaN error norm is a rejection too
             n_rej += 1
             if h <= 1e-14 * max(1.0, abs(t)):
                 raise StepFailure("step size underflow: local error tolerance "
@@ -347,7 +341,8 @@ def _run_adaptive(f, y, targets, opts, rec_t, rec_y, record_all, check_halts):
             rec_t.append(t_s)
             rec_y.append(y_s.copy())
             return StepStats(n_acc, n_rej, max_err), "surface"
-        check_halts(t_new, y_new)
+        if not opts.allow_off_cone:
+            _check_cone(t_new, y_new, initial=False)
 
         t, y, k1 = t_new, y_new, k_new
         if record_all or hits_target:
@@ -359,38 +354,6 @@ def _run_adaptive(f, y, targets, opts, rec_t, rec_y, record_all, check_halts):
             _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
         h = max(h, 1e-16) * factor
     return StepStats(n_acc, n_rej, max_err), "t_end"
-
-
-def _run_fixed(f, y, targets, opts, rec_t, rec_y, record_all, check_halts):
-    t = 0.0
-    n_acc = 0
-    for target in targets:
-        seg = target - t
-        if seg <= 0.0:
-            continue
-        n = max(1, math.ceil(seg / opts.h_fixed))
-        h = seg / n
-        for i in range(n):
-            if n_acc >= opts.max_steps:
-                raise StepFailure("maximum step count exceeded", t, y[0], y[1:])
-            y_new = _rk4_step(f, t, y, h)
-            n_acc += 1
-            t_new = target if i == n - 1 else t + h
-            if opts.stop_on_surface and _margin(y_new) < 0.0:
-                t_s, y_s = _bisect_surface(
-                    lambda hh: _rk4_step(f, t, y, hh), t, y, h)
-                rec_t.append(t_s)
-                rec_y.append(y_s.copy())
-                return StepStats(n_acc, 0, math.nan), "surface"
-            check_halts(t_new, y_new)
-            t, y = t_new, y_new
-            if record_all:
-                rec_t.append(t)
-                rec_y.append(y.copy())
-        if not record_all:
-            rec_t.append(t)
-            rec_y.append(y.copy())
-    return StepStats(n_acc, 0, math.nan), "t_end"
 
 
 def _build_trajectory(spec, gen, rec_t, rec_y, stats, stop_reason) -> Trajectory:

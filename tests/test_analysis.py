@@ -133,6 +133,16 @@ class TestSlowdownExponent:
         with pytest.raises(InvalidParams):
             slowdown_exponent(presets.linear_cptp(1.0), (1, 0, 0), (0, 0, 0))
 
+    def test_rejects_non_finite_fixed_point(self):
+        with pytest.raises(InvalidParams, match="fp must be finite"):
+            slowdown_exponent(presets.linear_cptp(1.0), (math.nan, 0, 0),
+                              (1, 0, 0))
+
+    def test_rejects_non_finite_direction(self):
+        with pytest.raises(InvalidParams, match="approach_dir must be finite"):
+            slowdown_exponent(presets.linear_cptp(1.0), (1, 0, 0),
+                              (math.inf, 0, 0))
+
 
 class TestChoi:
     def test_identity_spectrum_at_zero(self):

@@ -1,11 +1,15 @@
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from blochamp import presets, save_spec
-from blochamp.cli import run_cli
+from blochamp.cli import build_parser, run_cli
 from blochamp.dynamics import CSV_HEADER
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -51,6 +55,12 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--preset", "threejump_nino",
                            "--M", "1", "--gamma", "3", "--t", "1")
         assert code == 1 and "M >= gamma/2" in err
+
+    def test_nan_tolerance_rejected(self, capsys):
+        code, out, err = run(capsys, "simulate", "--preset", "linear_cptp",
+                             "--t", "1", "--rtol", "nan")
+        assert code == 1 and out == ""
+        assert err.startswith("error: rtol must be finite")
 
 
 class TestReports:
@@ -130,14 +140,6 @@ class TestSweep:
         row = lines[1].split(",")
         assert row[0] == "m" and row[2] == "tau"
 
-    def test_parallel_matches_serial(self, capsys):
-        args = ("sweep", "--preset", "threejump_nino", "--param", "gamma",
-                "--values", "0.0,0.5", "--M", "1", "--x0", "0.001", "--t", "2")
-        code_a, out_a, _ = run(capsys, *args)
-        code_b, out_b, _ = run(capsys, *args, "--jobs", "2")
-        assert code_a == code_b == 0
-        assert out_a == out_b
-
 
 class TestNegativeValues:
     def test_exponent_form_initial_coordinate(self, capsys):
@@ -164,6 +166,20 @@ class TestVerify:
     def test_unknown_criterion(self, capsys):
         code, _, err = run(capsys, "verify", "--criteria", "bogus")
         assert code == 1 and "bogus" in err
+
+
+def test_readme_cli_examples_parse():
+    block = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = block.split("```")[1].replace("\\\n", " ")
+    commands = [shlex.split(line) for line in block.splitlines()
+                if line.startswith("blochamp ")]
+    assert len(commands) >= 10
+    parser = build_parser()
+    for argv in commands:
+        try:
+            parser.parse_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {shlex.join(argv)}")
 
 
 def test_usage_error_exit_code(capsys):

@@ -17,7 +17,7 @@ from blochamp import (
     xi_coordinates,
 )
 from blochamp.dynamics import CSV_HEADER
-from blochamp import presets
+from blochamp import dynamics, presets
 
 
 MIXED = PsdState(1.0, [0.0, 0.0, 0.0])
@@ -109,10 +109,44 @@ class TestIntegrate:
             integrate(presets.linear_cptp(1.0), MIXED, 1.0,
                       sample_times=[0.5, math.nan])
 
-    def test_rejects_unknown_method(self):
-        with pytest.raises(ValueError):
+    def test_nan_error_norm_is_rejected(self, monkeypatch):
+        # A right-hand side that turns NaN after t = 0 makes every error norm
+        # NaN; such steps are rejected until the step size underflows instead
+        # of being accepted until the step budget runs out.
+        monkeypatch.setattr(dynamics, "_rhs_from_generator", lambda gen: (
+            lambda t, y: np.full(4, math.nan) if t > 0.0 else np.zeros(4)))
+        with pytest.raises(StepFailure, match="step size underflow"):
             integrate(presets.linear_cptp(1.0), MIXED, 1.0,
-                      IntegratorOpts(method="euler"))
+                      IntegratorOpts(max_steps=1000))
+
+
+class TestIntegratorOpts:
+    @pytest.mark.parametrize("kwargs, field", [
+        ({"rtol": math.nan}, "rtol"),
+        ({"rtol": math.inf}, "rtol"),
+        ({"rtol": -1e-9}, "rtol"),
+        ({"atol": math.nan}, "atol"),
+        ({"atol": -1.0, "rtol": 0.0}, "atol"),
+        ({"rtol": 0.0, "atol": 0.0}, "rtol and atol"),
+        ({"max_steps": 0}, "max_steps"),
+    ], ids=["rtol-nan", "rtol-inf", "rtol-negative", "atol-nan",
+            "atol-negative", "both-zero", "max-steps-zero"])
+    def test_rejects_bad_settings(self, kwargs, field):
+        with pytest.raises(ValueError, match=field):
+            IntegratorOpts(**kwargs)
+
+    def test_pure_relative_tolerance(self):
+        start = PsdState(1.0, [0.1, 0.1, 0.1])
+        traj = integrate(presets.linear_cptp(0.5), start, 1.0,
+                         IntegratorOpts(atol=0.0))
+        ref = integrate(presets.linear_cptp(0.5), start, 1.0)
+        assert np.abs(traj.r[-1] / ref.r[-1] - 1.0).max() <= 1e-8
+        # With atol = 0 an exactly zero coordinate has no error scale; the run
+        # says so at once instead of stepping until the budget runs out.
+        with pytest.raises(StepFailure, match="step size underflow"), \
+                np.errstate(divide="ignore", invalid="ignore"):
+            integrate(presets.linear_cptp(0.5), MIXED, 1.0,
+                      IntegratorOpts(atol=0.0, max_steps=1000))
 
 
 class TestHalting:
@@ -157,25 +191,6 @@ class TestHalting:
                          1.0, opts)
         assert traj.stop_reason == "surface"
         assert len(traj) == 1
-
-
-class TestFixedStepMethod:
-    def test_fourth_order_convergence(self):
-        spec = presets.linear_cptp(1.0)
-        ref = 1.0 - math.exp(-4.0)
-
-        def err(h):
-            opts = IntegratorOpts(method="rk4_fixed", h_fixed=h)
-            traj = integrate(spec, MIXED, 1.0, opts)
-            return abs(traj.r[-1, 0] - ref)
-
-        assert err(0.1) / err(0.05) >= 12.0
-
-    def test_matches_adaptive(self):
-        opts = IntegratorOpts(method="rk4_fixed", h_fixed=1e-3)
-        a = integrate(presets.onejump_nino(1.0), MIXED, 2.0, opts)
-        b = integrate(presets.onejump_nino(1.0), MIXED, 2.0)
-        assert a.r[-1, 0] == pytest.approx(b.r[-1, 0], abs=1e-9)
 
 
 class TestTracePlaneStability:
