@@ -1,9 +1,14 @@
 """Fixed points, stability, Choi certification and gate planning.
 
-Fixed-point searches run on the unit-trace plane for nonlinear channels
-(their trace is conserved there) and as a full affine solve for linear
-ones.  Complete positivity of a linear channel at finite time is certified
-by propagating the four operator-basis elements and assembling the Choi
+Fixed points come from one eigen-solve of the 4x4 matrix A of the flow
+y' = A y + g (w.y) y, y = (tau, r): a real eigenvector with tau != 0,
+scaled onto the plane g*tau = 1 where the trace is conserved (tau = 1 for a
+linear channel), is a rest state.  Points outside the ball are reported
+too; a fixed set of dimension k > 0 is reported as k fixed lines through
+its point nearest the center.
+
+Complete positivity of a linear channel at finite time is certified by
+propagating the four operator-basis elements and assembling the Choi
 matrix; a negative eigenvalue flags a positive but non-CP map.
 """
 
@@ -27,12 +32,12 @@ __all__ = [
     "GateStage", "GatePlan", "GATES", "plan_amplification", "rotate",
 ]
 
-# Rank decisions in the affine solve use this relative singular-value cutoff.
+# Null-space and tau != 0 decisions use this relative cutoff.
 _RANK_TOL = 1e-10
-_NEWTON_TOL = 1e-12
-_NEWTON_POLISH = 1e-14
-_NEWTON_MAX_ITER = 100
-_DEDUP_RADIUS = 1e-6
+# A defective A splits a k-fold eigenvalue, and tilts its eigenvectors, by
+# about eps**(1/k); within this tolerance a split pair is real and a null
+# space is one already found.
+_SPLIT_TOL = 1e-5
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,131 +92,69 @@ def _sorted_eigvals(m: np.ndarray) -> np.ndarray:
 def find_fixed_points(spec: ChannelSpec) -> FixedPointReport:
     """Locate fixed points of the coordinate flow and label their stability.
 
-    Linear and pseudo-linear channels reduce to an affine system solved by
-    rank analysis (a rank-deficient consistent system is reported as fixed
-    lines rather than a failure).  Genuinely nonlinear channels are searched
-    with damped Newton iterations from a 5x5x5 seed grid over |r| <= 1.2,
-    deduplicating converged roots.
+    With y = (tau, r) the flow is y' = A y + g (w.y) y (``AffineGenerator.A``),
+    so y rests exactly where A y = lambda y on the plane g*tau = 1 (tau = 1
+    when g = 0, where only lambda = 0 counts).  Each real eigenvalue of A
+    gives the null space of A - lambda I, by SVD; a null space found before
+    (a repeated eigenvalue, split by roundoff) is skipped.  Its vectors with
+    tau != 0, scaled onto the plane, are the fixed points, reported as Bloch
+    vectors r/tau whether or not they lie in the ball.  A null space of
+    dimension k > 1 gives k - 1 fixed lines through the point of the fixed
+    set nearest the center.  The Jacobian eigenvalues on the plane are the
+    other eigenvalues of A minus lambda.
     """
     gen = assemble(spec)
+    a, w, g = gen.A, gen.omega.ell, gen.g
     scale = _generator_scale(gen)
     marginal_tol = 1e-6 * scale
-    restricted = gen.g != 0.0
+    ev = _sorted_eigvals(a)
+    lams = [0.0] if g == 0.0 else ev.real[np.abs(ev.imag) <= _SPLIT_TOL * scale]
 
-    if gen.g == 0.0 or gen.pseudo_linear:
-        a = gen.G_linear + (gen.g * gen.omega.ell[0]) * np.eye(3)
-        b = gen.C_total
-        return _affine_report(a, b, restricted, marginal_tol)
-    return _newton_report(gen, restricted, marginal_tol)
-
-
-def _affine_report(a, b, restricted, marginal_tol) -> FixedPointReport:
-    u, s, vt = np.linalg.svd(a)
-    s_max = s[0] if s.size else 0.0
-    rank = int(np.sum(s > _RANK_TOL * max(1.0, s_max)))
-    eigvals = _sorted_eigvals(a)
-
-    if rank == 3:
-        r = np.linalg.solve(a, -b)
-        res = float(np.linalg.norm(a @ r + b))
-        pt = FixedPoint(r, eigvals, _stability_label(eigvals, marginal_tol), res)
-        return FixedPointReport((pt,), (), restricted)
-
-    # Rank-deficient: a consistent system has a line (or plane) of solutions.
-    r_p, *_ = np.linalg.lstsq(a, -b, rcond=None)
-    res = float(np.linalg.norm(a @ r_p + b))
-    if res > _RANK_TOL * max(1.0, float(np.linalg.norm(b))):
-        return FixedPointReport((), (), restricted)
-    transverse = eigvals[np.abs(eigvals) > _RANK_TOL * max(1.0, s_max)]
-    marginal = bool(transverse.size == 0
-                    or np.max(transverse.real) <= marginal_tol)
-    lines = tuple(
-        FixedLine(point=r_p.copy(), direction=vt[i], marginal=marginal)
-        for i in range(rank, 3)
-    )
-    return FixedPointReport((), lines, restricted)
-
-
-def _residual_fn(gen):
-    """Velocity dr/dt on the unit-trace plane, and its Jacobian in r."""
-    a0 = gen.G_linear
-    b = gen.C_total
-    w = gen.omega.ell
-    w0, wv = w[0], w[1:]
-    g = gen.g
-
-    def fval(r):
-        return a0 @ r + b + g * (w0 + r @ wv) * r
-
-    def jac(r):
-        return a0 + g * ((w0 + r @ wv) * np.eye(3) + np.outer(r, wv))
-
-    return fval, jac
-
-
-def _newton_report(gen, restricted, marginal_tol) -> FixedPointReport:
-    fval, jac = _residual_fn(gen)
-    grid = np.linspace(-1.2, 1.2, 5)
-    roots = []
-    for x0 in grid:
-        for y0 in grid:
-            for z0 in grid:
-                seed = np.array([x0, y0, z0])
-                if np.linalg.norm(seed) > 1.2 + 1e-12:
-                    continue
-                root = _damped_newton(fval, jac, seed)
-                if root is not None:
-                    roots.append(root)
-    points = []
-    for r in _dedupe(roots):
-        j = jac(r)
-        ev = _sorted_eigvals(j)
-        points.append(FixedPoint(r, ev, _stability_label(ev, marginal_tol),
-                                 float(np.linalg.norm(fval(r)))))
+    # Each copy of a repeated eigenvalue finds its null space, or a part of
+    # it, again: the largest comes first and the rest are dropped.
+    nulls = sorted(((_null_space(a, lam), lam) for lam in lams),
+                   key=lambda item: -item[0].shape[1])
+    points, lines, found = [], [], []
+    for null, lam in nulls:
+        if any(np.linalg.norm(null - f @ (f.T @ null)) <= _SPLIT_TOL for f in found):
+            continue
+        found.append(null)
+        if np.linalg.norm(null[0]) <= _RANK_TOL:
+            continue
+        # Rotate the null basis so that only its first vector has tau != 0.
+        null = null @ np.linalg.svd(null[:1])[2].T
+        dirs = null[1:, 1:]
+        r = null[1:, 0] / null[0, 0]
+        r = r - dirs @ (dirs.T @ r)
+        jac = np.delete(ev, np.argmin(np.abs(ev - lam))) - lam
+        if dirs.shape[1]:
+            # The other copies of lam, split by roundoff, are the directions
+            # along the fixed set: only the transverse ones decide.
+            transverse = jac[np.abs(jac) > _SPLIT_TOL * scale]
+            marginal = bool(transverse.size == 0
+                            or np.max(transverse.real) <= marginal_tol)
+            lines += [FixedLine(r.copy(), d, marginal) for d in dirs.T]
+            continue
+        y = np.concatenate(([1.0], r)) / (g if g else 1.0)
+        res = float(np.linalg.norm(a @ y + g * (w @ y) * y))
+        points.append(FixedPoint(r, jac, _stability_label(jac, marginal_tol), res))
     points.sort(key=lambda p: (round(p.r[0], 9), round(p.r[1], 9), round(p.r[2], 9)))
-    return FixedPointReport(tuple(points), (), restricted)
+    return FixedPointReport(tuple(points), tuple(lines), g != 0.0)
 
 
-def _damped_newton(fval, jac, r0):
-    r = r0.astype(float).copy()
-    res = float(np.linalg.norm(fval(r)))
-    for _ in range(_NEWTON_MAX_ITER):
-        if res <= _NEWTON_POLISH:
-            break
-        step, *_ = np.linalg.lstsq(jac(r), -fval(r), rcond=None)
-        lam = 1.0
-        improved = False
-        for _ in range(25):
-            trial = r + lam * step
-            trial_res = float(np.linalg.norm(fval(trial)))
-            if trial_res < res:
-                r, res = trial, trial_res
-                improved = True
-                break
-            lam *= 0.5
-        if not improved:
-            break
-    return r if res <= _NEWTON_TOL else None
-
-
-def _dedupe(roots):
-    clusters: list[list[np.ndarray]] = []
-    for r in roots:
-        for cluster in clusters:
-            if any(np.linalg.norm(r - other) <= _DEDUP_RADIUS for other in cluster):
-                cluster.append(r)
-                break
-        else:
-            clusters.append([r])
-    return [np.mean(c, axis=0) for c in clusters]
+def _null_space(a: np.ndarray, lam: float) -> np.ndarray:
+    """Orthonormal columns spanning the null space of a - lam I, by SVD."""
+    _, s, vt = np.linalg.svd(a - lam * np.eye(len(a)))
+    return vt[s <= _RANK_TOL * max(1.0, s[0])].T
 
 
 def slowdown_exponent(spec: ChannelSpec, fp: Sequence[float],
                       approach_dir: Sequence[float]) -> float:
     """Exponent p of the speed law |dr/dt| ~ delta^p approaching a fixed point.
 
-    Evaluates the speed at fp - delta*dir for 20 log-spaced deltas in
-    [1e-5, 1e-2] on the unit-trace plane and returns the least-squares slope
+    Evaluates the Bloch-vector speed at fp - delta*dir for 20 log-spaced
+    deltas in [1e-5, 1e-2] on the plane g*tau = 1 where ``find_fixed_points``
+    looks (tau = 1 when g = 0) and returns the least-squares slope
     of log speed against log delta.  Exponent 1 marks linear deceleration,
     2 the harsher quadratic slowdown; probing an exactly fixed direction is
     rejected.
@@ -225,9 +168,14 @@ def slowdown_exponent(spec: ChannelSpec, fp: Sequence[float],
     if dn == 0.0:
         raise InvalidParams("approach_dir must be nonzero")
     d = d / dn
-    velocity, _ = _residual_fn(assemble(spec))
+    gen = assemble(spec)
     deltas = np.logspace(-5, -2, 20)
-    speeds = np.array([np.linalg.norm(velocity(fp - delta * d)) for delta in deltas])
+    # At y = (1, b)/g on the plane the Bloch velocity g*dr/dt is the flow at
+    # y = (1, b) with the nonlinear term at coefficient 1, whatever g != 0 is.
+    ys = np.column_stack((np.ones(deltas.size), fp - deltas[:, None] * d))
+    nonlinear = 1.0 if gen.g else 0.0
+    velocity = ys @ gen.A.T + nonlinear * (ys @ gen.omega.ell)[:, None] * ys
+    speeds = np.linalg.norm(velocity[:, 1:], axis=1)
     if np.all(speeds < 1e-14):
         raise InvalidParams("speed vanishes along this direction; "
                             "it is exactly fixed")

@@ -118,6 +118,18 @@ class AffineGenerator:
         w = self.omega.ell
         return bool(np.abs(w[1:]).max() <= 1e-12 * max(1.0, float(np.linalg.norm(w))))
 
+    @property
+    def A(self) -> np.ndarray:
+        """The 4x4 linear part of y' = A y + g (w.y) y, y = (tau, r), w = omega.
+
+        A = [[-w0, -w_vec], [C_total, G_linear]].
+        """
+        a = np.empty((4, 4))
+        a[0] = -self.omega.ell
+        a[1:, 0] = self.C_total
+        a[1:, 1:] = self.G_linear
+        return a
+
     def tr_x_omega(self, tau: float, r: np.ndarray) -> float:
         w = self.omega.ell
         return tau * w[0] + float(np.asarray(r) @ w[1:])

@@ -183,9 +183,10 @@ def _cmd_slowdown(args) -> int:
         fp = [float(v) for v in args.fp.split(",")]
     else:
         rep = analysis.find_fixed_points(spec)
-        if not rep.points:
+        found = [p.r for p in rep.points] + [line.point for line in rep.fixed_lines]
+        if not found:
             raise BlochampError("no fixed point found; pass one with --fp")
-        fp = [float(v) for v in rep.points[0].r]
+        fp = [float(v) for v in found[0]]
     direction = [float(v) for v in args.dir.split(",")]
     exponent = analysis.slowdown_exponent(spec, fp, direction)
     _print_json({"fixed_point": fp, "direction": direction,
@@ -311,7 +312,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("slowdown", help="speed-versus-distance exponent at a "
                                         "fixed point")
     _add_channel_args(p)
-    p.add_argument("--fp", help="fixed point as x,y,z (default: first found)")
+    p.add_argument("--fp", help="fixed point as x,y,z (default: the first "
+                                "isolated fixed point, else the point of the "
+                                "first fixed line)")
     p.add_argument("--dir", default="1,0,0", help="approach direction x,y,z")
     p.set_defaults(func=_cmd_slowdown)
 

@@ -207,16 +207,25 @@ def _dp45_step(f, t, y, h, k1):
     return y_new, k[6], err
 
 
+def _scaled(v, scale):
+    """v / scale, where 0/0 counts as 0 and a nonzero v over 0 as inf.
+
+    A zero scale needs atol = 0 and a zero coordinate.
+    """
+    return np.divide(v, scale, out=np.where(v == 0.0, 0.0, np.inf),
+                     where=scale != 0.0)
+
+
 def _error_norm(err, y_old, y_new, rtol, atol):
     scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean((err / scale) ** 2)))
+    return float(np.sqrt(np.mean(_scaled(err, scale) ** 2)))
 
 
 def _initial_step(y, k1, t_end, rtol, atol):
     scale = atol + rtol * np.abs(y)
-    d0 = float(np.linalg.norm(y / scale))
-    d1 = float(np.linalg.norm(k1 / scale))
-    if not (d0 >= 1e-5 and d1 >= 1e-5):  # also when atol = 0 gives 0/0
+    d0 = float(np.linalg.norm(_scaled(y, scale)))
+    d1 = float(np.linalg.norm(_scaled(k1, scale)))
+    if not (d0 >= 1e-5 and 1e-5 <= d1 < math.inf):  # d1 = inf would give h = 0
         h = t_end / 100.0
     else:
         h = 0.01 * d0 / d1

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blochamp import ChannelSpec, HermitianPauliVector, JumpTerm, PauliVectorC
+from blochamp import ChannelSpec, HermitianPauliVector, JumpTerm, PauliVectorC, assemble
 from blochamp.pauli import SIGMA
 
 
@@ -95,3 +95,61 @@ def trace_jump_generator(j):
 def coords_of(m):
     """(tau, r) of a 2x2 operator: tau = tr(m), r_a = tr(sigma_a m), real parts."""
     return np.trace(m).real, np.array([np.trace(s @ m).real for s in SIGMA[1:]])
+
+
+def plane_flow(spec):
+    """Velocity dr/dt on the unit-trace plane of a g = 1 channel, and its
+    Jacobian in r."""
+    gen = assemble(spec)
+    a0, b, g = gen.G_linear, gen.C_total, gen.g
+    w0, wv = gen.omega.ell[0], gen.omega.ell[1:]
+
+    def fval(r):
+        return a0 @ r + b + g * (w0 + r @ wv) * r
+
+    def jac(r):
+        return a0 + g * ((w0 + r @ wv) * np.eye(3) + np.outer(r, wv))
+
+    return fval, jac
+
+
+def _damped_newton(fval, jac, r):
+    res = float(np.linalg.norm(fval(r)))
+    for _ in range(100):
+        if res <= 1e-14:
+            break
+        step, *_ = np.linalg.lstsq(jac(r), -fval(r), rcond=None)
+        lam = 1.0
+        for _ in range(25):
+            trial = r + lam * step
+            trial_res = float(np.linalg.norm(fval(trial)))
+            if trial_res < res:
+                r, res = trial, trial_res
+                break
+            lam *= 0.5
+        else:
+            break
+    return r if res <= 1e-12 else None
+
+
+def newton_roots(spec):
+    """Oracle for fixed points on the unit-trace plane: damped Newton from a
+    5x5x5 seed grid over |r| <= 1.2, with roots closer than 1e-6 merged into
+    their mean."""
+    fval, jac = plane_flow(spec)
+    grid = np.linspace(-1.2, 1.2, 5)
+    clusters = []
+    seeds = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"), -1).reshape(-1, 3)
+    for seed in seeds:
+        if np.linalg.norm(seed) > 1.2 + 1e-12:
+            continue
+        root = _damped_newton(fval, jac, seed)
+        if root is None:
+            continue
+        for cluster in clusters:
+            if any(np.linalg.norm(root - other) <= 1e-6 for other in cluster):
+                cluster.append(root)
+                break
+        else:
+            clusters.append([root])
+    return [np.mean(c, axis=0) for c in clusters]

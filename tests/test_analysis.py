@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,7 +19,8 @@ from blochamp import (
     rotate,
     slowdown_exponent,
 )
-from blochamp import presets
+from blochamp import assemble, presets, reconstruct
+from conftest import matrix_rhs, newton_roots, plane_flow, random_nino_spec
 
 
 class TestFixedPoints:
@@ -50,12 +52,20 @@ class TestFixedPoints:
         assert xs == [-1.0, 1.0]
 
     def test_onejump_marginal_point(self):
-        rep = find_fixed_points(presets.onejump_nino(1.0))
-        assert len(rep.points) == 1
-        p = rep.points[0]
-        assert np.allclose(p.r, [1, 0, 0], atol=1e-6)
-        assert p.stability == "marginal"
-        assert np.abs(p.jacobian_eigenvalues).max() <= 1e-5
+        # The one-jump gate rests on the whole plane x = 1: two marginal
+        # lines through (1, 0, 0), its point nearest the center.
+        spec = presets.onejump_nino(1.0)
+        rep = find_fixed_points(spec)
+        assert not rep.points and len(rep.fixed_lines) == 2
+        d = np.array([line.direction for line in rep.fixed_lines])
+        assert np.abs(d @ d.T - np.eye(2)).max() <= 1e-12
+        assert np.abs(d[:, 0]).max() <= 1e-12
+        for line in rep.fixed_lines:
+            assert np.abs(line.point - [1, 0, 0]).max() <= 1e-12
+            assert line.marginal
+        for r in ([1, 0.5, 0], [1, 0, 0.3], [1, -2, 1]):
+            dr, dtau = rhs(spec, PsdState(1.0, r, physical=False))
+            assert np.abs(dr).max() <= 1e-12 and abs(dtau) <= 1e-12
 
     def test_threejump_unstable_center(self):
         rep = find_fixed_points(presets.threejump_nino(1.0, 0.5))
@@ -97,6 +107,71 @@ class TestFixedPoints:
         eb = np.sort(b.points[0].jacobian_eigenvalues.real)
         assert np.abs(ea - eb).max() <= 1e-10
 
+    def test_nearly_equal_rates_keep_their_point(self):
+        # Two distinct eigenvalues of A 1e-7 apart are not one split
+        # eigenvalue: the center stays a fixed point.
+        rep = find_fixed_points(presets.threejump_nino(1.0, 1.0 - 1e-7))
+        assert len(rep.points) == 1 and not rep.fixed_lines
+        assert np.abs(rep.points[0].r).max() <= 1e-10
+
+    def test_defective_eigenvalue_gives_one_line(self):
+        # Precession h_z = l1 makes 0 a fourfold eigenvalue of A with a 3x3
+        # Jordan block; the rest set is the line {(0, 1, z)}, reported once.
+        spec = replace(presets.nojump_nino(0.0, 1.0), h=[0.0, 0.0, 1.0])
+        rep = find_fixed_points(spec)
+        assert not rep.points and len(rep.fixed_lines) == 1
+        line = rep.fixed_lines[0]
+        assert np.abs(line.point - [0, 1, 0]).max() <= 1e-9
+        assert abs(abs(line.direction[2]) - 1.0) <= 1e-9
+        assert line.marginal
+        for z in (-0.7, 0.4):
+            dr, _ = rhs(spec, PsdState(1.0, [0.0, 1.0, z], physical=False))
+            assert np.abs(dr).max() <= 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_random_nonlinear_specs_against_newton(self, seed):
+        # Every root of damped Newton from a seed grid is reported; every
+        # reported point, and two points of each line, is a rest state of
+        # the operator equation; the eigenvalues are those of the Jacobian.
+        rng = np.random.default_rng(seed)
+        for i in range(50):
+            spec = random_nino_spec(rng, n_jumps=1 + i % 3)
+            rep = find_fixed_points(spec)
+            scale = max(1.0, float(np.linalg.norm(assemble(spec).A)))
+            for root in newton_roots(spec):
+                dist = [np.linalg.norm(root - p.r) for p in rep.points]
+                for line in rep.fixed_lines:
+                    v = root - line.point
+                    d = line.direction
+                    dist.append(np.linalg.norm(v - (v @ d) * d))
+                assert min(dist, default=np.inf) <= (
+                    1e-6 * max(1.0, np.linalg.norm(root)))
+            rest = [p.r for p in rep.points] + [
+                line.point + s * line.direction
+                for line in rep.fixed_lines for s in (0.5, -1.3)]
+            for r in rest:
+                dx = matrix_rhs(spec, reconstruct(PsdState(1.0, r, physical=False)))
+                assert np.linalg.norm(dx) <= 1e-12 * scale * max(1.0, r @ r)
+            _, jac = plane_flow(spec)
+            for p in rep.points:
+                want = np.linalg.eigvals(jac(p.r))
+                gap = max(np.abs(p.jacobian_eigenvalues - e).min() for e in want)
+                assert gap <= 1e-8 * scale * max(1.0, np.linalg.norm(p.r))
+
+    def test_partial_nonlinearity_rests_on_its_plane(self, rng):
+        # With g = 0.5 the trace is conserved on the plane tau = 1/g = 2.
+        n_points = 0
+        for i in range(30):
+            spec = replace(random_nino_spec(rng, n_jumps=1 + i % 3), g=0.5)
+            rep = find_fixed_points(spec)
+            scale = max(1.0, float(np.linalg.norm(assemble(spec).A)))
+            for p in rep.points:
+                x = reconstruct(PsdState(2.0, 2.0 * p.r, physical=False))
+                assert np.linalg.norm(matrix_rhs(spec, x)) <= (
+                    1e-12 * scale * max(1.0, p.r @ p.r))
+                n_points += 1
+        assert n_points >= 30
+
     def test_degenerate_spec_reports_plane(self):
         from blochamp import ChannelSpec, HermitianPauliVector
 
@@ -123,6 +198,20 @@ class TestSlowdownExponent:
         # speed points away from the fixed point: no deceleration on approach
         dr, _ = rhs(spec, PsdState(1.0, -1e-3 * d))
         assert float(dr @ (-d)) > 0.0
+
+    def test_partial_nonlinearity_slows_down_at_its_points(self, rng):
+        # With g = 0.5 the fixed points sit on the plane tau = 2, and the
+        # speed measured there vanishes linearly on approach.
+        n_points = 0
+        for i in range(10):
+            spec = replace(random_nino_spec(rng, n_jumps=1 + i % 3), g=0.5)
+            for p in find_fixed_points(spec).points:
+                if p.stability == "marginal":
+                    continue
+                d = rng.standard_normal(3)
+                assert slowdown_exponent(spec, p.r, d) == pytest.approx(1.0, abs=0.05)
+                n_points += 1
+        assert n_points >= 5
 
     def test_rejects_exactly_fixed_direction(self):
         d = np.array([1.0, 1.0, 0.0]) / math.sqrt(2)

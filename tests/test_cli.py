@@ -86,6 +86,16 @@ class TestReports:
         assert code == 0
         assert json.loads(out)["exponent"] == pytest.approx(2.0, abs=0.02)
 
+    def test_slowdown_default_fixed_plane(self, capsys):
+        # The one-jump gate rests on the plane x = 1; without --fp the probe
+        # starts from the point of its first fixed line, (1, 0, 0).
+        code, out, _ = run(capsys, "slowdown", "--preset", "onejump_nino",
+                           "--m", "1")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["fixed_point"] == pytest.approx([1, 0, 0], abs=1e-12)
+        assert rep["exponent"] == pytest.approx(2.0, abs=1e-9)
+
     def test_stability_json(self, capsys):
         code, out, _ = run(capsys, "stability", "--preset",
                            "pseudolinear_nino", "--m", "1",

@@ -141,12 +141,19 @@ class TestIntegratorOpts:
                          IntegratorOpts(atol=0.0))
         ref = integrate(presets.linear_cptp(0.5), start, 1.0)
         assert np.abs(traj.r[-1] / ref.r[-1] - 1.0).max() <= 1e-8
-        # With atol = 0 an exactly zero coordinate has no error scale; the run
-        # says so at once instead of stepping until the budget runs out.
-        with pytest.raises(StepFailure, match="step size underflow"), \
-                np.errstate(divide="ignore", invalid="ignore"):
-            integrate(presets.linear_cptp(0.5), MIXED, 1.0,
-                      IntegratorOpts(atol=0.0, max_steps=1000))
+        # With atol = 0 an exactly zero coordinate has a zero error scale; its
+        # zero error counts as 0 and the run follows x(t) = 1 - e^{-t}.
+        traj = integrate(presets.linear_cptp(0.5), MIXED, 1.0,
+                         IntegratorOpts(atol=0.0))
+        assert traj.r[-1, 0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-8)
+        assert np.all(traj.r[:, 1:] == 0.0)
+
+    def test_zero_scale_error_norm(self):
+        zero = np.zeros(4)
+        assert dynamics._error_norm(zero, zero, zero, 1e-10, 0.0) == 0.0
+        # A nonzero error over a zero scale cannot be met: the step is rejected.
+        err = np.array([0.0, 1e-30, 0.0, 0.0])
+        assert dynamics._error_norm(err, zero, zero, 1e-10, 0.0) == math.inf
 
 
 class TestHalting:
