@@ -43,6 +43,7 @@ from .dynamics import (
 from .errors import (
     ApexReached,
     BlochampError,
+    BlowUp,
     ConeViolation,
     InvalidParams,
     StepFailure,
@@ -65,7 +66,7 @@ from .presets import Preset, expand_preset, preset_names
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineGenerator", "ApexReached", "BlochampError", "ChannelClass",
+    "AffineGenerator", "ApexReached", "BlochampError", "BlowUp", "ChannelClass",
     "ChannelSpec", "ConeViolation", "FixedLine", "FixedPoint",
     "FixedPointReport", "GatePlan", "HermitianPauliVector", "IntegratorOpts",
     "InvalidParams", "JumpTerm", "PauliVectorC", "Preset", "PsdState",

@@ -7,9 +7,9 @@ linear channel), is a rest state.  Points outside the ball are reported
 too; a fixed set of dimension k > 0 is reported as k fixed lines through
 its point nearest the center.
 
-Complete positivity of a linear channel at finite time is certified by
-propagating the four operator-basis elements and assembling the Choi
-matrix; a negative eigenvalue flags a positive but non-CP map.
+Complete positivity of a linear channel at finite time is certified from
+its propagator e^{At}, which maps the four operator-basis elements into the
+Choi matrix; a negative eigenvalue flags a positive but non-CP map.
 """
 
 from __future__ import annotations
@@ -22,9 +22,9 @@ import numpy as np
 
 from . import presets
 from .channels import ChannelSpec, assemble
-from .dynamics import IntegratorOpts, integrate
+from .dynamics import integrate
 from .errors import InvalidParams, TargetUnreachable
-from .pauli import PsdState, reconstruct
+from .pauli import SIGMA, SIGMA_X, SIGMA_Y, PsdState
 
 __all__ = [
     "FixedPoint", "FixedLine", "FixedPointReport", "find_fixed_points",
@@ -185,27 +185,32 @@ def slowdown_exponent(spec: ChannelSpec, fp: Sequence[float],
 # ---------------------------------------------------------------------------
 # Choi certification
 
-_E00 = np.array([[1, 0], [0, 0]], dtype=complex)
-_E01 = np.array([[0, 1], [0, 0]], dtype=complex)
-_E10 = np.array([[0, 0], [1, 0]], dtype=complex)
-_E11 = np.array([[0, 0], [0, 1]], dtype=complex)
-
-# (tau, r) coordinates of E00, E11 and the Hermitian/anti-Hermitian parts
-# of E01; the linear flow extends to arbitrary operators through them.
-_CHOI_BASIS = (
-    (1.0, (0.0, 0.0, 1.0)),    # E00
-    (1.0, (0.0, 0.0, -1.0)),   # E11
-    (0.0, (1.0, 0.0, 0.0)),    # (E01 + E10)/2 = sigma_x / 2
-    (0.0, (0.0, 1.0, 0.0)),    # (E01 - E10)/(2i) = sigma_y / 2
-)
+# (tau, r) coordinates, as columns, of E00, E11 and the Hermitian and
+# anti-Hermitian parts of E01; the linear flow extends to arbitrary operators
+# through them.
+_CHOI_BASIS = np.array([
+    [1.0, 0.0, 0.0, 1.0],     # E00
+    [1.0, 0.0, 0.0, -1.0],    # E11
+    [0.0, 1.0, 0.0, 0.0],     # (E01 + E10)/2 = sigma_x / 2
+    [0.0, 0.0, 1.0, 0.0],     # (E01 - E10)/(2i) = sigma_y / 2
+]).T
+# With E01 = sigma_x/2 + i sigma_y/2 and E10 its adjoint, the Choi matrix
+# sum_ij E_ij (x) Phi(E_ij) is sum_k K_k (x) Phi(basis_k), K = (E00, E11,
+# sigma_x, -sigma_y); Phi(basis_k) = sum_a Y[a, k] sigma_a / 2 for its (tau, r)
+# coordinates Y[:, k].  _CHOI_BLOCKS[a, k] = K_k (x) sigma_a / 2, built by
+# broadcasting: [K (x) S][2i + m, 2j + n] = K[i, j] S[m, n].
+_K = np.array([np.diag([1.0, 0.0]), np.diag([0.0, 1.0]), SIGMA_X, -SIGMA_Y])
+_CHOI_BLOCKS = 0.5 * (np.array(SIGMA)[:, None, None, :, None, :]
+                      * _K[None, :, :, None, :, None]).reshape(4, 4, 4, 4)
 
 
 def choi_spectra(spec: ChannelSpec, ts: Sequence[float]) -> np.ndarray:
     """Choi eigenvalues (ascending) of the finite-time map at each time.
 
-    Only defined for linear channels (g = 0).  Uses the unnormalized Choi
-    matrix sum_ij E_ij (x) Phi_t(E_ij), whose trace is 2 at t = 0; any
-    eigenvalue below zero certifies a non-completely-positive map.
+    Only defined for linear channels (g = 0), whose map at time t is the
+    propagator e^{At} on (tau, r).  Uses the unnormalized Choi matrix
+    sum_ij E_ij (x) Phi_t(E_ij), whose trace is 2 at t = 0; any eigenvalue
+    below zero certifies a non-completely-positive map.  Rows follow ts.
     """
     if spec.g != 0.0:
         raise InvalidParams("the Choi representation requires a linear "
@@ -215,29 +220,9 @@ def choi_spectra(spec: ChannelSpec, ts: Sequence[float]) -> np.ndarray:
         raise ValueError("ts must be a nonempty 1-d sequence")
     if np.any(ts < 0.0):
         raise ValueError("times must be nonnegative")
-
-    t_max = float(ts.max())
-    unique_ts = np.unique(ts)
-    basis = [PsdState(tau, r, physical=False) for tau, r in _CHOI_BASIS]
-    if t_max == 0.0:
-        propagated = [{0.0: state} for state in basis]
-    else:
-        opts = IntegratorOpts(rtol=1e-12, atol=1e-14, allow_off_cone=True)
-        propagated = []
-        for state in basis:
-            traj = integrate(spec, state, t_max, opts, sample_times=unique_ts)
-            propagated.append({float(t): traj.state(i) for i, t in enumerate(traj.t)})
-
-    spectra = np.empty((ts.size, 4))
-    for row, t in enumerate(ts):
-        phi_e00, phi_e11, herm, anti = (reconstruct(tab[float(t)]) for tab in propagated)
-        phi_e01 = herm + 1j * anti
-        phi_e10 = herm - 1j * anti
-        choi = (np.kron(_E00, phi_e00) + np.kron(_E01, phi_e01)
-                + np.kron(_E10, phi_e10) + np.kron(_E11, phi_e11))
-        choi = 0.5 * (choi + choi.conj().T)
-        spectra[row] = np.sort(np.linalg.eigvalsh(choi))
-    return spectra
+    images = assemble(spec).propagator(ts) @ _CHOI_BASIS
+    choi = np.einsum("tak,akxy->txy", images, _CHOI_BLOCKS)
+    return np.linalg.eigvalsh(choi)
 
 
 def choi_spectrum(spec: ChannelSpec, t: float) -> np.ndarray:

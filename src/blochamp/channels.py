@@ -26,7 +26,7 @@ from .pauli import HermitianPauliVector, PauliVectorC
 
 __all__ = [
     "JumpTerm", "ChannelSpec", "AffineGenerator", "ChannelClass",
-    "jump_generator", "assemble",
+    "jump_generator", "assemble", "expm",
     "classify", "initial_velocity", "shift_transform", "dualize",
     "spec_to_dict", "spec_from_dict", "save_spec", "load_spec",
 ]
@@ -130,9 +130,66 @@ class AffineGenerator:
         a[1:, 1:] = self.G_linear
         return a
 
+    def propagator(self, ts) -> np.ndarray:
+        """e^{A t} for each time in the 1-d sequence ts, shape (T, 4, 4).
+
+        It maps y(0) to y(t) for a linear channel (g = 0); otherwise
+        y(t) = e^{At} y0 / (1 + g (tau(e^{At} y0) - tau0)).
+        """
+        ts = np.asarray(ts, dtype=float)
+        if ts.ndim != 1:
+            raise ValueError("times must be a 1-d sequence")
+        if not np.isfinite(ts).all():
+            raise ValueError("times must be finite")
+        return expm(ts[:, None, None] * self.A)
+
     def tr_x_omega(self, tau: float, r: np.ndarray) -> float:
         w = self.omega.ell
         return tau * w[0] + float(np.asarray(r) @ w[1:])
+
+
+# Coefficients b_0..b_13 of the degree-13 Pade approximant to e^x, and the
+# 1-norm up to which it is accurate to double precision (Higham 2005).
+# Dividing by b_0 makes the denominator I + O(x), so e^0 is exactly I.
+_PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+_THETA13 = 5.371920351148152
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of one square matrix or of a stack (N, n, n).
+
+    Scaling and squaring with the degree-13 Pade approximant (Higham 2005,
+    SIAM J. Matrix Anal. Appl. 26(4)): each matrix is divided by its own
+    power of two 2^s, the smallest that brings its 1-norm to theta_13 or
+    below, and its approximant is squared s times.  No eigendecomposition,
+    so defective matrices are as accurate as any other.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected an (n, n) or (N, n, n) array, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    stack = a.reshape(-1, *a.shape[-2:])
+    norm = np.abs(stack).sum(axis=1).max(axis=1)
+    s = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0))).astype(int)
+    x = np.ldexp(stack, -s[:, None, None])
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max(initial=0))):
+        more = s > k
+        r[more] = r[more] @ r[more]
+    return r.reshape(a.shape)
 
 
 def _cross_matrix(h: np.ndarray) -> np.ndarray:

@@ -9,6 +9,7 @@ randomness is the seeded test-state generation inside ``verify``.
 from __future__ import annotations
 
 import argparse
+import functools
 import io
 import json
 import re
@@ -363,8 +364,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """One parser per process: building it costs more than most commands."""
+    return build_parser()
+
+
 def run_cli(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

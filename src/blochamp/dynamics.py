@@ -15,8 +15,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import AffineGenerator, ChannelSpec, assemble
-from .errors import ApexReached, ConeViolation, StepFailure
+from .channels import AffineGenerator, ChannelSpec, assemble, expm
+from .errors import ApexReached, BlowUp, ConeViolation, StepFailure
 from .pauli import APEX_TAU, PsdState
 
 __all__ = [
@@ -263,6 +263,47 @@ def _bisect_surface(step_to, t, y, h_hi):
     return t + lo, y_lo
 
 
+# The blow-up scan renormalizes its state every this many steps.  A step
+# changes the state's 1-norm by a factor between 1/e and e (h ||A||_1 <= 1),
+# so in between it stays within e^64 ~ 6e27 of its rescaled size.
+_RESCALE_STEPS = 64
+
+
+def _blow_up(gen: AffineGenerator, y0: np.ndarray, t_end: float):
+    """First time t* <= t_end at which the state diverges, or None.
+
+    y(t) = Y(t) / s(t) with Y = e^{At} y0 and s = 1 + g (Y_tau - tau0), so
+    the state diverges where s first reaches 0.  The pair (Y, 1 - g tau0)
+    is scanned with one e^{hA} over ceil(t_end ||A||_1) equal steps, and the
+    first step on which s changes sign is bisected.  Returns t*, the last
+    scanned time before it and the state there.
+    """
+    a, g = gen.A, gen.g
+    n = max(1, math.ceil(t_end * float(np.abs(a).sum(axis=0).max())))
+    step = expm(a * (t_end / n))
+    # (y, c) is (Y, 1 - g tau0) up to a common positive factor.
+    y, c = y0, 1.0 - g * y0[0]
+    for k in range(n):
+        if k % _RESCALE_STEPS == 0:
+            m = max(abs(c), float(np.abs(y).max()))
+            y, c = y / m, c / m
+        y_next = step @ y
+        if c + g * y_next[0] <= 0.0:
+            break
+        y = y_next
+    else:
+        return None
+    t_k = t_end * k / n
+    lo, hi = 0.0, t_end / n
+    while hi - lo > 4e-16 * (t_k + hi):
+        mid = 0.5 * (lo + hi)
+        if c + g * (expm(a * mid) @ y)[0] > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return t_k + hi, t_k, y / (c + g * y[0])
+
+
 def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
               opts: IntegratorOpts | None = None, *,
               sample_times: Sequence[float] | None = None) -> Trajectory:
@@ -272,7 +313,10 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
     times (the stepper lands on them; no interpolation), plus t=0 and t_end;
     otherwise every accepted step is recorded.  Unless ``allow_off_cone`` is
     set, the run halts with ConeViolation or ApexReached when the state
-    leaves the cone beyond tolerance or the trace underflows.
+    leaves the cone beyond tolerance or the trace underflows.  A nonlinear
+    run (g != 0) whose state diverges at a time t* <= t_end is integrated up
+    to the last time of the blow-up scan before t* and then raises BlowUp,
+    unless it stops or halts earlier.
     """
     opts = IntegratorOpts() if opts is None else opts
     if not 0.0 < t_end < math.inf:
@@ -291,9 +335,10 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
     if record_all:
         targets = [float(t_end)]
     else:
-        ts = np.unique(np.asarray(sample_times, dtype=float))
+        ts = np.sort(np.asarray(sample_times, dtype=float).ravel())
         if not np.isfinite(ts).all():
             raise ValueError("sample_times must be finite")
+        ts = ts[np.diff(ts, prepend=-math.inf) > 0.0]
         if ts.size and (ts[0] < 0.0 or ts[-1] > t_end * (1.0 + 1e-12)):
             raise ValueError("sample_times must lie within [0, t_end]")
         targets = [float(v) for v in ts if v > 0.0]
@@ -307,8 +352,16 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
         return _build_trajectory(spec, gen, rec_t, rec_y, StepStats(0, 0, 0.0),
                                  "surface")
 
+    blow_up = _blow_up(gen, y, t_end) if gen.g != 0.0 else None
+    if blow_up is not None:
+        targets = [v for v in targets if v < blow_up[1]] + [blow_up[1]]
     stats, stop_reason = _run_adaptive(f, y, targets, opts, rec_t, rec_y,
                                        record_all)
+    if blow_up is not None and stop_reason != "surface":
+        t_star, t_last, y_last = blow_up
+        raise BlowUp(f"the state diverges at t* = {t_star:.17g}, where "
+                     "1 + g (tr(e^(At) X0) - tau0) reaches 0; the state given "
+                     f"is at t = {t_last:.17g}", t_star, y_last[0], y_last[1:])
     return _build_trajectory(spec, gen, rec_t, rec_y, stats, stop_reason)
 
 

@@ -37,5 +37,13 @@ class StepFailure(IntegrationError):
     """The adaptive step controller could not meet its error tolerance."""
 
 
+class BlowUp(IntegrationError):
+    """The state diverges at a finite time: its trace normalization vanishes.
+
+    ``t`` is that time t*; ``tau`` and ``r`` are the state at the last time
+    of the blow-up scan before t*.
+    """
+
+
 class TargetUnreachable(BlochampError):
     """A gate plan cannot reach the requested target within its time budget."""

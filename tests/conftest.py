@@ -1,7 +1,17 @@
 import numpy as np
 import pytest
 
-from blochamp import ChannelSpec, HermitianPauliVector, JumpTerm, PauliVectorC, assemble
+from blochamp import (
+    ChannelSpec,
+    HermitianPauliVector,
+    IntegratorOpts,
+    JumpTerm,
+    PauliVectorC,
+    PsdState,
+    assemble,
+    integrate,
+    reconstruct,
+)
 from blochamp.pauli import SIGMA
 
 
@@ -46,9 +56,12 @@ def random_pseudolinear_spec(rng, n_jumps=2):
     return ChannelSpec(ell=HermitianPauliVector(ell), jumps=jumps, g=1.0)
 
 
-def random_gksl_spec(rng, n_jumps=2):
-    """Random linear trace-preserving channel: L = -(1/2) sum zeta B^dag B."""
-    jumps = tuple(random_jump(rng, zeta=1) for _ in range(n_jumps))
+def random_gksl_spec(rng, n_jumps=2, zeta=1):
+    """Random linear trace-preserving channel: L = -(1/2) sum zeta B^dag B.
+
+    zeta=None draws each jump's sign at random (a non-CP channel when any
+    sign is -1)."""
+    jumps = tuple(random_jump(rng, zeta=zeta) for _ in range(n_jumps))
     btb = np.zeros((2, 2), dtype=complex)
     for j in jumps:
         b = j.matrix
@@ -153,3 +166,42 @@ def newton_roots(spec):
         else:
             clusters.append([root])
     return [np.mean(c, axis=0) for c in clusters]
+
+
+_E00 = np.array([[1, 0], [0, 0]], dtype=complex)
+_E01 = np.array([[0, 1], [0, 0]], dtype=complex)
+_E10 = np.array([[0, 0], [1, 0]], dtype=complex)
+_E11 = np.array([[0, 0], [0, 1]], dtype=complex)
+
+# (tau, r) of E00, E11 and the Hermitian/anti-Hermitian parts of E01.
+_CHOI_BASIS = (
+    (1.0, (0.0, 0.0, 1.0)),    # E00
+    (1.0, (0.0, 0.0, -1.0)),   # E11
+    (0.0, (1.0, 0.0, 0.0)),    # (E01 + E10)/2 = sigma_x / 2
+    (0.0, (0.0, 1.0, 0.0)),    # (E01 - E10)/(2i) = sigma_y / 2
+)
+
+
+def integrated_choi_spectra(spec, ts):
+    """Oracle for choi_spectra: integrate the four operator-basis elements
+    with DP45 at rtol 1e-12, then assemble sum_ij E_ij (x) Phi_t(E_ij) with
+    Kronecker products, one time at a time."""
+    ts = np.asarray(ts, dtype=float)
+    unique_ts = np.unique(ts)
+    basis = [PsdState(tau, r, physical=False) for tau, r in _CHOI_BASIS]
+    if ts.max() == 0.0:
+        propagated = [{0.0: state} for state in basis]
+    else:
+        opts = IntegratorOpts(rtol=1e-12, atol=1e-14, allow_off_cone=True)
+        propagated = []
+        for state in basis:
+            traj = integrate(spec, state, float(ts.max()), opts, sample_times=unique_ts)
+            propagated.append({float(t): traj.state(i) for i, t in enumerate(traj.t)})
+
+    spectra = np.empty((ts.size, 4))
+    for row, t in enumerate(ts):
+        phi_e00, phi_e11, herm, anti = (reconstruct(tab[float(t)]) for tab in propagated)
+        choi = (np.kron(_E00, phi_e00) + np.kron(_E01, herm + 1j * anti)
+                + np.kron(_E10, herm - 1j * anti) + np.kron(_E11, phi_e11))
+        spectra[row] = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))
+    return spectra

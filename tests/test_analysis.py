@@ -19,8 +19,9 @@ from blochamp import (
     rotate,
     slowdown_exponent,
 )
-from blochamp import assemble, presets, reconstruct
-from conftest import matrix_rhs, newton_roots, plane_flow, random_nino_spec
+from blochamp import analysis, assemble, dynamics, presets, reconstruct
+from conftest import (integrated_choi_spectra, matrix_rhs, newton_roots, plane_flow,
+                      random_gksl_spec, random_nino_spec)
 
 
 class TestFixedPoints:
@@ -255,6 +256,40 @@ class TestChoi:
     def test_rejects_nonlinear(self):
         with pytest.raises(InvalidParams):
             choi_spectrum(presets.onejump_nino(1.0), 0.1)
+
+    def test_matches_integration_oracle(self, rng):
+        # Random CP (even i) and non-CP (odd i) channels with precession.
+        for i in range(40):
+            spec = random_gksl_spec(rng, n_jumps=1 + i % 3, zeta=None if i % 2 else 1)
+            spec = replace(spec, h=rng.normal(size=3))
+            ts = rng.uniform(0.0, 0.1, 6)
+            want = integrated_choi_spectra(spec, ts)
+            got = choi_spectra(spec, ts)
+            assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+
+    def test_rows_follow_unsorted_repeated_times(self):
+        spec = presets.linear_noncp(1.0, 0.5)
+        ts = [0.3, 0.0, 0.1, 0.3, 0.0]
+        spectra = choi_spectra(spec, ts)
+        assert spectra.shape == (5, 4)
+        assert np.abs(spectra - integrated_choi_spectra(spec, ts)).max() <= 1e-9
+        assert np.array_equal(spectra[0], spectra[3])
+        for row in spectra[[1, 4]]:
+            assert np.abs(row - [0, 0, 0, 2]).max() <= 1e-15
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_times(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            choi_spectra(presets.linear_cptp(1.0), [0.1, bad])
+
+    def test_does_not_integrate(self, monkeypatch):
+        def no_integrate(*args, **kwargs):
+            raise AssertionError("choi_spectra integrated")
+
+        monkeypatch.setattr(analysis, "integrate", no_integrate)
+        monkeypatch.setattr(dynamics, "integrate", no_integrate)
+        spectra = choi_spectra(presets.linear_noncp(1.0, 0.5), np.linspace(0, 0.5, 10))
+        assert spectra[:, 0].min() < -1e-6
 
 
 class TestRotate:

@@ -7,6 +7,7 @@ import pytest
 from blochamp import (
     ChannelSpec,
     HermitianPauliVector,
+    IntegratorOpts,
     InvalidParams,
     JumpTerm,
     PauliVectorC,
@@ -15,12 +16,13 @@ from blochamp import (
     classify,
     dualize,
     initial_velocity,
+    integrate,
     load_spec,
     rhs,
     save_spec,
     shift_transform,
 )
-from blochamp.channels import jump_generator
+from blochamp.channels import expm, jump_generator
 from blochamp import presets, reconstruct
 from conftest import (coords_of, matrix_rhs, random_jump, random_nino_spec,
                       random_pseudolinear_spec, trace_jump_generator)
@@ -342,3 +344,94 @@ class TestSpecFiles:
             assert [j.zeta for j in back.jumps] == [j.zeta for j in spec.jumps]
             for a, b in zip(back.jumps, spec.jumps):
                 assert np.array_equal(a.xi.xi, b.xi.xi)
+
+
+def random_matrix(rng, norm1):
+    """Random 4x4 matrix with the given 1-norm (largest column sum)."""
+    a = rng.normal(size=(4, 4))
+    return a * (norm1 / np.abs(a).sum(axis=0).max())
+
+
+def max_rel_dev(got, want):
+    return np.abs(got - want).max() / np.abs(want).max()
+
+
+class TestExpm:
+    def test_zero_is_identity(self):
+        assert np.array_equal(expm(np.zeros((4, 4))), np.eye(4))
+
+    def test_diagonal(self):
+        d = np.array([-30.0, -1.5, 0.0, 2.5])
+        got = expm(np.diag(d))
+        assert np.array_equal(got, np.diag(np.diag(got)))
+        assert np.allclose(np.diag(got), np.exp(d), rtol=1e-13, atol=0.0)
+
+    @pytest.mark.parametrize("lam, t", [(-0.7, 3.0), (0.0, 40.0), (2.0, 0.5),
+                                        (-5.0, 8.0)])
+    def test_jordan_block(self, lam, t):
+        # The one-jump generator is defective; e^{t J} of a Jordan block
+        # checks that no eigendecomposition is involved.
+        got = expm(t * np.array([[lam, 1.0], [0.0, lam]]))
+        want = math.exp(lam * t) * np.array([[1.0, t], [0.0, 1.0]])
+        assert np.allclose(got, want, rtol=1e-13, atol=0.0)
+
+    def test_semigroup(self, rng):
+        for _ in range(50):
+            a = random_matrix(rng, rng.uniform(0.1, 20.0))
+            s, t = rng.uniform(0.0, 1.0, 2)
+            assert max_rel_dev(expm(a * s) @ expm(a * t), expm(a * (s + t))) <= 1e-12
+
+    def test_batch_matches_single_calls(self, rng):
+        # Norms from 0 to 30 give each matrix its own scaling exponent.
+        stack = np.array([random_matrix(rng, x) for x in np.linspace(0.0, 30.0, 12)])
+        batch = expm(stack)
+        assert batch.shape == stack.shape
+        for a, e in zip(stack, batch):
+            assert max_rel_dev(e, expm(a)) <= 1e-15
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite(self, bad):
+        a = np.eye(4)
+        a[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            expm(a)
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 2, 2, 2)])
+    def test_rejects_non_square(self, shape):
+        with pytest.raises(ValueError, match="expected"):
+            expm(np.zeros(shape))
+
+
+def test_expm_matches_scipy(rng):
+    linalg = pytest.importorskip("scipy.linalg")
+    for norm1 in np.linspace(0.0, 50.0, 200):
+        a = random_matrix(rng, norm1)
+        assert max_rel_dev(expm(a), linalg.expm(a)) <= 1e-11
+
+
+class TestPropagator:
+    def test_matches_integration(self, rng):
+        # y(t) = e^{At} y0 / (1 + g (tau(e^{At} y0) - tau0)) against DP45 at
+        # rtol 1e-12, on the defective one-jump gate and random specs.
+        specs = [presets.onejump_nino(1.0), presets.linear_noncp(1.0, 0.5)]
+        specs += [random_spec(rng, g=(0.0, 0.5, 1.0)[i % 3]) for i in range(12)]
+        ts = np.linspace(0.0, 0.2, 5)
+        opts = IntegratorOpts(rtol=1e-12, atol=1e-14, allow_off_cone=True)
+        y0 = np.array([1.0, 0.3, -0.2, 0.1])
+        for spec in specs:
+            big_y = assemble(spec).propagator(ts) @ y0
+            want = big_y / (1.0 + spec.g * (big_y[:, :1] - y0[0]))
+            traj = integrate(spec, PsdState(y0[0], y0[1:]), ts[-1], opts,
+                             sample_times=ts)
+            got = np.column_stack((traj.tau, traj.r))
+            assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+
+    def test_time_zero_is_identity(self):
+        p = assemble(presets.threejump_nino(1.0, 0.5)).propagator([0.0, 1.0])
+        assert p.shape == (2, 4, 4)
+        assert np.array_equal(p[0], np.eye(4))
+
+    @pytest.mark.parametrize("ts", [[0.1, math.nan], [math.inf], [[0.1]]])
+    def test_rejects_bad_times(self, ts):
+        with pytest.raises(ValueError, match="times must be"):
+            assemble(presets.linear_cptp(1.0)).propagator(ts)

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from blochamp import presets, save_spec
+from blochamp import ChannelSpec, HermitianPauliVector, cli, presets, save_spec
 from blochamp.cli import build_parser, run_cli
 from blochamp.dynamics import CSV_HEADER
 
@@ -55,6 +55,14 @@ class TestSimulate:
         code, _, err = run(capsys, "simulate", "--preset", "threejump_nino",
                            "--M", "1", "--gamma", "3", "--t", "1")
         assert code == 1 and "M >= gamma/2" in err
+
+    def test_blow_up_is_named(self, tmp_path, capsys):
+        spec_file = tmp_path / "blow_up.json"
+        save_spec(ChannelSpec(HermitianPauliVector([-1.0, 0, 0, 0]), g=1.0), spec_file)
+        code, out, err = run(capsys, "simulate", "--spec", str(spec_file),
+                             "--tau0", "1.5", "--t", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: the state diverges at t* = 0.5493061443340")
 
     def test_nan_tolerance_rejected(self, capsys):
         code, out, err = run(capsys, "simulate", "--preset", "linear_cptp",
@@ -190,6 +198,33 @@ def test_readme_cli_examples_parse():
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {shlex.join(argv)}")
+
+
+class TestParserReuse:
+    COMMANDS = (
+        ("stability", "--preset", "linear_cptp", "--t", "1"),
+        ("simulate", "--preset", "linear_cptp", "--t", "0.5", "--samples", "3"),
+        ("fixed-points", "--preset", "threejump_nino", "--M", "1", "--gamma", "0.5"),
+    )
+
+    @staticmethod
+    def fresh(capsys, argv):
+        args = build_parser().parse_args(list(argv))
+        code = args.func(args)
+        return code, capsys.readouterr().out
+
+    def test_parser_is_built_once(self):
+        assert cli._parser() is cli._parser()
+        assert build_parser() is not build_parser()
+
+    def test_same_output_as_a_fresh_parser(self, capsys):
+        # stability and simulate set different --tau0 defaults; an argparse
+        # error (exit 2) in between must leave nothing behind either.
+        assert run(capsys, "choi", "--scan")[0] == 2
+        for argv in self.COMMANDS:
+            code, out, _ = run(capsys, *argv)
+            assert (code, out) == self.fresh(capsys, argv)
+            assert run(capsys, "simulate")[0] == 2
 
 
 def test_usage_error_exit_code(capsys):

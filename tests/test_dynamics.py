@@ -1,11 +1,17 @@
 import io
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import blochamp
 from blochamp import (
     ApexReached,
+    BlowUp,
     ChannelSpec,
     ConeViolation,
     HermitianPauliVector,
@@ -17,7 +23,7 @@ from blochamp import (
     xi_coordinates,
 )
 from blochamp.dynamics import CSV_HEADER
-from blochamp import dynamics, presets
+from blochamp import dynamics, presets, shift_transform
 
 
 MIXED = PsdState(1.0, [0.0, 0.0, 0.0])
@@ -94,6 +100,13 @@ class TestIntegrate:
         assert traj.cone_margin.min() >= -1e-6
         # tr(X Omega) stays nonpositive along this gate, so the plane attracts
         assert traj.tr_x_omega.max() <= 1e-12
+
+    def test_unsorted_repeated_sample_times(self):
+        grid = np.linspace(0.0, 2.0, 21)
+        shuffled = np.concatenate((grid[::-1], grid[5:9]))
+        traj = integrate(presets.linear_cptp(1.0), MIXED, 2.0,
+                         sample_times=shuffled)
+        assert np.array_equal(traj.t, grid)
 
     def test_rejects_nonpositive_time(self):
         with pytest.raises(ValueError):
@@ -198,6 +211,92 @@ class TestHalting:
                          1.0, opts)
         assert traj.stop_reason == "surface"
         assert len(traj) == 1
+
+
+def shifted_threejump(c):
+    """threejump_nino(1, 0.5) with L -> L + c I: A gains 2c I, so the Bloch
+    vector r/tau follows the unshifted gate while Y_tau = tau0 e^{(1.25 + 2c) t}."""
+    return shift_transform(presets.threejump_nino(1.0, 0.5), c)
+
+
+class TestBlowUp:
+    """g = 1, L = -I from (tau0, 0): tau' = 2 (1 - tau) tau, and
+    s(t) = 1 + tau0 (e^{-2t} - 1) vanishes at t* = ln(tau0 / (tau0 - 1)) / 2."""
+
+    SPEC = ChannelSpec(HermitianPauliVector([-1.0, 0.0, 0.0, 0.0]), g=1.0)
+
+    @staticmethod
+    def t_star(tau0):
+        return math.log(tau0 / (tau0 - 1.0)) / 2.0
+
+    @pytest.mark.parametrize("sample_times", [None, [0.0, 0.2, 0.4, 0.6, 1.0, 1.1]])
+    def test_names_the_blow_up_time(self, sample_times):
+        t_star = self.t_star(1.5)
+        assert t_star == pytest.approx(math.log(3.0) / 2.0, rel=1e-15)
+        with pytest.raises(BlowUp) as info:
+            integrate(self.SPEC, PsdState(1.5, [0, 0, 0]), 1.1,
+                      sample_times=sample_times)
+        err = info.value
+        assert err.t == pytest.approx(t_star, rel=1e-9)
+        assert f"t* = {t_star:.12f}" in str(err)
+        # The state carried is the exact one at a scan time before t*:
+        # tau(t) = 1.5 e / (1.5 e - 0.5), e = e^{-2t}, inverted for t.
+        t_carried = -0.5 * math.log(0.5 * err.tau / (1.5 * (err.tau - 1.0)))
+        assert 0.0 < t_carried < t_star
+        assert err.r == (0.0, 0.0, 0.0)
+
+    def test_blow_up_within_the_first_scan_step(self):
+        with pytest.raises(BlowUp) as info:
+            integrate(self.SPEC, PsdState(100.0, [0, 0, 0]), 1.0)
+        assert info.value.t == pytest.approx(self.t_star(100.0), rel=1e-9)
+        assert info.value.tau == pytest.approx(100.0, rel=1e-14)
+
+    def test_below_threshold_returns(self):
+        traj = integrate(self.SPEC, PsdState(0.9, [0, 0, 0]), 1.1)
+        assert traj.stop_reason == "t_end"
+        e = math.exp(-2.0 * 1.1)
+        assert traj.tau[-1] == pytest.approx(0.9 * e / (1.0 + 0.9 * (e - 1.0)), rel=1e-9)
+
+    def test_surface_first_stops_there(self):
+        # The Bloch vector reaches the surface at the unshifted gate's time
+        # t_s; with c = -1.5, Y_tau = tau0 e^{-1.75 t} and s vanishes at
+        # t* = ln(tau0 / (tau0 - 1)) / 1.75, after t_s for tau0 = 1.01.
+        spec = shifted_threejump(-1.5)
+        opts = IntegratorOpts(stop_on_surface=True)
+        start = [0.5, 0.5, 0.0]
+        t_s = integrate(presets.threejump_nino(1.0, 0.5), PsdState(1.0, start),
+                        10.0, opts).t[-1]
+        assert t_s < math.log(1.01 / 0.01) / 1.75
+        tau0 = 1.01
+        traj = integrate(spec, PsdState(tau0, [tau0 * v for v in start]), 10.0, opts)
+        assert traj.stop_reason == "surface"
+        assert traj.t[-1] == pytest.approx(t_s, rel=1e-6)
+
+    def test_blow_up_first_raises(self):
+        spec = shifted_threejump(-1.5)
+        opts = IntegratorOpts(stop_on_surface=True)
+        tau0 = 3.0
+        t_star = math.log(tau0 / (tau0 - 1.0)) / 1.75
+        with pytest.raises(BlowUp) as info:
+            integrate(spec, PsdState(tau0, [0.5 * tau0, 0.5 * tau0, 0.0]), 10.0, opts)
+        assert info.value.t == pytest.approx(t_star, rel=1e-9)
+
+
+def test_sampled_run_and_choi_do_not_import_numpy_ma():
+    code = (
+        "import sys, numpy\n"
+        "if 'numpy.ma' in sys.modules: sys.exit(3)\n"
+        "import blochamp as bl\n"
+        "bl.integrate(bl.presets.linear_cptp(1.0), bl.PsdState(1.0, [0.1, 0, 0]), 1.0,\n"
+        "             sample_times=[0.5, 0.2, 0.5, 1.0])\n"
+        "bl.choi_spectra(bl.presets.linear_noncp(1.0, 0.5), [0.0, 0.1])\n"
+        "sys.exit(int('numpy.ma' in sys.modules))\n")
+    src = str(Path(blochamp.__file__).resolve().parents[1])
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=120)
+    if proc.returncode == 3:
+        pytest.skip("importing numpy alone loads numpy.ma")
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestTracePlaneStability:
