@@ -104,7 +104,7 @@ def find_fixed_points(spec: ChannelSpec) -> FixedPointReport:
     other eigenvalues of A minus lambda.
     """
     gen = assemble(spec)
-    a, w, g = gen.A, gen.omega.ell, gen.g
+    a, g = gen.A, gen.g
     scale = _generator_scale(gen)
     marginal_tol = 1e-6 * scale
     ev = _sorted_eigvals(a)
@@ -136,7 +136,7 @@ def find_fixed_points(spec: ChannelSpec) -> FixedPointReport:
             lines += [FixedLine(r.copy(), d, marginal) for d in dirs.T]
             continue
         y = np.concatenate(([1.0], r)) / (g if g else 1.0)
-        res = float(np.linalg.norm(a @ y + g * (w @ y) * y))
+        res = float(np.linalg.norm(gen.velocity(y)))
         points.append(FixedPoint(r, jac, _stability_label(jac, marginal_tol), res))
     points.sort(key=lambda p: (round(p.r[0], 9), round(p.r[1], 9), round(p.r[2], 9)))
     return FixedPointReport(tuple(points), tuple(lines), g != 0.0)
@@ -170,12 +170,10 @@ def slowdown_exponent(spec: ChannelSpec, fp: Sequence[float],
     d = d / dn
     gen = assemble(spec)
     deltas = np.logspace(-5, -2, 20)
-    # At y = (1, b)/g on the plane the Bloch velocity g*dr/dt is the flow at
-    # y = (1, b) with the nonlinear term at coefficient 1, whatever g != 0 is.
+    # The states (1, b)/g on the plane; the speed scales as 1/g, which leaves
+    # the log-slope unchanged.
     ys = np.column_stack((np.ones(deltas.size), fp - deltas[:, None] * d))
-    nonlinear = 1.0 if gen.g else 0.0
-    velocity = ys @ gen.A.T + nonlinear * (ys @ gen.omega.ell)[:, None] * ys
-    speeds = np.linalg.norm(velocity[:, 1:], axis=1)
+    speeds = np.linalg.norm(gen.velocity(ys / (gen.g or 1.0))[:, 1:], axis=1)
     if np.all(speeds < 1e-14):
         raise InvalidParams("speed vanishes along this direction; "
                             "it is exactly fixed")
@@ -271,6 +269,8 @@ def plan_amplification(gate: str, params: Mapping[str, float],
     mixed state directly; the unstable-center gates (three_jump,
     linear_non_cp) are preceded by a short linear_cptp stage that nudges the
     state to r = (epsilon, 0, 0) before the exponential growth takes over.
+    A plan whose main stage needs longer than ``t_max`` is refused;
+    ``t_max = inf`` sets no budget.
     """
     if gate not in GATES:
         raise InvalidParams(f"unknown gate {gate!r}; choose from {tuple(GATES)}")
@@ -278,6 +278,9 @@ def plan_amplification(gate: str, params: Mapping[str, float],
         raise InvalidParams("target_purity must lie strictly between 0.5 and 1")
     if not 0.0 < epsilon <= 0.1:
         raise InvalidParams("epsilon must lie in (0, 0.1]")
+    if not t_max > 0.0:
+        raise InvalidParams(
+            f"t_max must be positive (inf for no budget), got {t_max!r}")
     r_target = math.sqrt(2.0 * target_purity - 1.0)
     builder = presets.PRESETS[GATES[gate]]
 

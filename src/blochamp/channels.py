@@ -9,9 +9,11 @@ strength g.  The generator acts as
     Omega = -2 L - sum_alpha zeta_alpha B_alpha^dag B_alpha,
 
 which conserves the trace unconditionally when g = 0 and Omega = 0, and on
-the unit-trace plane when g = 1.  This module assembles the equivalent
-affine coordinate form dr/dt = G r + C tau + g tr(X Omega) r and provides
-the shift symmetry L -> L + c*I and the duality map onto linear channels.
+the unit-trace plane when g = 1.  In the coordinates y = (tau, r) it is
+the flow y' = A y + g (w.y) y, with A a real 4x4 matrix and w the Pauli
+coefficients of Omega.  This module assembles A, evaluates the flow
+(``AffineGenerator.velocity``) and provides the shift symmetry
+L -> L + c*I and the duality map onto linear channels.
 """
 
 from __future__ import annotations
@@ -86,49 +88,50 @@ class ChannelSpec:
 
 @dataclass(frozen=True, eq=False)
 class AffineGenerator:
-    """Assembled coordinate-space pieces of a channel's generator.
+    """A channel's flow y' = A y + g (w.y) y in the coordinates y = (tau, r).
 
-    ``G_total`` and ``C_total`` collect the damping and jump contributions
-    (the nonlinear diagonal term and the precession term are excluded);
-    ``G_rot`` holds the precession matrix 2 [h]_x; ``omega`` holds the
-    trace-conservation observable.
+    ``A`` is the read-only 4x4 linear part [[-w0, -w_vec], [C_total,
+    G_linear]], where w holds the Pauli coefficients of Omega; ``C_total``
+    and ``G_linear`` collect the damping, jump and precession terms.
     """
 
-    G_total: np.ndarray
-    C_total: np.ndarray
-    omega: HermitianPauliVector
+    A: np.ndarray
     g: float
-    G_rot: np.ndarray
 
     def __post_init__(self):
-        for name, shape in (("G_total", (3, 3)), ("C_total", (3,)), ("G_rot", (3, 3))):
-            arr = np.array(getattr(self, name), dtype=float).reshape(shape)
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+        a = np.array(self.A, dtype=float).reshape(4, 4)
+        a.setflags(write=False)
+        object.__setattr__(self, "A", a)
         object.__setattr__(self, "g", float(self.g))
+
+    @property
+    def omega(self) -> HermitianPauliVector:
+        """The trace-conservation observable Omega, from -A[0]."""
+        return HermitianPauliVector(-self.A[0])
+
+    @property
+    def C_total(self) -> np.ndarray:
+        return self.A[1:, 0]
 
     @property
     def G_linear(self) -> np.ndarray:
         """All terms linear in r: jump/damping part plus precession."""
-        return self.G_total + self.G_rot
+        return self.A[1:, 1:]
 
     @property
     def pseudo_linear(self) -> bool:
         """True when Omega is proportional to the identity, up to roundoff."""
-        w = self.omega.ell
+        w = self.A[0]
         return bool(np.abs(w[1:]).max() <= 1e-12 * max(1.0, float(np.linalg.norm(w))))
 
-    @property
-    def A(self) -> np.ndarray:
-        """The 4x4 linear part of y' = A y + g (w.y) y, y = (tau, r), w = omega.
+    def velocity(self, y) -> np.ndarray:
+        """dy/dt at each state y = (tau, r) of an (..., 4) array.
 
-        A = [[-w0, -w_vec], [C_total, G_linear]].
+        The first component of A y is -(w.y), so the nonlinear term
+        g (w.y) y is -g (A y)_0 y.
         """
-        a = np.empty((4, 4))
-        a[0] = -self.omega.ell
-        a[1:, 0] = self.C_total
-        a[1:, 1:] = self.G_linear
-        return a
+        v = y @ self.A.T
+        return v - self.g * v[..., :1] * y
 
     def propagator(self, ts) -> np.ndarray:
         """e^{A t} for each time in the 1-d sequence ts, shape (T, 4, 4).
@@ -142,10 +145,6 @@ class AffineGenerator:
         if not np.isfinite(ts).all():
             raise ValueError("times must be finite")
         return expm(ts[:, None, None] * self.A)
-
-    def tr_x_omega(self, tau: float, r: np.ndarray) -> float:
-        w = self.omega.ell
-        return tau * w[0] + float(np.asarray(r) @ w[1:])
 
 
 # Coefficients b_0..b_13 of the degree-13 Pade approximant to e^x, and the
@@ -227,23 +226,20 @@ def jump_generator(j: JumpTerm) -> tuple[np.ndarray, np.ndarray]:
 
 
 def assemble(spec: ChannelSpec) -> AffineGenerator:
-    """Build the affine generator data (G, C, Omega) for a channel."""
+    """Build the 4x4 matrix A of a channel's flow y' = A y + g (w.y) y."""
     ell = spec.ell.ell
-    g_total = 2.0 * ell[0] * np.eye(3)
-    c_total = 2.0 * ell[1:]
-    omega = -2.0 * ell
+    w = -2.0 * ell          # Omega = -2 L - sum zeta B^dag B
+    a = np.empty((4, 4))
+    a[1:, 0] = 2.0 * ell[1:]
+    a[1:, 1:] = 2.0 * ell[0] * np.eye(3)
     for j in spec.jumps:
         gj, cj, btb = _jump_blocks(j)
-        g_total += j.zeta * gj
-        c_total += j.zeta * cj
-        omega -= j.zeta * btb
-    return AffineGenerator(
-        G_total=g_total,
-        C_total=c_total,
-        omega=HermitianPauliVector(omega),
-        g=spec.g,
-        G_rot=2.0 * _cross_matrix(spec.h),
-    )
+        w -= j.zeta * btb
+        a[1:, 0] += j.zeta * cj
+        a[1:, 1:] += j.zeta * gj
+    a[0] = -w
+    a[1:, 1:] += 2.0 * _cross_matrix(spec.h)
+    return AffineGenerator(a, spec.g)
 
 
 def _omega_scale(spec: ChannelSpec) -> float:
@@ -269,6 +265,10 @@ class ChannelClass:
     trace_preserving: str
 
 
+# y = (tau, r) of the maximally mixed state.
+_MIXED = np.array([1.0, 0.0, 0.0, 0.0])
+
+
 def classify(spec: ChannelSpec) -> ChannelClass:
     """Classify a channel; rejects g = 0 specs whose Omega does not vanish."""
     gen = assemble(spec)
@@ -277,8 +277,8 @@ def classify(spec: ChannelSpec) -> ChannelClass:
     if spec.g == 0.0 and not omega_zero:
         raise InvalidParams(
             "a linear channel (g=0) requires a vanishing Omega to conserve trace")
-    dr0, dtau0 = _initial_velocity(gen)
-    unital = float(np.linalg.norm(dr0)) <= 1e-12 and abs(dtau0) <= 1e-12
+    v0 = gen.velocity(_MIXED)
+    unital = float(np.linalg.norm(v0[1:])) <= 1e-12 and abs(v0[0]) <= 1e-12
     return ChannelClass(
         cp=all(j.zeta == 1 for j in spec.jumps),
         linear=spec.g == 0.0,
@@ -289,18 +289,15 @@ def classify(spec: ChannelSpec) -> ChannelClass:
     )
 
 
-def _initial_velocity(gen: AffineGenerator) -> tuple[np.ndarray, float]:
-    return gen.C_total.copy(), (gen.g - 1.0) * gen.omega.ell[0]
-
-
 def initial_velocity(spec: ChannelSpec) -> tuple[np.ndarray, float]:
     """Velocity (dr/dt, dtau/dt) at the maximally mixed state (tau=1, r=0).
 
-    Read off the assembled coordinate form: dr/dt = C and
+    It is the flow at y = (1, 0, 0, 0): dr/dt = C and
     dtau/dt = (g - 1) tr(Omega)/2.  A nonzero value requires a nonnormal
     jump operator or a nonzero Omega.
     """
-    return _initial_velocity(assemble(spec))
+    v0 = assemble(spec).velocity(_MIXED)
+    return v0[1:], float(v0[0])
 
 
 def shift_transform(spec: ChannelSpec, c: float) -> ChannelSpec:

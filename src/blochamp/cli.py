@@ -200,6 +200,8 @@ def _cmd_choi(args) -> int:
     if args.times is not None:
         ts = [float(v) for v in args.times.split(",")]
     elif args.scan is not None:
+        if args.scan < 1:
+            raise BlochampError(f"--scan must be at least 1, got {args.scan}")
         ts = list(np.linspace(args.t / args.scan, args.t, args.scan))
     else:
         ts = [args.t]

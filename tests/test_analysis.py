@@ -391,6 +391,19 @@ class TestGatePlanning:
             plan_amplification("three_jump", {"M": 1.0, "gamma": 0.0}, 0.9,
                                epsilon=0.5)
 
+    @pytest.mark.parametrize("t_max", [math.nan, 0.0, -1.0])
+    def test_t_max_must_be_positive(self, t_max):
+        # A NaN budget would compare false against every duration and so
+        # switch the budget off without a word.
+        with pytest.raises(InvalidParams, match="t_max must be positive"):
+            plan_amplification("one_jump", {"m": 1.0}, 0.9, t_max=t_max)
+
+    def test_infinite_t_max_sets_no_budget(self):
+        with pytest.raises(TargetUnreachable):
+            plan_amplification("linear_cptp", {"m": 1.0}, 0.99, t_max=1.0)
+        plan = plan_amplification("linear_cptp", {"m": 1.0}, 0.99, t_max=math.inf)
+        assert plan.t_gate > 1.0
+
     def test_unknown_gate(self):
         with pytest.raises(InvalidParams):
             plan_amplification("no_such_gate", {}, 0.9)

@@ -93,17 +93,17 @@ class TestChannelSpecValidation:
 class TestAssemble:
     def test_linear_cptp(self):
         gen = assemble(presets.linear_cptp(1.0))
-        assert np.abs(gen.G_total - np.diag([-4, -2, -2])).max() <= 1e-12
-        assert np.abs(gen.C_total - np.array([4, 0, 0])).max() <= 1e-12
-        assert np.abs(gen.omega.ell).max() <= 1e-12
+        assert np.abs(gen.A[1:, 1:] - np.diag([-4, -2, -2])).max() <= 1e-12
+        assert np.abs(gen.A[1:, 0] - np.array([4, 0, 0])).max() <= 1e-12
+        assert np.abs(gen.A[0]).max() <= 1e-12
 
     def test_threejump(self):
         big_m, gamma = 1.0, 0.5
         gen = assemble(presets.threejump_nino(big_m, gamma))
         expected_omega = np.array([-(big_m + gamma / 2), 0, 0, 0])
-        assert np.abs(gen.omega.ell - expected_omega).max() <= 1e-12
-        assert np.abs(gen.C_total).max() <= 1e-12
-        g_eff = gen.G_total + gen.g * gen.omega.ell[0] * np.eye(3)
+        assert np.abs(-gen.A[0] - expected_omega).max() <= 1e-12
+        assert np.abs(gen.A[1:, 0]).max() <= 1e-12
+        g_eff = gen.A[1:, 1:] - gen.g * gen.A[0, 0] * np.eye(3)
         expected = np.array([[-gamma, big_m, 0],
                              [big_m, -gamma, 0],
                              [0, 0, -2 * big_m]])
@@ -112,9 +112,9 @@ class TestAssemble:
     def test_nojump(self):
         l0, l1 = 0.4, 0.9
         gen = assemble(presets.nojump_nino(l0, l1))
-        assert np.abs(gen.G_total - 2 * l0 * np.eye(3)).max() <= 1e-12
-        assert np.abs(gen.C_total - [2 * l1, 0, 0]).max() <= 1e-12
-        assert np.abs(gen.omega.ell - [-2 * l0, -2 * l1, 0, 0]).max() <= 1e-12
+        assert np.abs(gen.A[1:, 1:] - 2 * l0 * np.eye(3)).max() <= 1e-12
+        assert np.abs(gen.A[1:, 0] - [2 * l1, 0, 0]).max() <= 1e-12
+        assert np.abs(-gen.A[0] - [-2 * l0, -2 * l1, 0, 0]).max() <= 1e-12
 
     def test_linear_noncp(self):
         big_m, gamma = 1.0, 0.5
@@ -122,39 +122,68 @@ class TestAssemble:
         expected = np.array([[-gamma, big_m, 0],
                              [big_m, -gamma, 0],
                              [0, 0, -2 * big_m]])
-        assert np.abs(gen.G_total - expected).max() <= 1e-12
-        assert np.abs(gen.C_total).max() <= 1e-12
-        assert np.abs(gen.omega.ell).max() <= 1e-12
+        assert np.abs(gen.A[1:, 1:] - expected).max() <= 1e-12
+        assert np.abs(gen.A[1:, 0]).max() <= 1e-12
+        assert np.abs(gen.A[0]).max() <= 1e-12
 
     def test_empty_spec(self):
         spec = ChannelSpec(HermitianPauliVector(np.zeros(4)))
         gen = assemble(spec)
-        assert np.abs(gen.G_total).max() == 0.0
-        assert np.abs(gen.C_total).max() == 0.0
-        assert np.abs(gen.omega.ell).max() == 0.0
+        assert np.abs(gen.A[1:, 1:]).max() == 0.0
+        assert np.abs(gen.A[1:, 0]).max() == 0.0
+        assert np.abs(gen.A[0]).max() == 0.0
 
     def test_omega_matches_matrix_computation(self, rng):
+        # A[0] is -Omega; A[1:, 0] and A[1:, 1:] are 2 ell_vec + sum zeta C_j
+        # and 2 ell_0 I + sum zeta G_j + 2 [h]_x, from the 2x2-trace oracle.
         for i in range(200):
-            spec = random_nino_spec(rng, n_jumps=1 + i % 3)
+            spec = random_spec(rng, g=1.0, n_jumps=1 + i % 3)
             gen = assemble(spec)
             omega_m = -2.0 * spec.ell.to_matrix()
+            c_ref = 2.0 * spec.ell.ell[1:]
+            g_ref = 2.0 * spec.ell.ell[0] * np.eye(3) + 2.0 * np.cross(
+                spec.h, np.eye(3)).T
             for j in spec.jumps:
                 b = j.matrix
                 omega_m -= j.zeta * (b.conj().T @ b)
+                gj, cj = trace_jump_generator(j)
+                g_ref += j.zeta * gj
+                c_ref += j.zeta * cj
             ref = HermitianPauliVector.from_matrix(omega_m).ell
-            assert np.abs(gen.omega.ell - ref).max() <= 1e-12 * max(
-                1.0, np.abs(ref).max())
+            scale = max(1.0, np.abs(ref).max(), np.abs(g_ref).max())
+            assert np.abs(gen.omega.ell - ref).max() <= 1e-12 * scale
+            assert np.abs(gen.A[0] + ref).max() <= 1e-12 * scale
+            assert np.abs(gen.A[1:, 0] - c_ref).max() <= 1e-12 * scale
+            assert np.abs(gen.A[1:, 1:] - g_ref).max() <= 1e-12 * scale
+
+    def test_a_is_read_only_and_views_match_blocks(self, rng):
+        gen = assemble(random_spec(rng, g=0.5, n_jumps=2))
+        with pytest.raises(ValueError):
+            gen.A[1, 1] = 0.0
+        assert np.array_equal(gen.omega.ell, -gen.A[0])
+        assert np.array_equal(gen.C_total, gen.A[1:, 0])
+        assert np.array_equal(gen.G_linear, gen.A[1:, 1:])
+        for view in (gen.C_total, gen.G_linear):
+            with pytest.raises(ValueError):
+                view[0] = 0.0
 
     def test_rhs_matches_operator_space(self, rng):
-        # The assembled coordinate equation equals the raw operator equation.
+        # The assembled coordinate equation equals the raw operator equation:
+        # rhs at one state, and velocity on a stack of states in one call.
         for i in range(150):
             spec = random_spec(rng, g=(0.0, 0.5, 1.0)[i % 3])
-            tau = 0.5 + rng.random()
-            r = rng.normal(size=3)
-            r *= 0.8 * tau * rng.random() / np.linalg.norm(r)
-            state = PsdState(tau, r)
-            dr, dtau = rhs(spec, state)
-            dtau_ref, dr_ref = coords_of(matrix_rhs(spec, reconstruct(state)))
+            tau = 0.5 + rng.random(4)
+            r = rng.normal(size=(4, 3))
+            r *= (0.8 * tau * rng.random(4) / np.linalg.norm(r, axis=1))[:, None]
+            states = [PsdState(t, v) for t, v in zip(tau, r)]
+            refs = [coords_of(matrix_rhs(spec, reconstruct(s))) for s in states]
+            velocities = assemble(spec).velocity(np.column_stack((tau, r)))
+            for v, (dtau_ref, dr_ref) in zip(velocities, refs):
+                scale = max(1.0, np.abs(dr_ref).max(), abs(dtau_ref))
+                assert abs(v[0] - dtau_ref) <= 1e-12 * scale
+                assert np.abs(v[1:] - dr_ref).max() <= 1e-12 * scale
+            dr, dtau = rhs(spec, states[0])
+            dtau_ref, dr_ref = refs[0]
             scale = max(1.0, np.abs(dr_ref).max(), abs(dtau_ref))
             assert abs(dtau - dtau_ref) <= 1e-12 * scale
             assert np.abs(dr - dr_ref).max() <= 1e-12 * scale

@@ -131,6 +131,13 @@ class TestReports:
         assert len(rep) == 5
         assert all(r["completely_positive"] for r in rep)
 
+    @pytest.mark.parametrize("scan", ["0", "-2"])
+    def test_choi_scan_below_one_rejected(self, capsys, scan):
+        code, out, err = run(capsys, "choi", "--preset", "linear_cptp",
+                             "--m", "1", "--t", "1.0", "--scan", scan)
+        assert code == 1 and out == ""
+        assert err == f"error: --scan must be at least 1, got {scan}\n"
+
     def test_choi_rejects_nonlinear(self, capsys):
         code, _, err = run(capsys, "choi", "--preset", "onejump_nino",
                            "--m", "1", "--t", "0.1")

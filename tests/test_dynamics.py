@@ -1,4 +1,5 @@
 import io
+import itertools
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 
 import blochamp
 from blochamp import (
+    AffineGenerator,
     ApexReached,
     BlowUp,
     ChannelSpec,
@@ -123,11 +125,12 @@ class TestIntegrate:
                       sample_times=[0.5, math.nan])
 
     def test_nan_error_norm_is_rejected(self, monkeypatch):
-        # A right-hand side that turns NaN after t = 0 makes every error norm
-        # NaN; such steps are rejected until the step size underflows instead
-        # of being accepted until the step budget runs out.
-        monkeypatch.setattr(dynamics, "_rhs_from_generator", lambda gen: (
-            lambda t, y: np.full(4, math.nan) if t > 0.0 else np.zeros(4)))
+        # A velocity that turns NaN after its first evaluation makes every
+        # error norm NaN; such steps are rejected until the step size
+        # underflows instead of being accepted until the step budget runs out.
+        calls = itertools.count()
+        monkeypatch.setattr(AffineGenerator, "velocity", lambda self, y: (
+            np.zeros(4) if next(calls) == 0 else np.full(4, math.nan)))
         with pytest.raises(StepFailure, match="step size underflow"):
             integrate(presets.linear_cptp(1.0), MIXED, 1.0,
                       IntegratorOpts(max_steps=1000))
