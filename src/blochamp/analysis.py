@@ -25,19 +25,14 @@ from .channels import ChannelSpec, assemble
 from .dynamics import integrate
 from .errors import InvalidParams, TargetUnreachable
 from .pauli import SIGMA, SIGMA_X, SIGMA_Y, PsdState
+from .tolerances import (LINE_SIGN_TOL, MARGINAL_TOL, RANK_TOL, SPEED_ZERO,
+                         SPLIT_TOL)
 
 __all__ = [
     "FixedPoint", "FixedLine", "FixedPointReport", "find_fixed_points",
     "slowdown_exponent", "choi_spectrum", "choi_spectra",
     "GateStage", "GatePlan", "GATES", "plan_amplification", "rotate",
 ]
-
-# Null-space and tau != 0 decisions use this relative cutoff.
-_RANK_TOL = 1e-10
-# A defective A splits a k-fold eigenvalue, and tilts its eigenvectors, by
-# about eps**(1/k); within this tolerance a split pair is real and a null
-# space is one already found.
-_SPLIT_TOL = 1e-5
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,8 +47,10 @@ class FixedPoint:
 class FixedLine:
     """A line of fixed points: {point + s * direction}.
 
-    ``marginal`` is True when no transverse direction grows, so the line is
-    neutrally stable overall (motion along it is frozen by definition).
+    ``direction`` is a unit vector whose first component above LINE_SIGN_TOL
+    in magnitude is positive.  ``marginal`` is True when no transverse
+    direction grows, so the line is neutrally stable overall (motion along
+    it is frozen by definition).
     """
 
     point: np.ndarray
@@ -75,12 +72,6 @@ def _stability_label(eigvals: np.ndarray, tol: float) -> str:
     if max_re < -tol:
         return "stable"
     return "marginal"
-
-
-def _generator_scale(gen) -> float:
-    w = gen.omega.ell
-    return max(1.0, float(np.linalg.norm(gen.G_linear))
-               + abs(gen.g) * float(np.abs(w).sum()))
 
 
 def _sorted_eigvals(m: np.ndarray) -> np.ndarray:
@@ -105,10 +96,10 @@ def find_fixed_points(spec: ChannelSpec) -> FixedPointReport:
     """
     gen = assemble(spec)
     a, g = gen.A, gen.g
-    scale = _generator_scale(gen)
-    marginal_tol = 1e-6 * scale
+    split_tol = SPLIT_TOL * gen.scale
+    marginal_tol = MARGINAL_TOL * gen.scale
     ev = _sorted_eigvals(a)
-    lams = [0.0] if g == 0.0 else ev.real[np.abs(ev.imag) <= _SPLIT_TOL * scale]
+    lams = [0.0] if g == 0.0 else ev.real[np.abs(ev.imag) <= split_tol]
 
     # Each copy of a repeated eigenvalue finds its null space, or a part of
     # it, again: the largest comes first and the rest are dropped.
@@ -116,21 +107,25 @@ def find_fixed_points(spec: ChannelSpec) -> FixedPointReport:
                    key=lambda item: -item[0].shape[1])
     points, lines, found = [], [], []
     for null, lam in nulls:
-        if any(np.linalg.norm(null - f @ (f.T @ null)) <= _SPLIT_TOL for f in found):
+        if any(np.linalg.norm(null - f @ (f.T @ null)) <= SPLIT_TOL for f in found):
             continue
         found.append(null)
-        if np.linalg.norm(null[0]) <= _RANK_TOL:
+        if np.linalg.norm(null[0]) <= RANK_TOL:
             continue
         # Rotate the null basis so that only its first vector has tau != 0.
         null = null @ np.linalg.svd(null[:1])[2].T
         dirs = null[1:, 1:]
+        # An SVD vector's sign follows roundoff: flip each direction so that
+        # its first component above LINE_SIGN_TOL is positive (and no -0.0).
+        lead = dirs[np.argmax(np.abs(dirs) > LINE_SIGN_TOL, axis=0), range(dirs.shape[1])]
+        dirs = np.where(lead < 0.0, -dirs, dirs) + 0.0
         r = null[1:, 0] / null[0, 0]
         r = r - dirs @ (dirs.T @ r)
         jac = np.delete(ev, np.argmin(np.abs(ev - lam))) - lam
         if dirs.shape[1]:
             # The other copies of lam, split by roundoff, are the directions
             # along the fixed set: only the transverse ones decide.
-            transverse = jac[np.abs(jac) > _SPLIT_TOL * scale]
+            transverse = jac[np.abs(jac) > split_tol]
             marginal = bool(transverse.size == 0
                             or np.max(transverse.real) <= marginal_tol)
             lines += [FixedLine(r.copy(), d, marginal) for d in dirs.T]
@@ -145,7 +140,7 @@ def find_fixed_points(spec: ChannelSpec) -> FixedPointReport:
 def _null_space(a: np.ndarray, lam: float) -> np.ndarray:
     """Orthonormal columns spanning the null space of a - lam I, by SVD."""
     _, s, vt = np.linalg.svd(a - lam * np.eye(len(a)))
-    return vt[s <= _RANK_TOL * max(1.0, s[0])].T
+    return vt[s <= RANK_TOL * max(1.0, s[0])].T
 
 
 def slowdown_exponent(spec: ChannelSpec, fp: Sequence[float],
@@ -174,7 +169,7 @@ def slowdown_exponent(spec: ChannelSpec, fp: Sequence[float],
     # the log-slope unchanged.
     ys = np.column_stack((np.ones(deltas.size), fp - deltas[:, None] * d))
     speeds = np.linalg.norm(gen.velocity(ys / (gen.g or 1.0))[:, 1:], axis=1)
-    if np.all(speeds < 1e-14):
+    if np.all(speeds < SPEED_ZERO):
         raise InvalidParams("speed vanishes along this direction; "
                             "it is exactly fixed")
     return float(np.polyfit(np.log(deltas), np.log(speeds), 1)[0])
@@ -286,11 +281,12 @@ def plan_amplification(gate: str, params: Mapping[str, float],
 
     if gate in ("linear_cptp", "one_jump"):
         m = float(params.get("m", 1.0))
+        spec = builder(m)  # rejects m = 0 before it divides below
         if gate == "linear_cptp":
             duration = -math.log(1.0 - r_target) / (4.0 * m * m)
         else:
             duration = r_target / ((1.0 - r_target) * 2.0 * m * m)
-        return _single_stage_plan(gate, builder(m), duration, target_purity,
+        return _single_stage_plan(gate, spec, duration, target_purity,
                                   epsilon, t_max)
 
     big_m = float(params.get("M", 1.0))

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import InvalidParams
 from .pauli import HermitianPauliVector, PauliVectorC
+from .tolerances import ROUNDOFF
 
 __all__ = [
     "JumpTerm", "ChannelSpec", "AffineGenerator", "ChannelClass",
@@ -119,10 +120,14 @@ class AffineGenerator:
         return self.A[1:, 1:]
 
     @property
+    def scale(self) -> float:
+        """max(1, ||A||_1): every roundoff test on the generator scales with it."""
+        return max(1.0, float(np.abs(self.A).sum(axis=0).max()))
+
+    @property
     def pseudo_linear(self) -> bool:
         """True when Omega is proportional to the identity, up to roundoff."""
-        w = self.A[0]
-        return bool(np.abs(w[1:]).max() <= 1e-12 * max(1.0, float(np.linalg.norm(w))))
+        return bool(np.abs(self.A[0, 1:]).max() <= ROUNDOFF * self.scale)
 
     def velocity(self, y) -> np.ndarray:
         """dy/dt at each state y = (tau, r) of an (..., 4) array.
@@ -242,11 +247,6 @@ def assemble(spec: ChannelSpec) -> AffineGenerator:
     return AffineGenerator(a, spec.g)
 
 
-def _omega_scale(spec: ChannelSpec) -> float:
-    return max(1.0, 2.0 * float(np.abs(spec.ell.ell).max()),
-               sum(j.xi.norm ** 2 for j in spec.jumps))
-
-
 @dataclass(frozen=True)
 class ChannelClass:
     """Classification flags for a channel.
@@ -272,13 +272,12 @@ _MIXED = np.array([1.0, 0.0, 0.0, 0.0])
 def classify(spec: ChannelSpec) -> ChannelClass:
     """Classify a channel; rejects g = 0 specs whose Omega does not vanish."""
     gen = assemble(spec)
-    w = gen.omega.ell
-    omega_zero = np.abs(w).max() <= 1e-12 * _omega_scale(spec)
+    zero = ROUNDOFF * gen.scale
+    omega_zero = np.abs(gen.A[0]).max() <= zero
     if spec.g == 0.0 and not omega_zero:
         raise InvalidParams(
             "a linear channel (g=0) requires a vanishing Omega to conserve trace")
-    v0 = gen.velocity(_MIXED)
-    unital = float(np.linalg.norm(v0[1:])) <= 1e-12 and abs(v0[0]) <= 1e-12
+    unital = np.abs(gen.velocity(_MIXED)).max() <= zero
     return ChannelClass(
         cp=all(j.zeta == 1 for j in spec.jumps),
         linear=spec.g == 0.0,
@@ -318,7 +317,7 @@ def dualize(spec: ChannelSpec) -> ChannelSpec:
     nonlinearity off; both channels generate the same motion on the
     unit-trace plane.
     """
-    if abs(spec.g - 1.0) > 1e-12:
+    if abs(spec.g - 1.0) > ROUNDOFF:
         raise InvalidParams("duality requires nonlinearity strength g = 1")
     gen = assemble(spec)
     if not gen.pseudo_linear:

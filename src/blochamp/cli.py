@@ -22,6 +22,7 @@ from .channels import ChannelSpec, classify, load_spec
 from .dynamics import CSV_HEADER, IntegratorOpts, integrate
 from .errors import BlochampError
 from .pauli import PsdState, purity_entropy
+from .tolerances import CP_TOL, MONOTONE_TOL
 
 
 def _fmt(v: float) -> str:
@@ -78,8 +79,8 @@ def _add_initial_state_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_integrator_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rtol", type=float, default=1e-10)
-    p.add_argument("--atol", type=float, default=1e-12)
+    p.add_argument("--rtol", type=float)
+    p.add_argument("--atol", type=float)
     p.add_argument("--allow-off-cone", action="store_true",
                    help="disable the cone and apex halting checks")
     p.add_argument("--stop-on-surface", action="store_true",
@@ -87,7 +88,7 @@ def _add_integrator_args(p: argparse.ArgumentParser) -> None:
 
 
 def _opts_from_args(args) -> IntegratorOpts:
-    return IntegratorOpts(rtol=args.rtol, atol=args.atol,
+    return IntegratorOpts(**_given(args, ("rtol", "atol")),
                           allow_off_cone=args.allow_off_cone,
                           stop_on_surface=args.stop_on_surface)
 
@@ -114,6 +115,8 @@ def _cmd_simulate(args) -> int:
     opts = _opts_from_args(args)
     sample_times = None
     if args.samples is not None:
+        if args.samples < 2:
+            raise BlochampError(f"--samples must be at least 2, got {args.samples}")
         sample_times = np.linspace(0.0, args.t, args.samples)
     traj = integrate(spec, _initial_from_args(args), args.t, opts,
                      sample_times=sample_times)
@@ -170,7 +173,7 @@ def _cmd_stability(args) -> int:
         "tau0": args.tau0,
         "initial_trace_deviation": float(dev[0]),
         "final_trace_deviation": float(dev[-1]),
-        "deviation_monotone_decaying": bool(np.all(np.diff(dev) <= 1e-12)),
+        "deviation_monotone_decaying": bool(np.all(np.diff(dev) <= MONOTONE_TOL)),
         "tr_x_omega_min": float(traj.tr_x_omega.min()),
         "tr_x_omega_max": float(traj.tr_x_omega.max()),
         "plane_attracting": bool(dev[-1] <= dev[0]),
@@ -206,12 +209,13 @@ def _cmd_choi(args) -> int:
     else:
         ts = [args.t]
     spectra = analysis.choi_spectra(spec, ts)
+    cp_floor = -CP_TOL * np.maximum(1.0, spectra.sum(axis=1) / 2.0)
     rows = [
         {
             "t": float(t),
             "eigenvalues": [float(v) for v in spectra[i]],
             "min_eigenvalue": float(spectra[i, 0]),
-            "completely_positive": bool(spectra[i, 0] >= -1e-10),
+            "completely_positive": bool(spectra[i, 0] >= cp_floor[i]),
         }
         for i, t in enumerate(ts)
     ]
@@ -222,7 +226,7 @@ def _cmd_choi(args) -> int:
 def _cmd_gate_plan(args) -> int:
     plan = analysis.plan_amplification(args.gate, _given(args, _GATE_PARAMS),
                                        args.target_purity,
-                                       epsilon=args.epsilon, t_max=args.t_max)
+                                       **_given(args, ("epsilon", "t_max")))
     achieved_purity, achieved_entropy = purity_entropy(plan.achieved)
     out = {
         "gate": plan.gate,
@@ -336,9 +340,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in _GATE_PARAMS:
         p.add_argument(f"--{name}", type=float)
     p.add_argument("--target-purity", type=float, required=True)
-    p.add_argument("--epsilon", type=float, default=1e-3,
+    p.add_argument("--epsilon", type=float,
                    help="pre-amplified radius for the two-stage gates")
-    p.add_argument("--t-max", type=float, default=1e4,
+    p.add_argument("--t-max", type=float,
                    help="refuse plans needing more time than this")
     p.set_defaults(func=_cmd_gate_plan)
 

@@ -18,15 +18,14 @@ import numpy as np
 
 from .channels import AffineGenerator, ChannelSpec, assemble, expm
 from .errors import ApexReached, BlowUp, ConeViolation, StepFailure
-from .pauli import APEX_TAU, PsdState
+from .pauli import PsdState
+from .tolerances import (APEX_TAU, CONE_RATIO_TOL, EIG_ROUNDOFF, SURFACE_TOL,
+                         TIME_WINDOW)
 
 __all__ = [
     "IntegratorOpts", "StepStats", "Sample", "Trajectory",
     "rhs", "integrate", "xi_coordinates", "CSV_HEADER",
 ]
-
-# A trajectory halts with ConeViolation once |r|/tau exceeds 1 by this much.
-CONE_RATIO_TOL = 1e-4
 
 CSV_HEADER = "t,tau,x,y,z,purity,entropy,trXOmega,coneMargin"
 
@@ -230,7 +229,7 @@ def _bisect_surface(step_to, t, y, h_hi):
     lo, y_lo = 0.0, y.copy()
     hi = h_hi
     for _ in range(200):
-        if _margin(y_lo) <= 1e-12 or (hi - lo) <= 1e-16 * max(1.0, h_hi):
+        if _margin(y_lo) <= SURFACE_TOL or (hi - lo) <= 1e-16 * max(1.0, h_hi):
             break
         mid = 0.5 * (lo + hi)
         y_mid = step_to(mid)
@@ -316,16 +315,16 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
         if not np.isfinite(ts).all():
             raise ValueError("sample_times must be finite")
         ts = ts[np.diff(ts, prepend=-math.inf) > 0.0]
-        if ts.size and (ts[0] < 0.0 or ts[-1] > t_end * (1.0 + 1e-12)):
+        if ts.size and (ts[0] < 0.0 or ts[-1] > t_end * (1.0 + TIME_WINDOW)):
             raise ValueError("sample_times must lie within [0, t_end]")
         targets = [float(v) for v in ts if v > 0.0]
-        if not targets or targets[-1] < t_end * (1.0 - 1e-12):
+        if not targets or targets[-1] < t_end * (1.0 - TIME_WINDOW):
             targets.append(float(t_end))
 
     rec_t = [0.0]
     rec_y = [y.copy()]
 
-    if opts.stop_on_surface and _margin(y) <= 1e-12:
+    if opts.stop_on_surface and _margin(y) <= SURFACE_TOL:
         return _build_trajectory(spec, gen, rec_t, rec_y, StepStats(0, 0, 0.0),
                                  "surface")
 
@@ -418,4 +417,4 @@ def _xlogx(v: np.ndarray) -> np.ndarray:
     # 0 log 0 -> 0; slightly negative eigenvalues from roundoff count as 0,
     # genuinely negative ones (off-cone states) give nan.
     out = np.where(v > 0.0, v * np.log(np.where(v > 0.0, v, 1.0)), 0.0)
-    return np.where(v < -1e-12, np.nan, out)
+    return np.where(v < -EIG_ROUNDOFF, np.nan, out)

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .tolerances import APEX_TAU, CONE_TOL, HERMITIAN_TOL, PURE_TOL
+
 __all__ = [
     "SIGMA_0", "SIGMA_X", "SIGMA_Y", "SIGMA_Z", "SIGMA",
     "APEX_TAU", "CONE_TOL",
@@ -27,11 +29,6 @@ SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 SIGMA_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 SIGMA = (SIGMA_0, SIGMA_X, SIGMA_Y, SIGMA_Z)
-
-# States with a smaller trace are rejected (the cone apex is excluded).
-APEX_TAU = 1e-9
-# |r| may exceed tau by this much and the state still counts as physical.
-CONE_TOL = 1e-9
 
 
 def _frozen_array(obj, attr, value, shape, dtype=float):
@@ -81,7 +78,8 @@ class HermitianPauliVector:
         _frozen_array(self, "ell", self.ell, (4,))
 
     @classmethod
-    def from_matrix(cls, m: np.ndarray, tol: float = 1e-12) -> "HermitianPauliVector":
+    def from_matrix(cls, m: np.ndarray,
+                    tol: float = HERMITIAN_TOL) -> "HermitianPauliVector":
         m = np.asarray(m, dtype=complex)
         if m.shape != (2, 2):
             raise ValueError(f"expected a 2x2 matrix, got shape {m.shape}")
@@ -148,7 +146,8 @@ def reconstruct(state: PsdState) -> np.ndarray:
                            [x + 1j * y, tau - z]], dtype=complex)
 
 
-def decompose(m: np.ndarray, physical: bool = True, tol: float = 1e-12) -> PsdState:
+def decompose(m: np.ndarray, physical: bool = True,
+              tol: float = HERMITIAN_TOL) -> PsdState:
     """Inverse of :func:`reconstruct`: tau = tr(m), r_a = tr(sigma_a m)."""
     h = HermitianPauliVector.from_matrix(m, tol=tol)
     return PsdState(2.0 * h.ell[0], 2.0 * h.vec, physical=physical)
@@ -160,7 +159,7 @@ def spectrum(state: PsdState) -> tuple[float, float]:
     return (0.5 * (state.tau + rn), 0.5 * (state.tau - rn))
 
 
-def is_pure(state: PsdState, tol: float = 1e-9) -> bool:
+def is_pure(state: PsdState, tol: float = PURE_TOL) -> bool:
     """True when the state sits on the cone surface, |tau - |r|| <= tol."""
     if tol <= 0:
         raise ValueError("tol must be positive")

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,33 @@ def random_gksl_spec(rng, n_jumps=2, zeta=1):
         jumps=jumps,
         g=0.0,
     )
+
+
+def scaled_spec(spec, k):
+    """The channel with every rate multiplied by k > 0: L and h by k, each
+    jump by sqrt(k).  Its flow is the original one run k times faster."""
+    root = np.sqrt(k)
+    return replace(
+        spec, ell=HermitianPauliVector(k * spec.ell.ell), h=k * spec.h,
+        jumps=tuple(JumpTerm(PauliVectorC(root * j.xi.xi), j.zeta) for j in spec.jumps))
+
+
+def random_rotation(rng):
+    """A uniformly random 3x3 rotation matrix."""
+    q, r = np.linalg.qr(rng.normal(size=(3, 3)))
+    q = q * np.sign(np.diag(r))
+    return q if np.linalg.det(q) > 0 else -q
+
+
+def rotated_spec(spec, rot):
+    """The channel in a rotated Pauli frame: each sigma-vector part (of L,
+    of every jump and of h) is multiplied by rot, so r(t) becomes rot r(t)."""
+    def turn(c):
+        return np.concatenate(([c[0]], rot @ c[1:]))
+
+    return replace(
+        spec, ell=HermitianPauliVector(turn(spec.ell.ell)), h=rot @ spec.h,
+        jumps=tuple(JumpTerm(PauliVectorC(turn(j.xi.xi)), j.zeta) for j in spec.jumps))
 
 
 def matrix_rhs(spec, x):

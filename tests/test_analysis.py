@@ -19,9 +19,16 @@ from blochamp import (
     rotate,
     slowdown_exponent,
 )
-from blochamp import analysis, assemble, dynamics, presets, reconstruct
+from blochamp import AffineGenerator, analysis, assemble, dynamics, presets, reconstruct
+from blochamp.tolerances import LINE_SIGN_TOL
 from conftest import (integrated_choi_spectra, matrix_rhs, newton_roots, plane_flow,
-                      random_gksl_spec, random_nino_spec)
+                      random_gksl_spec, random_nino_spec, random_rotation, rotated_spec,
+                      scaled_spec)
+
+
+def _follows_sign_rule(d):
+    lead = d[np.abs(d) > LINE_SIGN_TOL]
+    return lead.size > 0 and lead[0] > 0.0
 
 
 class TestFixedPoints:
@@ -86,8 +93,8 @@ class TestFixedPoints:
         assert not rep.points
         assert len(rep.fixed_lines) == 1
         line = rep.fixed_lines[0]
-        d = line.direction / np.linalg.norm(line.direction)
-        assert abs(abs(d @ [1, 1, 0]) / math.sqrt(2) - 1.0) <= 1e-9
+        # The README's example: the diagonal, with its canonical sign.
+        assert np.abs(line.direction - [math.sqrt(0.5), math.sqrt(0.5), 0.0]).max() <= 1e-12
         assert line.marginal
 
     def test_points_on_line_are_fixed(self):
@@ -172,6 +179,44 @@ class TestFixedPoints:
                     1e-12 * scale * max(1.0, p.r @ p.r))
                 n_points += 1
         assert n_points >= 30
+
+    def test_line_directions_follow_the_sign_rule(self, rng):
+        # Rotating the Pauli frame of a spec with fixed lines rotates its
+        # lines, so the directions take every sign pattern.
+        cases = [lambda: presets.threejump_nino(1.0, 1.0), lambda: presets.onejump_nino(1.0),
+                 lambda: replace(presets.nojump_nino(0.0, 1.0), h=[0.0, 0.0, 1.0])]
+        n_lines = 0
+        for i in range(60):
+            base = cases[i % 3]()
+            rot = random_rotation(rng)
+            spec = scaled_spec(rotated_spec(base, rot), 10.0 ** rng.uniform(-1, 3))
+            want = [rot @ line.direction for line in find_fixed_points(base).fixed_lines]
+            lines = find_fixed_points(spec).fixed_lines
+            assert len(lines) == len(want)
+            for line in lines:
+                assert _follows_sign_rule(line.direction)
+                # Each line spans the rotated plane or line of the base spec.
+                span = np.array(want)
+                assert np.linalg.norm(line.direction @ span.T) == pytest.approx(1.0, abs=1e-8)
+                n_lines += 1
+        assert n_lines == 80
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_line_direction_ignores_signed_zeros(self, monkeypatch, zero):
+        # The SVD's sign follows the sign of zero entries of A; the reported
+        # direction must not.
+        specs = [presets.threejump_nino(1.0, 1.0), presets.threejump_nino(0.3, 0.3),
+                 presets.onejump_nino(1.0)]
+        plain = [[line.direction for line in find_fixed_points(s).fixed_lines] for s in specs]
+
+        def signed_zeros(spec):
+            gen = assemble(spec)
+            return AffineGenerator(np.where(gen.A == 0.0, zero, gen.A), gen.g)
+
+        monkeypatch.setattr(analysis, "assemble", signed_zeros)
+        for spec, want in zip(specs, plain):
+            got = [line.direction for line in find_fixed_points(spec).fixed_lines]
+            assert np.array_equal(got, want)
 
     def test_degenerate_spec_reports_plane(self):
         from blochamp import ChannelSpec, HermitianPauliVector
@@ -403,6 +448,11 @@ class TestGatePlanning:
             plan_amplification("linear_cptp", {"m": 1.0}, 0.99, t_max=1.0)
         plan = plan_amplification("linear_cptp", {"m": 1.0}, 0.99, t_max=math.inf)
         assert plan.t_gate > 1.0
+
+    @pytest.mark.parametrize("gate", ["linear_cptp", "one_jump"])
+    def test_zero_jump_strength_rejected(self, gate):
+        with pytest.raises(InvalidParams, match="m must be nonzero"):
+            plan_amplification(gate, {"m": 0.0}, 0.9)
 
     def test_unknown_gate(self):
         with pytest.raises(InvalidParams):

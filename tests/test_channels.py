@@ -24,8 +24,9 @@ from blochamp import (
 )
 from blochamp.channels import expm, jump_generator
 from blochamp import presets, reconstruct
+from blochamp.tolerances import ROUNDOFF
 from conftest import (coords_of, matrix_rhs, random_jump, random_nino_spec,
-                      random_pseudolinear_spec, trace_jump_generator)
+                      random_pseudolinear_spec, scaled_spec, trace_jump_generator)
 
 
 def random_spec(rng, g, n_jumps=None):
@@ -167,6 +168,12 @@ class TestAssemble:
             with pytest.raises(ValueError):
                 view[0] = 0.0
 
+    def test_scale_is_the_one_norm_of_a(self, rng):
+        for i in range(20):
+            gen = assemble(random_spec(rng, g=0.5, n_jumps=i % 4))
+            assert gen.scale == max(1.0, np.linalg.norm(gen.A, 1))
+        assert assemble(ChannelSpec(HermitianPauliVector(np.zeros(4)))).scale == 1.0
+
     def test_rhs_matches_operator_space(self, rng):
         # The assembled coordinate equation equals the raw operator equation:
         # rhs at one state, and velocity on a stack of states in one call.
@@ -232,8 +239,15 @@ class TestClassify:
             spec = random_nino_spec(rng)
             c = classify(spec)
             dr, dtau = initial_velocity(spec)
-            v = np.linalg.norm(dr) + abs(dtau)
-            assert c.unital == (v <= 1e-12)
+            v = max(np.abs(dr).max(), abs(dtau))
+            assert c.unital == (v <= ROUNDOFF * assemble(spec).scale)
+
+    @pytest.mark.parametrize("k", [1e-2, 1e4, 1e6])
+    def test_flags_survive_rescaled_rates(self, k):
+        # Multiplying every rate by k only runs the flow k times faster.
+        for name in presets.preset_names():
+            spec = presets.PRESETS[name]()
+            assert classify(scaled_spec(spec, k)) == classify(spec), name
 
 
 class TestInitialVelocity:

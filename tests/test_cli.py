@@ -64,6 +64,13 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert err.startswith("error: the state diverges at t* = 0.5493061443340")
 
+    @pytest.mark.parametrize("samples", ["0", "1", "-3"])
+    def test_samples_below_two_rejected(self, capsys, samples):
+        code, out, err = run(capsys, "simulate", "--preset", "linear_cptp",
+                             "--t", "1", f"--samples={samples}")
+        assert code == 1 and out == ""
+        assert err == f"error: --samples must be at least 2, got {samples}\n"
+
     def test_nan_tolerance_rejected(self, capsys):
         code, out, err = run(capsys, "simulate", "--preset", "linear_cptp",
                              "--t", "1", "--rtol", "nan")
@@ -137,6 +144,19 @@ class TestReports:
                              "--m", "1", "--t", "1.0", "--scan", scan)
         assert code == 1 and out == ""
         assert err == f"error: --scan must be at least 1, got {scan}\n"
+
+    def test_choi_cp_flag_scales_with_the_trace(self, tmp_path, capsys):
+        # A CP channel that does not preserve the trace: at t = 15 its Choi
+        # trace is 3.75e17 and roundoff leaves eigenvalues near -133.
+        spec_file = tmp_path / "growing.json"
+        spec_file.write_text(json.dumps({
+            "ell": [1, 0.3, 0, 0], "g": 0,
+            "jumps": [{"xi_re": [0, 0, 1, 0], "xi_im": [0, 0, 0, 1], "zeta": 1}]}))
+        code, out, _ = run(capsys, "choi", "--spec", str(spec_file), "--t", "15")
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["min_eigenvalue"] < -100.0 and sum(rep["eigenvalues"]) > 3e17
+        assert rep["completely_positive"]
 
     def test_choi_rejects_nonlinear(self, capsys):
         code, _, err = run(capsys, "choi", "--preset", "onejump_nino",
