@@ -22,7 +22,7 @@ import numpy as np
 
 from . import presets
 from .channels import ChannelSpec, assemble
-from .dynamics import integrate
+from .dynamics import exact_trajectory
 from .errors import InvalidParams, TargetUnreachable
 from .pauli import SIGMA, SIGMA_X, SIGMA_Y, PsdState
 from .tolerances import (LINE_SIGN_TOL, MARGINAL_TOL, RANK_TOL, SPEED_ZERO,
@@ -235,10 +235,11 @@ class GateStage:
 
 @dataclass(frozen=True, eq=False)
 class GatePlan:
-    """Stages and timing of one amplification gate, validated by integration.
+    """Stages and timing of one amplification gate.
 
-    ``t_gate`` is the main-stage duration; ``achieved`` is the state reached
-    by re-integrating the planned stages from the maximally mixed state.
+    ``t_gate`` is the main-stage duration; ``achieved`` is the exact state
+    that the planned stages reach from the maximally mixed state, read from
+    ``exact_trajectory``.
     """
 
     gate: str
@@ -265,7 +266,8 @@ def plan_amplification(gate: str, params: Mapping[str, float],
     linear_non_cp) are preceded by a short linear_cptp stage that nudges the
     state to r = (epsilon, 0, 0) before the exponential growth takes over.
     A plan whose main stage needs longer than ``t_max`` is refused;
-    ``t_max = inf`` sets no budget.
+    ``t_max = inf`` sets no budget.  The durations have closed forms, and
+    ``achieved`` is the end of each stage's exact solution.
     """
     if gate not in GATES:
         raise InvalidParams(f"unknown gate {gate!r}; choose from {tuple(GATES)}")
@@ -306,8 +308,8 @@ def plan_amplification(gate: str, params: Mapping[str, float],
             f"main stage needs t={t_gate:.6g}, beyond the budget t_max={t_max:g}")
 
     mixed = PsdState(1.0, np.zeros(3))
-    pre_end = integrate(pre_spec, mixed, t_pre).final_state
-    achieved = integrate(
+    pre_end = exact_trajectory(pre_spec, mixed, t_pre).final_state
+    achieved = exact_trajectory(
         main_spec, PsdState(pre_end.tau, pre_end.r), t_gate).final_state
     return GatePlan(gate=gate, pre_amp=GateStage(pre_spec, t_pre),
                     main=GateStage(main_spec, t_gate),
@@ -320,7 +322,7 @@ def _single_stage_plan(gate, spec, duration, target_purity, epsilon, t_max):
         raise TargetUnreachable(
             f"gate {gate} needs t={duration:.6g} to reach purity "
             f"{target_purity}, beyond the budget t_max={t_max:g}")
-    achieved = integrate(spec, PsdState(1.0, np.zeros(3)), duration).final_state
+    achieved = exact_trajectory(spec, PsdState(1.0, np.zeros(3)), duration).final_state
     return GatePlan(gate=gate, pre_amp=None, main=GateStage(spec, duration),
                     target_purity=target_purity, epsilon=epsilon,
                     t_gate=duration, achieved=achieved)

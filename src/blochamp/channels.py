@@ -251,10 +251,11 @@ def assemble(spec: ChannelSpec) -> AffineGenerator:
 class ChannelClass:
     """Classification flags for a channel.
 
-    ``taxonomy_class`` is "i" for linear trace-preserving channels and "ii"
-    for channels whose trace is conserved through the nonlinear term.
-    ``trace_preserving`` is "unconditional" when Omega vanishes and
-    "conditional" when conservation holds only on the plane g*tau = 1.
+    ``taxonomy_class`` is "i" for linear channels (g = 0) and "ii" for
+    nonlinear ones.  ``trace_preserving`` is "unconditional" when Omega
+    vanishes, "conditional" when conservation holds only on the plane
+    g*tau = 1, and "none" for a linear channel whose Omega does not vanish:
+    its trace changes from every state.
     """
 
     cp: bool
@@ -270,13 +271,14 @@ _MIXED = np.array([1.0, 0.0, 0.0, 0.0])
 
 
 def classify(spec: ChannelSpec) -> ChannelClass:
-    """Classify a channel; rejects g = 0 specs whose Omega does not vanish."""
+    """Classification flags of a channel (see ``ChannelClass``)."""
     gen = assemble(spec)
     zero = ROUNDOFF * gen.scale
     omega_zero = np.abs(gen.A[0]).max() <= zero
-    if spec.g == 0.0 and not omega_zero:
-        raise InvalidParams(
-            "a linear channel (g=0) requires a vanishing Omega to conserve trace")
+    if omega_zero:
+        trace_preserving = "unconditional"
+    else:
+        trace_preserving = "none" if spec.g == 0.0 else "conditional"
     unital = np.abs(gen.velocity(_MIXED)).max() <= zero
     return ChannelClass(
         cp=all(j.zeta == 1 for j in spec.jumps),
@@ -284,7 +286,7 @@ def classify(spec: ChannelSpec) -> ChannelClass:
         taxonomy_class="i" if spec.g == 0.0 else "ii",
         pseudo_linear=gen.pseudo_linear,
         unital=bool(unital),
-        trace_preserving="unconditional" if omega_zero else "conditional",
+        trace_preserving=trace_preserving,
     )
 
 

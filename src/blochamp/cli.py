@@ -19,7 +19,7 @@ import numpy as np
 
 from . import analysis, presets, verify
 from .channels import ChannelSpec, classify, load_spec
-from .dynamics import CSV_HEADER, IntegratorOpts, integrate
+from .dynamics import CSV_HEADER, IntegratorOpts, exact_trajectory, integrate
 from .errors import BlochampError
 from .pauli import PsdState, purity_entropy
 from .tolerances import CP_TOL, MONOTONE_TOL
@@ -155,10 +155,15 @@ def _cmd_fixed_points(args) -> int:
     return 0
 
 
+# The stability report samples at least this many grid steps: at --t 5 that
+# is no coarser than the 77 to 169 steps DP45 takes on the six presets.
+_STABILITY_STEPS = 200
+
+
 def _cmd_stability(args) -> int:
     spec = _build_channel(args)
-    traj = integrate(spec, _initial_from_args(args), args.t,
-                     _opts_from_args(args))
+    traj = exact_trajectory(spec, _initial_from_args(args), args.t,
+                            _opts_from_args(args), min_steps=_STABILITY_STEPS)
     dev = np.abs(traj.tau - 1.0)
     cls = classify(spec)
     _print_json({
@@ -176,7 +181,7 @@ def _cmd_stability(args) -> int:
         "deviation_monotone_decaying": bool(np.all(np.diff(dev) <= MONOTONE_TOL)),
         "tr_x_omega_min": float(traj.tr_x_omega.min()),
         "tr_x_omega_max": float(traj.tr_x_omega.max()),
-        "plane_attracting": bool(dev[-1] <= dev[0]),
+        "plane_attracting": bool(dev[-1] <= dev[0] + MONOTONE_TOL),
     })
     return 0
 

@@ -1,11 +1,14 @@
 """Time integration of the coordinate equations of motion.
 
 The state vector is y = (tau, x, y, z) and its flow is
-``AffineGenerator.velocity``, y' = A y + g (w.y) y.  The one integrator is
-an embedded Dormand-Prince 4(5) pair with adaptive step-size control; the
-exact solutions of the paper's gates are the convergence references.
-Trajectories record every accepted step (or a caller-supplied time grid),
-together with purity, entropy, tr(X Omega) and the cone margin tau - |r|.
+``AffineGenerator.velocity``, y' = A y + g (w.y) y, with the exact solution
+y(t) = Y(t) / s(t), Y = e^{At} y0 and s = 1 + g (Y_tau - tau0).  Two
+engines evaluate it.  ``integrate`` steps an embedded Dormand-Prince 4(5)
+pair with adaptive step-size control and records every accepted step (or a
+caller-supplied time grid).  ``exact_trajectory`` reads the exact solution
+on a uniform grid from ``_scan``, which also finds the blow-up time for
+``integrate``.  Trajectories carry purity, entropy, tr(X Omega) and the
+cone margin tau - |r|.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from .tolerances import (APEX_TAU, CONE_RATIO_TOL, EIG_ROUNDOFF, SURFACE_TOL,
 
 __all__ = [
     "IntegratorOpts", "StepStats", "Sample", "Trajectory",
-    "rhs", "integrate", "xi_coordinates", "CSV_HEADER",
+    "rhs", "integrate", "exact_trajectory", "xi_coordinates", "CSV_HEADER",
 ]
 
 CSV_HEADER = "t,tau,x,y,z,purity,entropy,trXOmega,coneMargin"
@@ -39,7 +42,8 @@ class IntegratorOpts:
     and apex halting checks (used for instability probes and for propagating
     operator-basis elements); ``stop_on_surface`` ends the run cleanly when
     the state reaches the pure surface |r| = tau, which is where an
-    amplification gate terminates.
+    amplification gate terminates.  ``exact_trajectory`` ignores ``rtol``
+    and ``atol`` and reads ``max_steps`` as the largest grid it will record.
     """
 
     rtol: float = 1e-10
@@ -224,61 +228,127 @@ def _check_cone(t, y, initial: bool) -> None:
                             t, y[0], y[1:])
 
 
-def _bisect_surface(step_to, t, y, h_hi):
-    """Shrink the step until the state lands on the pure surface from inside."""
-    lo, y_lo = 0.0, y.copy()
-    hi = h_hi
+def _bisect(state_at, y, h, inside, done):
+    """Bisect [0, h] for the first dt at which ``inside(state_at(dt))`` fails.
+
+    ``inside`` holds at y (dt = 0) and fails at dt = h.  The bracket
+    [lo, hi] halves until ``done(lo, y_lo, hi)``, at most 200 times.
+    Returns lo, the state there and hi.
+    """
+    lo, y_lo, hi = 0.0, y, h
     for _ in range(200):
-        if _margin(y_lo) <= SURFACE_TOL or (hi - lo) <= 1e-16 * max(1.0, h_hi):
+        if done(lo, y_lo, hi):
             break
         mid = 0.5 * (lo + hi)
-        y_mid = step_to(mid)
-        if _margin(y_mid) < 0.0:
-            hi = mid
-        else:
+        y_mid = state_at(mid)
+        if inside(y_mid):
             lo, y_lo = mid, y_mid
+        else:
+            hi = mid
+    return lo, y_lo, hi
+
+
+def _bisect_surface(step_to, t, y, h_hi):
+    """Shrink the step until the state lands on the pure surface from inside."""
+    lo, y_lo, _ = _bisect(
+        step_to, y, h_hi, lambda v: _margin(v) >= 0.0,
+        lambda lo, y_lo, hi: (_margin(y_lo) <= SURFACE_TOL
+                              or hi - lo <= 1e-16 * max(1.0, h_hi)))
     return t + lo, y_lo
 
 
-# The blow-up scan renormalizes its state every this many steps.  A step
-# changes the state's 1-norm by a factor between 1/e and e (h ||A||_1 <= 1),
-# so in between it stays within e^64 ~ 6e27 of its rescaled size.
+# The scan renormalizes its state at the start of every block of this many
+# steps.  A step changes the state's 1-norm by a factor between 1/e and e
+# (h ||A||_1 <= 1), so within a block it stays within e^64 ~ 6e27 of its
+# rescaled size.
 _RESCALE_STEPS = 64
 
 
-def _blow_up(gen: AffineGenerator, y0: np.ndarray, t_end: float):
-    """First time t* <= t_end at which the state diverges, or None.
+class _Scan(NamedTuple):
+    t: np.ndarray         # grid times, up to t_end or the last one before t*
+    y: np.ndarray         # the exact state at each
+    t_star: float | None  # the blow-up time, None when s stays positive
 
-    y(t) = Y(t) / s(t) with Y = e^{At} y0 and s = 1 + g (Y_tau - tau0), so
-    the state diverges where s first reaches 0.  The pair (Y, 1 - g tau0)
-    is scanned with one e^{hA} over ceil(t_end ||A||_1) equal steps, and the
-    first step on which s changes sign is bisected.  Returns t*, the last
-    scanned time before it and the state there.
+
+def _powers(step: np.ndarray, k: int) -> np.ndarray:
+    """step^1, ..., step^k as a (k, n, n) stack, by repeated doubling."""
+    p = np.empty((k, *step.shape))
+    p[0] = step
+    done = 1
+    while done < k:
+        more = min(done, k - done)
+        p[done:done + more] = p[:more] @ p[done - 1]
+        done += more
+    return p
+
+
+def _grid_steps(gen: AffineGenerator, t_end: float, min_steps: int = 1) -> int:
+    """Steps of the scan's grid on [0, t_end]: h ||A||_1 <= 1, at least min_steps."""
+    return max(min_steps, math.ceil(t_end * float(np.abs(gen.A).sum(axis=0).max())))
+
+
+def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
+          record: bool = True) -> _Scan:
+    """The exact solution at the n + 1 grid times t_end k / n, and t*.
+
+    y(t) = Y(t) / s(t) with Y = e^{At} y0 and s = 1 + g (Y_tau - tau0); n
+    comes from ``_grid_steps``, so one step e^{hA} changes Y's 1-norm by a
+    factor between 1/e and e.  The pair (Y, 1 - g tau0) is rescaled by a
+    common positive factor, which leaves Y / s unchanged, and then advanced
+    by the powers e^{hA}, ..., e^{64 hA}, one block of grid times at a time.
+    The state diverges where s first reaches 0: the scan ends at the last
+    grid time before it and bisects that step for t*.  Unless ``record``,
+    only the last block's times and states are returned.
     """
     a, g = gen.A, gen.g
-    n = max(1, math.ceil(t_end * float(np.abs(a).sum(axis=0).max())))
-    step = expm(a * (t_end / n))
+    h = t_end / n
+    powers = _powers(expm(a * h), min(n, _RESCALE_STEPS))
     # (y, c) is (Y, 1 - g tau0) up to a common positive factor.
     y, c = y0, 1.0 - g * y0[0]
-    for k in range(n):
-        if k % _RESCALE_STEPS == 0:
-            m = max(abs(c), float(np.abs(y).max()))
-            y, c = y / m, c / m
-        y_next = step @ y
-        if c + g * y_next[0] <= 0.0:
+    blocks = [y0[None]]
+    k = 0
+    t_star = None
+    while k < n:
+        m = max(abs(c), float(np.abs(y).max()))
+        y, c = y / m, c / m
+        ys = powers[:n - k] @ y
+        s = c + g * ys[:, 0]
+        crossed = np.flatnonzero(s <= 0.0)
+        j = int(crossed[0]) if crossed.size else len(ys)
+        if j:
+            if not record:
+                blocks.clear()
+            blocks.append(ys[:j] / s[:j, None])
+            y = ys[j - 1]
+        k += j
+        if crossed.size:
+            t_k = t_end * k / n
+            _, _, hi = _bisect(lambda dt: expm(a * dt) @ y, y, h,
+                               lambda v: c + g * v[0] > 0.0,
+                               lambda lo, y_lo, hi: hi - lo <= 4e-16 * (t_k + hi))
+            t_star = t_k + hi
             break
-        y = y_next
-    else:
-        return None
-    t_k = t_end * k / n
-    lo, hi = 0.0, t_end / n
-    while hi - lo > 4e-16 * (t_k + hi):
-        mid = 0.5 * (lo + hi)
-        if c + g * (expm(a * mid) @ y)[0] > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return t_k + hi, t_k, y / (c + g * y[0])
+    ys = np.concatenate(blocks)
+    return _Scan(t_end * np.arange(k + 1 - len(ys), k + 1) / n, ys, t_star)
+
+
+def _blow_up_error(scan: _Scan) -> BlowUp:
+    t_last, y_last = scan.t[-1], scan.y[-1]
+    return BlowUp(f"the state diverges at t* = {scan.t_star:.17g}, where "
+                  "1 + g (tr(e^(At) X0) - tau0) reaches 0; the state given "
+                  f"is at t = {t_last:.17g}", scan.t_star, y_last[0], y_last[1:])
+
+
+def _initial_vector(initial: PsdState, t_end: float, opts: IntegratorOpts) -> np.ndarray:
+    """y0 = (tau, r) of a run's initial state, after the checks every run makes."""
+    if not 0.0 < t_end < math.inf:
+        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
+    y = np.empty(4)
+    y[0] = initial.tau
+    y[1:] = initial.r
+    if not opts.allow_off_cone:
+        _check_cone(0.0, y, initial=True)
+    return y
 
 
 def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
@@ -296,16 +366,8 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
     unless it stops or halts earlier.
     """
     opts = IntegratorOpts() if opts is None else opts
-    if not 0.0 < t_end < math.inf:
-        raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
-
+    y = _initial_vector(initial, t_end, opts)
     gen = assemble(spec)
-
-    y = np.empty(4)
-    y[0] = initial.tau
-    y[1:] = initial.r
-    if not opts.allow_off_cone:
-        _check_cone(0.0, y, initial=True)
 
     record_all = sample_times is None
     if record_all:
@@ -328,17 +390,72 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
         return _build_trajectory(spec, gen, rec_t, rec_y, StepStats(0, 0, 0.0),
                                  "surface")
 
-    blow_up = _blow_up(gen, y, t_end) if gen.g != 0.0 else None
-    if blow_up is not None:
-        targets = [v for v in targets if v < blow_up[1]] + [blow_up[1]]
+    scan = (_scan(gen, y, t_end, _grid_steps(gen, t_end), record=False)
+            if gen.g != 0.0 else None)
+    blow_up = scan is not None and scan.t_star is not None
+    if blow_up:
+        t_last = float(scan.t[-1])
+        targets = [v for v in targets if v < t_last] + [t_last]
     stats, stop_reason = _run_adaptive(gen.velocity, y, targets, opts, rec_t,
                                        rec_y, record_all)
-    if blow_up is not None and stop_reason != "surface":
-        t_star, t_last, y_last = blow_up
-        raise BlowUp(f"the state diverges at t* = {t_star:.17g}, where "
-                     "1 + g (tr(e^(At) X0) - tau0) reaches 0; the state given "
-                     f"is at t = {t_last:.17g}", t_star, y_last[0], y_last[1:])
+    if blow_up and stop_reason != "surface":
+        raise _blow_up_error(scan)
     return _build_trajectory(spec, gen, rec_t, rec_y, stats, stop_reason)
+
+
+def exact_trajectory(spec: ChannelSpec, initial: PsdState, t_end: float,
+                     opts: IntegratorOpts | None = None, *,
+                     min_steps: int = 1) -> Trajectory:
+    """The exact solution on a uniform grid of [0, t_end], with integrate's checks.
+
+    Records y(t) = e^{At} y0 / s(t) at the n + 1 times t_end k / n of
+    ``_scan``, with n = max(min_steps, ceil(t_end ||A||_1)); a grid of more
+    than ``opts.max_steps`` steps is refused with StepFailure.  Unless
+    ``allow_off_cone`` is set, the first grid state below the apex cutoff
+    or outside the cone halts the run as in ``integrate``.  A
+    ``stop_on_surface`` run ends where the state first reaches the pure
+    surface, bisected on the exact solution within the grid step where the
+    cone margin turns negative.  A state that diverges at t* <= t_end raises
+    BlowUp unless the run halts or stops on an earlier grid time.
+    ``rtol`` and ``atol`` do not apply, and ``stats`` counts the grid steps
+    scanned as accepted steps.
+    """
+    opts = IntegratorOpts() if opts is None else opts
+    y0 = _initial_vector(initial, t_end, opts)
+    gen = assemble(spec)
+    if opts.stop_on_surface and _margin(y0) <= SURFACE_TOL:
+        return _build_trajectory(spec, gen, [0.0], [y0], StepStats(0, 0, 0.0),
+                                 "surface")
+    n = _grid_steps(gen, t_end, min_steps)
+    if n > opts.max_steps:
+        raise StepFailure(f"the grid needs {n} steps, more than max_steps = "
+                          f"{opts.max_steps}", 0.0, y0[0], y0[1:])
+    scan = _scan(gen, y0, t_end, n)
+    ts, ys = scan.t, scan.y
+    tau, rn = ys[:, 0], np.sqrt((ys[:, 1:] ** 2).sum(axis=1))
+    end = len(ts)
+    if opts.stop_on_surface:
+        crossed = np.flatnonzero(tau - rn < 0.0)
+        end = int(crossed[0]) if crossed.size else end
+    if not opts.allow_off_cone:
+        bad = np.flatnonzero((tau[:end] < APEX_TAU)
+                             | (rn[:end] > tau[:end] * (1.0 + CONE_RATIO_TOL)))
+        if bad.size:
+            _check_cone(ts[bad[0]], ys[bad[0]], initial=False)
+    if end < len(ts):
+        a, g, y = gen.A, gen.g, ys[end - 1]
+
+        def state_at(dt):
+            big_y = expm(a * dt) @ y
+            return big_y / (1.0 + g * (big_y[0] - y[0]))
+
+        t_s, y_s = _bisect_surface(state_at, ts[end - 1], y, ts[end] - ts[end - 1])
+        return _build_trajectory(spec, gen, np.append(ts[:end], t_s),
+                                 np.vstack((ys[:end], y_s)), StepStats(end, 0, 0.0),
+                                 "surface")
+    if scan.t_star is not None:
+        raise _blow_up_error(scan)
+    return _build_trajectory(spec, gen, ts, ys, StepStats(end - 1, 0, 0.0), "t_end")
 
 
 def _run_adaptive(f, y, targets, opts, rec_t, rec_y, record_all):

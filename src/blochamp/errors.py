@@ -34,7 +34,8 @@ class ApexReached(IntegrationError):
 
 
 class StepFailure(IntegrationError):
-    """The adaptive step controller could not meet its error tolerance."""
+    """A run needs more steps than ``max_steps`` allows, or the adaptive step
+    controller could not meet its error tolerance."""
 
 
 class BlowUp(IntegrationError):

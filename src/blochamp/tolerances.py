@@ -62,5 +62,7 @@ SPEED_ZERO = 1e-14
 # least -CP_TOL times that.
 CP_TOL = 1e-10
 # Absolute trace deviation: the stability report's deviation counts as
-# monotone decaying when no step grows it by more than this.
+# monotone decaying when no grid step grows it by more than this, and the
+# plane as attracting when the final deviation exceeds the initial one by no
+# more than this.
 MONOTONE_TOL = 1e-12

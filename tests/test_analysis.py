@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from blochamp import (
+    IntegratorOpts,
     InvalidParams,
     PsdState,
     TargetUnreachable,
@@ -331,7 +332,7 @@ class TestChoi:
         def no_integrate(*args, **kwargs):
             raise AssertionError("choi_spectra integrated")
 
-        monkeypatch.setattr(analysis, "integrate", no_integrate)
+        assert not hasattr(analysis, "integrate")
         monkeypatch.setattr(dynamics, "integrate", no_integrate)
         spectra = choi_spectra(presets.linear_noncp(1.0, 0.5), np.linspace(0, 0.5, 10))
         assert spectra[:, 0].min() < -1e-6
@@ -417,6 +418,22 @@ class TestGatePlanning:
         main = integrate(plan.main.spec,
                          PsdState(pre.tau[-1], pre.r[-1]), plan.t_gate)
         assert np.linalg.norm(main.r[-1]) == pytest.approx(0.99, abs=1e-6)
+
+    @pytest.mark.parametrize("purity", [0.9, 0.99, 0.999])
+    @pytest.mark.parametrize("gate, params", [
+        ("linear_cptp", {"m": 1.0}), ("one_jump", {"m": 1.0}),
+        ("three_jump", {"M": 1.0, "gamma": 0.5}),
+        ("linear_non_cp", {"M": 1.0, "gamma": 0.5})])
+    def test_achieved_agrees_with_dp45(self, gate, params, purity):
+        plan = plan_amplification(gate, params, purity)
+        opts = IntegratorOpts(rtol=1e-12, atol=1e-14)
+        state = PsdState(1.0, [0, 0, 0])
+        for stage in [plan.pre_amp, plan.main] if plan.pre_amp else [plan.main]:
+            fin = integrate(stage.spec, state, stage.duration, opts).final_state
+            state = PsdState(fin.tau, fin.r)
+        assert plan.achieved.tau == pytest.approx(state.tau, rel=1e-9)
+        assert np.abs(plan.achieved.r - state.r).max() <= 1e-9
+        assert purity_entropy(plan.achieved)[0] == pytest.approx(purity, abs=1e-11)
 
     def test_equal_rates_rejected(self):
         with pytest.raises(InvalidParams):

@@ -229,10 +229,10 @@ class TestClassify:
         c = classify(presets.pseudolinear_nino(1.0))
         assert c.pseudo_linear and c.taxonomy_class == "ii"
 
-    def test_rejects_linear_with_nonzero_omega(self):
-        bad = ChannelSpec(HermitianPauliVector([0, 1, 0, 0]), g=0.0)
-        with pytest.raises(InvalidParams):
-            classify(bad)
+    def test_linear_with_nonzero_omega_is_not_trace_preserving(self):
+        c = classify(ChannelSpec(HermitianPauliVector([0, 1, 0, 0]), g=0.0))
+        assert c.linear and c.taxonomy_class == "i"
+        assert c.trace_preserving == "none"
 
     def test_unital_iff_zero_initial_velocity(self, rng):
         for _ in range(50):

@@ -1,13 +1,17 @@
 import json
+import math
 import shlex
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from blochamp import ChannelSpec, HermitianPauliVector, cli, presets, save_spec
+import blochamp
+from blochamp import (ChannelSpec, HermitianPauliVector, IntegratorOpts, PsdState, cli,
+                      integrate, presets, save_spec)
 from blochamp.cli import build_parser, run_cli
 from blochamp.dynamics import CSV_HEADER
+from conftest import random_gksl_spec, random_nino_spec, random_pseudolinear_spec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -171,6 +175,170 @@ class TestReports:
         rep = json.loads(out)
         assert len(rep["stages"]) == 2
         assert rep["achieved"]["purity"] == pytest.approx(0.99005, abs=1e-6)
+
+
+# A g = 0 channel whose Omega does not vanish: its trace grows from every state.
+GROWING = {"ell": [1, 0.3, 0, 0], "g": 0,
+           "jumps": [{"xi_re": [0, 0, 1, 0], "xi_im": [0, 0, 0, 1], "zeta": 1}]}
+TIGHT = dict(rtol=1e-12, atol=1e-14)
+
+
+def _spec_file(tmp_path, data, name="spec.json"):
+    spec_file = tmp_path / name
+    spec_file.write_text(json.dumps(data))
+    return str(spec_file)
+
+
+class TestStability:
+    """``stability`` reads the exact solution on its grid; DP45 is the oracle."""
+
+    @staticmethod
+    def report(capsys, monkeypatch, *argv):
+        """The stability report, and the trajectory it was read from."""
+        seen, real = [], cli.exact_trajectory
+
+        def spy(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(cli, "exact_trajectory", spy)
+        code, out, err = run(capsys, "stability", *argv)
+        assert code == 0, err
+        return json.loads(out), seen[0]
+
+    @staticmethod
+    def oracle(spec, traj, opts):
+        """The report's numbers from DP45 on the same times (a sampled
+        extremum depends on where the samples fall)."""
+        dp = integrate(spec, traj.state(0), float(traj.t[-1]), opts,
+                       sample_times=traj.t)
+        assert np.array_equal(dp.t, traj.t)
+        dev = np.abs(dp.tau - 1.0)
+        return {
+            "final_trace_deviation": float(dev[-1]),
+            "tr_x_omega_min": float(dp.tr_x_omega.min()),
+            "tr_x_omega_max": float(dp.tr_x_omega.max()),
+            "deviation_monotone_decaying": bool(np.all(np.diff(dev) <= 1e-12)),
+            "plane_attracting": bool(dev[-1] <= dev[0] + 1e-12),
+        }
+
+    def check_against_dp45(self, capsys, monkeypatch, spec, argv, opts):
+        rep, traj = self.report(capsys, monkeypatch, *argv)
+        assert len(traj) >= 201 and traj.stop_reason == "t_end"
+        want = self.oracle(spec, traj, opts)
+        for key in ("final_trace_deviation", "tr_x_omega_min", "tr_x_omega_max"):
+            assert rep[key] == pytest.approx(want[key], rel=1e-9, abs=1e-9), key
+        for key in ("deviation_monotone_decaying", "plane_attracting"):
+            assert rep[key] == want[key], key
+
+    @pytest.mark.parametrize("name, x0", [
+        ("linear_cptp", 0.3), ("nojump_nino", 0.3), ("onejump_nino", 0.3),
+        ("pseudolinear_nino", -0.4), ("threejump_nino", 1e-3), ("linear_noncp", 1e-3)])
+    def test_presets_agree_with_dp45(self, capsys, monkeypatch, name, x0):
+        spec = presets.expand_preset(presets.Preset(name, {}))
+        self.check_against_dp45(capsys, monkeypatch, spec,
+                                ["--preset", name, f"--x0={x0 * 1.05}"],
+                                IntegratorOpts(**TIGHT))
+
+    @pytest.mark.parametrize("family", [random_nino_spec, random_gksl_spec,
+                                        random_pseudolinear_spec])
+    def test_random_specs_agree_with_dp45(self, capsys, monkeypatch, tmp_path, rng,
+                                          family):
+        for i in range(4):
+            spec = family(rng)
+            path = tmp_path / f"{i}.json"
+            save_spec(spec, path)
+            argv = ["--spec", str(path), "--t", "1", "--x0", "0.2", "--allow-off-cone"]
+            opts = IntegratorOpts(**TIGHT, allow_off_cone=True)
+            try:
+                integrate(spec, PsdState(1.05, [0.2, 0, 0], physical=False), 1.0, opts)
+            except blochamp.BlowUp as exc:
+                # Both scan for t*, on grids of different sizes.
+                code, _, err = run(capsys, "stability", *argv)
+                assert code == 1 and err.startswith("error: the state diverges at t* = ")
+                t_star = float(err.split(" t* = ", 1)[1].split(",", 1)[0])
+                assert t_star == pytest.approx(exc.t, rel=1e-12)
+                continue
+            self.check_against_dp45(capsys, monkeypatch, spec, argv, opts)
+
+    def test_stop_on_surface_at_dp45_surface_time(self, capsys, monkeypatch):
+        argv = ["--preset", "threejump_nino", "--tau0", "1", "--x0", "0.3", "--t", "10",
+                "--stop-on-surface"]
+        rep, traj = self.report(capsys, monkeypatch, *argv)
+        assert traj.stop_reason == "surface" and traj.t[-1] < 10.0
+        assert abs(traj.cone_margin[-1]) <= 1e-12
+        dp = integrate(presets.threejump_nino(1.0, 0.5), PsdState(1.0, [0.3, 0, 0]), 10.0,
+                       IntegratorOpts(**TIGHT, stop_on_surface=True))
+        assert dp.stop_reason == "surface"
+        assert traj.t[-1] == pytest.approx(dp.t[-1], rel=1e-9)
+        assert rep["final_trace_deviation"] == pytest.approx(
+            abs(dp.tau[-1] - 1.0), abs=1e-9)
+
+    def test_trace_preserving_plane_kept_to_roundoff(self, capsys):
+        # tau stays 1.05 up to roundoff, which MONOTONE_TOL absorbs.
+        code, out, _ = run(capsys, "stability", "--preset", "linear_cptp", "--m", "1",
+                           "--x0", "0.3")
+        rep = json.loads(out)
+        assert code == 0
+        assert rep["final_trace_deviation"] == pytest.approx(0.05, abs=1e-14)
+        assert rep["plane_attracting"] and rep["deviation_monotone_decaying"]
+
+    @pytest.mark.parametrize("argv", [
+        ("--preset", "pseudolinear_nino", "--m", "1", "--t", "400"),
+        ("--preset", "nojump_nino", "--l0", "0.1", "--l1", "1", "--t", "500")])
+    def test_long_runs_print_finite_numbers(self, capsys, argv):
+        code, out, err = run(capsys, "stability", *argv)
+        assert code == 0, err
+        rep = json.loads(out)
+        numbers = [v for v in rep.values() if isinstance(v, float)]
+        assert len(numbers) == 5 and all(math.isfinite(v) for v in numbers)
+        assert rep["plane_attracting"] and rep["final_trace_deviation"] <= 1e-12
+
+    def test_blow_up_is_named(self, tmp_path, capsys):
+        path = _spec_file(tmp_path, {"ell": [-1, 0, 0, 0], "g": 1})
+        code, out, err = run(capsys, "stability", "--spec", path, "--tau0", "1.5",
+                             "--t", "2")
+        assert code == 1 and out == ""
+        assert err.startswith("error: the state diverges at t* = 0.5493061443340")
+        assert err.count("\n") == 1
+
+    def test_cone_violation_is_named(self, capsys):
+        code, out, err = run(capsys, "stability", "--preset", "threejump_nino", "--M", "1",
+                             "--gamma", "0.5", "--x0", "0.001", "--t", "300")
+        assert code == 1 and out == ""
+        assert err == "error: state left the PSD cone during integration\n"
+
+    @pytest.mark.parametrize("t", ["0", "-1", "nan"])
+    def test_bad_time_rejected(self, capsys, t):
+        code, out, err = run(capsys, "stability", "--preset", "linear_cptp", f"--t={t}")
+        assert code == 1 and out == ""
+        assert err.startswith("error: t_end must be positive and finite")
+        assert err.count("\n") == 1
+
+    def test_tolerances_validated_but_unused(self, capsys):
+        code, _, err = run(capsys, "stability", "--preset", "onejump_nino", "--rtol", "nan")
+        assert code == 1 and err.startswith("error: rtol must be finite")
+        base = run(capsys, "stability", "--preset", "onejump_nino")
+        loose = run(capsys, "stability", "--preset", "onejump_nino", "--rtol", "1e-3",
+                    "--atol", "1e-3")
+        assert base == loose and base[0] == 0
+
+
+def test_linear_spec_with_nonzero_omega_runs_everywhere(tmp_path, capsys):
+    path = _spec_file(tmp_path, GROWING)
+    code, out, err = run(capsys, "stability", "--spec", path, "--tau0", "1", "--t", "1")
+    assert code == 0, err
+    rep = json.loads(out)
+    assert rep["classification"]["trace_preserving"] == "none"
+    assert rep["classification"]["linear"]
+    code, out, err = run(capsys, "simulate", "--spec", path, "--t", "1", "--samples", "2")
+    assert code == 0, err
+    tau = float(out.strip().split("\n")[-1].split(",")[1])
+    assert tau > 20.0
+    assert 1.0 + rep["final_trace_deviation"] == pytest.approx(tau, rel=1e-9)
+    code, out, err = run(capsys, "choi", "--spec", path, "--t", "1")
+    assert code == 0, err
+    assert json.loads(out)["completely_positive"]
 
 
 class TestSweep:

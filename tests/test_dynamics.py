@@ -24,7 +24,7 @@ from blochamp import (
     rhs,
     xi_coordinates,
 )
-from blochamp.dynamics import CSV_HEADER
+from blochamp.dynamics import CSV_HEADER, exact_trajectory
 from blochamp import dynamics, presets, shift_transform
 
 
@@ -214,6 +214,60 @@ class TestHalting:
                          1.0, opts)
         assert traj.stop_reason == "surface"
         assert len(traj) == 1
+
+
+class TestExactTrajectory:
+    """The exact solution on a grid halts, stops and fails as integrate does."""
+
+    def test_grid_and_states(self):
+        traj = exact_trajectory(presets.linear_cptp(1.0), MIXED, 2.0, min_steps=50)
+        # ||A||_1 = 4 sets 8 steps; min_steps sets 50.
+        assert np.array_equal(traj.t, 2.0 * np.arange(51) / 50)
+        assert traj.stop_reason == "t_end"
+        assert np.abs(traj.r[:, 0] - (1.0 - np.exp(-4.0 * traj.t))).max() <= 1e-14
+        assert len(exact_trajectory(presets.linear_cptp(1.0), MIXED, 2.0)) == 9
+
+    def test_cone_violation_on_unstable_flow(self):
+        start = PsdState(1.0, [0.69, 0.69, 0.0])
+        with pytest.raises(ConeViolation, match="left the PSD cone") as info:
+            exact_trajectory(presets.linear_noncp(1.0, 0.5), start, 5.0)
+        with pytest.raises(ConeViolation) as ref:
+            integrate(presets.linear_noncp(1.0, 0.5), start, 5.0)
+        # The first grid time outside the cone; ||A||_1 = 2 sets 10 steps of
+        # 0.5, and the state crosses within the one that ends there.
+        err = info.value
+        assert err.t == 0.5 and err.t - 0.5 < ref.value.t
+        assert np.linalg.norm(err.r) > err.tau * (1.0 + 1e-4)
+
+    def test_apex_reached_for_contracting_trace(self):
+        with pytest.raises(ApexReached, match="trace underflow"):
+            exact_trajectory(presets.nojump_nino(-1.0, 0.0), PsdState(0.5, [0, 0, 0]),
+                             15.0)
+
+    def test_initial_state_checked(self):
+        with pytest.raises(ConeViolation, match="initial state outside"):
+            exact_trajectory(presets.linear_cptp(1.0),
+                             PsdState(1.0, [2.0, 0, 0], physical=False), 1.0)
+        traj = exact_trajectory(presets.onejump_nino(1.0),
+                                PsdState(1.0, [1.05, 0.0, 0.0], physical=False), 9.0,
+                                IntegratorOpts(allow_off_cone=True))
+        assert traj.r[-1, 0] == pytest.approx(1.5, rel=1e-12)
+
+    @pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_t_end(self, t_end):
+        with pytest.raises(ValueError, match="t_end must be positive and finite"):
+            exact_trajectory(presets.linear_cptp(1.0), MIXED, t_end)
+
+    def test_grid_bounded_by_max_steps(self):
+        with pytest.raises(StepFailure, match="the grid needs 40 steps"):
+            exact_trajectory(presets.linear_cptp(1.0), MIXED, 10.0,
+                             IntegratorOpts(max_steps=39))
+
+    def test_surface_stop_immediate_for_pure_start(self):
+        opts = IntegratorOpts(stop_on_surface=True)
+        traj = exact_trajectory(presets.linear_cptp(1.0), PsdState(1.0, [0, 0, 1]),
+                                1.0, opts)
+        assert traj.stop_reason == "surface" and len(traj) == 1
 
 
 def shifted_threejump(c):
