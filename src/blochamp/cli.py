@@ -113,13 +113,13 @@ def _print_json(obj) -> None:
 def _cmd_simulate(args) -> int:
     spec = _build_channel(args)
     opts = _opts_from_args(args)
-    sample_times = None
-    if args.samples is not None:
+    if args.samples is None:
+        traj = integrate(spec, _initial_from_args(args), args.t, opts)
+    else:
         if args.samples < 2:
             raise BlochampError(f"--samples must be at least 2, got {args.samples}")
-        sample_times = np.linspace(0.0, args.t, args.samples)
-    traj = integrate(spec, _initial_from_args(args), args.t, opts,
-                     sample_times=sample_times)
+        traj = exact_trajectory(spec, _initial_from_args(args), args.t, opts,
+                                sample_times=np.linspace(0.0, args.t, args.samples))
     buf = io.StringIO()
     traj.write_csv(buf)
     _write_out(buf.getvalue(), args.out)
@@ -266,8 +266,8 @@ def _cmd_sweep(args) -> int:
     for value in values:
         params[args.param] = value
         spec = presets.expand_preset(presets.Preset(args.preset, params))
-        traj = integrate(spec, PsdState(args.tau0, [args.x0, args.y0, args.z0]),
-                         args.t)
+        traj = exact_trajectory(spec, PsdState(args.tau0, [args.x0, args.y0, args.z0]),
+                                args.t)
         fin = traj.final_state
         results = (fin.tau, *fin.r, fin.r_norm, traj.purity[-1], traj.entropy[-1])
         lines += [f"{args.param},{_fmt(value)},{obs},{_fmt(res)}"

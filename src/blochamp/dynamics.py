@@ -7,8 +7,9 @@ engines evaluate it.  ``integrate`` steps an embedded Dormand-Prince 4(5)
 pair with adaptive step-size control and records every accepted step (or a
 caller-supplied time grid).  ``exact_trajectory`` reads the exact solution
 on a uniform grid from ``_scan``, which also finds the blow-up time for
-``integrate``.  Trajectories carry purity, entropy, tr(X Omega) and the
-cone margin tau - |r|.
+``integrate``, or at caller-supplied times advanced from that grid.
+Trajectories carry purity, entropy, tr(X Omega) and the cone margin
+tau - |r|.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
 ]
 
 CSV_HEADER = "t,tau,x,y,z,purity,entropy,trXOmega,coneMargin"
+_CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
 
 
 @dataclass(frozen=True)
@@ -129,12 +131,10 @@ class Trajectory:
                 self._write_csv(out)
 
     def _write_csv(self, out) -> None:
+        cols = np.column_stack((self.t, self.tau, self.r, self.purity, self.entropy,
+                                self.tr_x_omega, self.cone_margin))
         out.write(CSV_HEADER + "\n")
-        for i in range(len(self.t)):
-            row = (self.t[i], self.tau[i], self.r[i, 0], self.r[i, 1], self.r[i, 2],
-                   self.purity[i], self.entropy[i], self.tr_x_omega[i],
-                   self.cone_margin[i])
-            out.write(",".join(format(float(v), ".17g") for v in row) + "\n")
+        out.write("".join(_CSV_ROW % tuple(row) for row in cols.tolist()))
 
 
 def rhs(spec: ChannelSpec, state: PsdState) -> tuple[np.ndarray, float]:
@@ -289,7 +289,7 @@ def _grid_steps(gen: AffineGenerator, t_end: float, min_steps: int = 1) -> int:
 
 def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
           record: bool = True) -> _Scan:
-    """The exact solution at the n + 1 grid times t_end k / n, and t*.
+    """The exact solution at the grid times np.linspace(0, t_end, n + 1), and t*.
 
     y(t) = Y(t) / s(t) with Y = e^{At} y0 and s = 1 + g (Y_tau - tau0); n
     comes from ``_grid_steps``, so one step e^{hA} changes Y's 1-norm by a
@@ -305,6 +305,7 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
     powers = _powers(expm(a * h), min(n, _RESCALE_STEPS))
     # (y, c) is (Y, 1 - g tau0) up to a common positive factor.
     y, c = y0, 1.0 - g * y0[0]
+    times = np.linspace(0.0, t_end, n + 1)
     blocks = [y0[None]]
     k = 0
     t_star = None
@@ -322,14 +323,14 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
             y = ys[j - 1]
         k += j
         if crossed.size:
-            t_k = t_end * k / n
+            t_k = times[k]
             _, _, hi = _bisect(lambda dt: expm(a * dt) @ y, y, h,
                                lambda v: c + g * v[0] > 0.0,
                                lambda lo, y_lo, hi: hi - lo <= 4e-16 * (t_k + hi))
             t_star = t_k + hi
             break
     ys = np.concatenate(blocks)
-    return _Scan(t_end * np.arange(k + 1 - len(ys), k + 1) / n, ys, t_star)
+    return _Scan(times[k + 1 - len(ys):k + 1], ys, t_star)
 
 
 def _blow_up_error(scan: _Scan) -> BlowUp:
@@ -351,6 +352,25 @@ def _initial_vector(initial: PsdState, t_end: float, opts: IntegratorOpts) -> np
     return y
 
 
+def _sample_targets(sample_times: Sequence[float], t_end: float) -> list[float]:
+    """The times after t = 0 that a sampled run records.
+
+    These are the sorted, distinct sample times in (0, t_end], then t_end
+    when the last of them falls short of it by more than TIME_WINDOW.
+    Raises ValueError for a time that is not finite or not in [0, t_end].
+    """
+    ts = np.sort(np.asarray(sample_times, dtype=float).ravel())
+    if not np.isfinite(ts).all():
+        raise ValueError("sample_times must be finite")
+    ts = ts[np.diff(ts, prepend=-math.inf) > 0.0]
+    if ts.size and (ts[0] < 0.0 or ts[-1] > t_end * (1.0 + TIME_WINDOW)):
+        raise ValueError("sample_times must lie within [0, t_end]")
+    targets = [float(v) for v in ts if v > 0.0]
+    if not targets or targets[-1] < t_end * (1.0 - TIME_WINDOW):
+        targets.append(float(t_end))
+    return targets
+
+
 def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
               opts: IntegratorOpts | None = None, *,
               sample_times: Sequence[float] | None = None) -> Trajectory:
@@ -370,18 +390,7 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
     gen = assemble(spec)
 
     record_all = sample_times is None
-    if record_all:
-        targets = [float(t_end)]
-    else:
-        ts = np.sort(np.asarray(sample_times, dtype=float).ravel())
-        if not np.isfinite(ts).all():
-            raise ValueError("sample_times must be finite")
-        ts = ts[np.diff(ts, prepend=-math.inf) > 0.0]
-        if ts.size and (ts[0] < 0.0 or ts[-1] > t_end * (1.0 + TIME_WINDOW)):
-            raise ValueError("sample_times must lie within [0, t_end]")
-        targets = [float(v) for v in ts if v > 0.0]
-        if not targets or targets[-1] < t_end * (1.0 - TIME_WINDOW):
-            targets.append(float(t_end))
+    targets = [float(t_end)] if record_all else _sample_targets(sample_times, t_end)
 
     rec_t = [0.0]
     rec_y = [y.copy()]
@@ -403,25 +412,62 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
     return _build_trajectory(spec, gen, rec_t, rec_y, stats, stop_reason)
 
 
+def _advance(gen: AffineGenerator, y: np.ndarray, dt) -> np.ndarray:
+    """The exact states a time dt after the states y.
+
+    y is one state with one dt, or a stack (m, 4) with m times; each goes
+    to e^{A dt} y / (1 + g (tau(e^{A dt} y) - tau)).  With dt ||A||_1 <= 1
+    every product stays finite.
+    """
+    dt = np.asarray(dt, dtype=float)
+    big_y = (expm(gen.A * dt[..., None, None]) @ y[..., None])[..., 0]
+    return big_y / (1.0 + gen.g * (big_y[..., :1] - y[..., :1]))
+
+
+def _merge_samples(gen: AffineGenerator, scan: _Scan, targets: list[float]):
+    """The scan's grid with the exact states at the sample times merged in.
+
+    Each sample state is advanced from the grid state at the last grid time
+    at or before it.  A sample after the scan's last time, which is the
+    last before a blow-up, is left out.  Returns the times, the states and
+    a mask of the grid rows, in time order.
+    """
+    ts, ys = scan.t, scan.y
+    tq = np.asarray(targets)
+    if scan.t_star is not None:
+        tq = tq[tq <= ts[-1]]
+    k = np.searchsorted(ts, tq, side="right") - 1
+    t_all = np.concatenate((ts, tq))
+    y_all = np.concatenate((ys, _advance(gen, ys[k], tq - ts[k])))
+    order = np.argsort(t_all, kind="stable")
+    return t_all[order], y_all[order], order < len(ts)
+
+
 def exact_trajectory(spec: ChannelSpec, initial: PsdState, t_end: float,
-                     opts: IntegratorOpts | None = None, *,
-                     min_steps: int = 1) -> Trajectory:
+                     opts: IntegratorOpts | None = None, *, min_steps: int = 1,
+                     sample_times: Sequence[float] | None = None) -> Trajectory:
     """The exact solution on a uniform grid of [0, t_end], with integrate's checks.
 
-    Records y(t) = e^{At} y0 / s(t) at the n + 1 times t_end k / n of
-    ``_scan``, with n = max(min_steps, ceil(t_end ||A||_1)); a grid of more
-    than ``opts.max_steps`` steps is refused with StepFailure.  Unless
-    ``allow_off_cone`` is set, the first grid state below the apex cutoff
-    or outside the cone halts the run as in ``integrate``.  A
-    ``stop_on_surface`` run ends where the state first reaches the pure
-    surface, bisected on the exact solution within the grid step where the
-    cone margin turns negative.  A state that diverges at t* <= t_end raises
+    Records y(t) = e^{At} y0 / s(t) at the n + 1 times
+    np.linspace(0, t_end, n + 1) of ``_scan``, with
+    n = max(min_steps, ceil(t_end ||A||_1)); a grid of more than
+    ``opts.max_steps`` steps is refused with StepFailure.  With
+    ``sample_times`` the rows are those of ``integrate`` instead: t = 0,
+    the sample times and t_end.  Each sample state is advanced from the
+    grid state at the last grid time at or before it, and the checks read
+    the grid and sample states in time order.  Unless ``allow_off_cone`` is
+    set, the first state below the apex cutoff or outside the cone halts
+    the run as in ``integrate``.  A ``stop_on_surface`` run ends where the
+    state first reaches the pure surface, bisected on the exact solution
+    between the last two states where the cone margin turns negative, and
+    drops later samples.  A state that diverges at t* <= t_end raises
     BlowUp unless the run halts or stops on an earlier grid time.
     ``rtol`` and ``atol`` do not apply, and ``stats`` counts the grid steps
     scanned as accepted steps.
     """
     opts = IntegratorOpts() if opts is None else opts
     y0 = _initial_vector(initial, t_end, opts)
+    targets = None if sample_times is None else _sample_targets(sample_times, t_end)
     gen = assemble(spec)
     if opts.stop_on_surface and _margin(y0) <= SURFACE_TOL:
         return _build_trajectory(spec, gen, [0.0], [y0], StepStats(0, 0, 0.0),
@@ -431,7 +477,13 @@ def exact_trajectory(spec: ChannelSpec, initial: PsdState, t_end: float,
         raise StepFailure(f"the grid needs {n} steps, more than max_steps = "
                           f"{opts.max_steps}", 0.0, y0[0], y0[1:])
     scan = _scan(gen, y0, t_end, n)
-    ts, ys = scan.t, scan.y
+    if targets is None:
+        ts, ys, on_grid = scan.t, scan.y, np.ones(len(scan.t), dtype=bool)
+        rows = on_grid
+    else:
+        ts, ys, on_grid = _merge_samples(gen, scan, targets)
+        rows = ~on_grid  # the samples, and t = 0 below
+        rows[0] = True
     tau, rn = ys[:, 0], np.sqrt((ys[:, 1:] ** 2).sum(axis=1))
     end = len(ts)
     if opts.stop_on_surface:
@@ -442,20 +494,20 @@ def exact_trajectory(spec: ChannelSpec, initial: PsdState, t_end: float,
                              | (rn[:end] > tau[:end] * (1.0 + CONE_RATIO_TOL)))
         if bad.size:
             _check_cone(ts[bad[0]], ys[bad[0]], initial=False)
+    steps = int(np.count_nonzero(on_grid[:end]))
     if end < len(ts):
-        a, g, y = gen.A, gen.g, ys[end - 1]
-
-        def state_at(dt):
-            big_y = expm(a * dt) @ y
-            return big_y / (1.0 + g * (big_y[0] - y[0]))
-
-        t_s, y_s = _bisect_surface(state_at, ts[end - 1], y, ts[end] - ts[end - 1])
-        return _build_trajectory(spec, gen, np.append(ts[:end], t_s),
-                                 np.vstack((ys[:end], y_s)), StepStats(end, 0, 0.0),
-                                 "surface")
+        y = ys[end - 1]
+        t_s, y_s = _bisect_surface(lambda dt: _advance(gen, y, dt), ts[end - 1], y,
+                                   ts[end] - ts[end - 1])
+        keep = rows[:end]
+        return _build_trajectory(spec, gen, np.append(ts[:end][keep], t_s),
+                                 np.vstack((ys[:end][keep], y_s)),
+                                 StepStats(steps, 0, 0.0), "surface")
     if scan.t_star is not None:
         raise _blow_up_error(scan)
-    return _build_trajectory(spec, gen, ts, ys, StepStats(end - 1, 0, 0.0), "t_end")
+    if targets is not None:  # a grid is returned as it is, without a copy
+        ts, ys = ts[rows], ys[rows]
+    return _build_trajectory(spec, gen, ts, ys, StepStats(steps - 1, 0, 0.0), "t_end")
 
 
 def _run_adaptive(f, y, targets, opts, rec_t, rec_y, record_all):

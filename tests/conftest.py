@@ -14,6 +14,7 @@ from blochamp import (
     integrate,
     reconstruct,
 )
+from blochamp.dynamics import CSV_HEADER
 from blochamp.pauli import SIGMA
 
 
@@ -234,3 +235,14 @@ def integrated_choi_spectra(spec, ts):
                 + np.kron(_E10, herm - 1j * anti) + np.kron(_E11, phi_e11))
         spectra[row] = np.linalg.eigvalsh(0.5 * (choi + choi.conj().T))
     return spectra
+
+
+def csv_oracle(traj):
+    """Oracle for Trajectory.write_csv: the header, then each value of each
+    row formatted on its own with format(float(v), ".17g")."""
+    lines = [CSV_HEADER]
+    for i in range(len(traj.t)):
+        row = (traj.t[i], traj.tau[i], traj.r[i, 0], traj.r[i, 1], traj.r[i, 2],
+               traj.purity[i], traj.entropy[i], traj.tr_x_omega[i], traj.cone_margin[i])
+        lines.append(",".join(format(float(v), ".17g") for v in row))
+    return "\n".join(lines) + "\n"

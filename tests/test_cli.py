@@ -1,14 +1,15 @@
 import json
 import math
 import shlex
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import blochamp
-from blochamp import (ChannelSpec, HermitianPauliVector, IntegratorOpts, PsdState, cli,
-                      integrate, presets, save_spec)
+from blochamp import (ChannelSpec, HermitianPauliVector, IntegratorOpts, PsdState,
+                      assemble, cli, integrate, presets, save_spec)
 from blochamp.cli import build_parser, run_cli
 from blochamp.dynamics import CSV_HEADER
 from conftest import random_gksl_spec, random_nino_spec, random_pseudolinear_spec
@@ -341,7 +342,149 @@ def test_linear_spec_with_nonzero_omega_runs_everywhere(tmp_path, capsys):
     assert json.loads(out)["completely_positive"]
 
 
+def csv_table(out):
+    """The rows of a CSV text below its header, as floats."""
+    return np.array([[float(v) for v in line.split(",")]
+                     for line in out.strip().split("\n")[1:]])
+
+
+def forbid_integrate(monkeypatch):
+    def fail(*args, **kwargs):
+        raise AssertionError("integrate was called")
+
+    monkeypatch.setattr(cli, "integrate", fail)
+    monkeypatch.setattr(blochamp.dynamics, "integrate", fail)
+
+
+def error_time(err):
+    """t* of a printed blow-up line."""
+    assert err.startswith("error: the state diverges at t* = ") and err.count("\n") == 1
+    return float(err.split(" t* = ", 1)[1].split(",", 1)[0])
+
+
+# Starts x0 (with z0 = 0.1) that stay in the cone up to t = 3.
+PRESET_STARTS = [("linear_cptp", 0.3), ("nojump_nino", 0.3), ("onejump_nino", 0.3),
+                 ("pseudolinear_nino", -0.4), ("threejump_nino", 1e-3), ("linear_noncp", 1e-3)]
+# Long runs where one e^{At} overflows: the propagator over the whole run
+# is not finite.
+LONG_RUNS = [(("--preset", "pseudolinear_nino", "--m", "1", "--t", "400"),
+              presets.pseudolinear_nino(1.0), 400.0),
+             (("--preset", "nojump_nino", "--l0", "0.1", "--l1", "1", "--t", "500"),
+              presets.nojump_nino(0.1, 1.0), 500.0)]
+
+
+class TestSimulateSamples:
+    """``simulate --samples`` reads the exact solution; DP45 is the oracle."""
+
+    N = 51
+
+    def check_against_dp45(self, capsys, spec, argv, start, t_end, opts):
+        code, out, err = run(capsys, "simulate", *argv, "--t", str(t_end),
+                             "--samples", str(self.N))
+        assert code == 0, err
+        got = csv_table(out)
+        assert got.shape == (self.N, 9)
+        grid = np.linspace(0.0, t_end, self.N)
+        assert np.array_equal(got[:, 0], grid)
+        want = integrate(spec, start, t_end, opts, sample_times=grid)
+        states = np.column_stack((want.tau, want.r))
+        assert np.abs(got[:, 1:5] - states).max() <= 1e-9 * max(1.0, np.abs(states).max())
+
+    @pytest.mark.parametrize("name, x0", PRESET_STARTS)
+    def test_presets_agree_with_dp45(self, capsys, name, x0):
+        spec = presets.expand_preset(presets.Preset(name, {}))
+        self.check_against_dp45(capsys, spec, ["--preset", name, f"--x0={x0}", "--z0=0.1"],
+                                PsdState(1.0, [x0, 0.0, 0.1]), 3.0, IntegratorOpts(**TIGHT))
+
+    @pytest.mark.parametrize("family", [
+        random_nino_spec, random_gksl_spec,
+        lambda rng: replace(random_nino_spec(rng), g=0.5),
+        lambda rng: replace(random_nino_spec(rng), h=rng.normal(size=3))],
+        ids=["nino", "gksl", "g_half", "precessing"])
+    def test_random_specs_agree_with_dp45(self, capsys, tmp_path, rng, family):
+        start = PsdState(1.05, [0.2, 0.1, 0.0], physical=False)
+        opts = IntegratorOpts(**TIGHT, allow_off_cone=True)
+        for i in range(4):
+            spec = family(rng)
+            path = tmp_path / f"{i}.json"
+            save_spec(spec, path)
+            argv = ["--spec", str(path), "--tau0", "1.05", "--x0", "0.2", "--y0", "0.1",
+                    "--allow-off-cone"]
+            try:
+                integrate(spec, start, 1.0, opts)
+            except blochamp.BlowUp as exc:
+                code, out, err = run(capsys, "simulate", *argv, "--t", "1", "--samples", "11")
+                assert code == 1 and out == ""
+                assert error_time(err) == pytest.approx(exc.t, rel=1e-12)
+                continue
+            self.check_against_dp45(capsys, spec, argv, start, 1.0, opts)
+
+    def test_stop_on_surface_at_dp45_surface_time(self, capsys):
+        code, out, err = run(capsys, "simulate", "--preset", "threejump_nino", "--x0", "0.3",
+                             "--t", "10", "--samples", "101", "--stop-on-surface")
+        assert code == 0, err
+        got = csv_table(out)
+        dp = integrate(presets.threejump_nino(1.0, 0.5), PsdState(1.0, [0.3, 0, 0]), 10.0,
+                       IntegratorOpts(**TIGHT, stop_on_surface=True))
+        assert dp.stop_reason == "surface"
+        assert got[-1, 0] == pytest.approx(dp.t[-1], rel=1e-9)
+        assert abs(got[-1, 8]) <= 1e-12
+        grid = np.linspace(0.0, 10.0, 101)
+        assert np.array_equal(got[:-1, 0], grid[grid < got[-1, 0]])
+
+    def test_blow_up_is_named(self, tmp_path, capsys):
+        path = _spec_file(tmp_path, {"ell": [-1, 0, 0, 0], "g": 1})
+        with pytest.raises(blochamp.BlowUp) as exc:
+            integrate(blochamp.load_spec(path), PsdState(1.5, [0, 0, 0]), 2.0,
+                      IntegratorOpts(**TIGHT))
+        code, out, err = run(capsys, "simulate", "--spec", path, "--tau0", "1.5",
+                             "--t", "2", "--samples", "11")
+        assert code == 1 and out == ""
+        assert error_time(err) == pytest.approx(exc.value.t, rel=1e-12)
+
+    def test_cone_violation_is_named(self, capsys):
+        code, out, err = run(capsys, "simulate", "--preset", "threejump_nino", "--M", "1",
+                             "--gamma", "0.5", "--x0", "0.001", "--t", "300",
+                             "--samples", "11")
+        assert code == 1 and out == ""
+        assert err == "error: state left the PSD cone during integration\n"
+
+    @pytest.mark.parametrize("argv, spec, t_end", LONG_RUNS)
+    def test_long_runs_print_finite_numbers(self, capsys, argv, spec, t_end):
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert not np.isfinite(assemble(spec).propagator([t_end])).all()
+        code, out, err = run(capsys, "simulate", *argv, "--x0", "0.3", "--samples", "101")
+        assert code == 0, err
+        got = csv_table(out)
+        assert got.shape == (101, 9) and np.isfinite(got).all()
+        assert got[-1, 1:5] == pytest.approx([1.0, 1.0, 0.0, 0.0], abs=1e-12)
+
+    def test_does_not_integrate(self, capsys, monkeypatch):
+        forbid_integrate(monkeypatch)
+        code, out, err = run(capsys, "simulate", "--preset", "onejump_nino", "--x0", "0.3",
+                             "--t", "2", "--samples", "5")
+        assert code == 0, err
+        assert len(csv_table(out)) == 5
+
+    def test_tolerances_validated_but_unused(self, capsys):
+        argv = ("simulate", "--preset", "onejump_nino", "--x0", "0.3", "--t", "2",
+                "--samples", "11")
+        code, _, err = run(capsys, *argv, "--rtol", "nan")
+        assert code == 1 and err.startswith("error: rtol must be finite")
+        base = run(capsys, *argv)
+        assert base == run(capsys, *argv, "--rtol", "1e-3", "--atol", "1e-3")
+        assert base[0] == 0
+
+
+def sweep_table(out):
+    lines = out.strip().split("\n")
+    assert lines[0] == "param,value,observable,result"
+    return [line.split(",") for line in lines[1:]]
+
+
 class TestSweep:
+    """``sweep`` reads each final state from the exact solution; DP45 is the oracle."""
+
     def test_rows_per_observable(self, capsys):
         code, out, _ = run(capsys, "sweep", "--preset", "linear_cptp",
                            "--param", "m", "--values", "0.5,1.0",
@@ -352,6 +495,51 @@ class TestSweep:
         assert len(lines) == 1 + 2 * 7
         row = lines[1].split(",")
         assert row[0] == "m" and row[2] == "tau"
+
+    @pytest.mark.parametrize("name, x0", PRESET_STARTS)
+    def test_presets_agree_with_dp45(self, capsys, name, x0):
+        param = presets.preset_params([name])[-1]
+        values = (0.25, 0.5, 0.75)
+        code, out, err = run(capsys, "sweep", "--preset", name, "--param", param,
+                             "--values", ",".join(map(str, values)), f"--x0={x0}",
+                             "--z0=0.1", "--t", "3")
+        assert code == 0, err
+        rows = sweep_table(out)
+        assert len(rows) == 7 * len(values)
+        for i, value in enumerate(values):
+            spec = presets.expand_preset(presets.Preset(name, {param: value}))
+            dp = integrate(spec, PsdState(1.0, [x0, 0.0, 0.1]), 3.0, IntegratorOpts(**TIGHT))
+            fin = dp.final_state
+            want = (fin.tau, *fin.r, fin.r_norm, dp.purity[-1], dp.entropy[-1])
+            got = rows[7 * i:7 * (i + 1)]
+            assert [row[:3] for row in got] == [
+                [param, format(value, ".17g"), obs] for obs in cli._SWEEP_OBSERVABLES]
+            assert [float(row[3]) for row in got] == pytest.approx(want, rel=1e-9, abs=1e-9)
+
+    def test_cone_violation_is_named(self, capsys):
+        code, out, err = run(capsys, "sweep", "--preset", "threejump_nino", "--param",
+                             "gamma", "--values", "0.5", "--M", "1", "--x0", "0.001",
+                             "--t", "300")
+        assert code == 1 and out == ""
+        assert err == "error: state left the PSD cone during integration\n"
+
+    @pytest.mark.parametrize("argv, spec, t_end", LONG_RUNS)
+    def test_long_runs_print_finite_numbers(self, capsys, argv, spec, t_end):
+        argv = list(argv)
+        param = argv.index("--m") if "--m" in argv else argv.index("--l1")
+        argv[param:param + 2] = ["--param", argv[param][2:], "--values", argv[param + 1]]
+        code, out, err = run(capsys, "sweep", *argv, "--x0", "0.3")
+        assert code == 0, err
+        results = [float(row[3]) for row in sweep_table(out)]
+        assert len(results) == 7 and all(math.isfinite(v) for v in results)
+
+    def test_does_not_integrate(self, capsys, monkeypatch):
+        forbid_integrate(monkeypatch)
+        code, out, err = run(capsys, "sweep", "--preset", "threejump_nino", "--param",
+                             "gamma", "--values", "0,0.25,0.5", "--M", "1", "--x0", "0.001",
+                             "--t", "5")
+        assert code == 0, err
+        assert len(sweep_table(out)) == 21
 
 
 class TestNegativeValues:

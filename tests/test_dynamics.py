@@ -20,12 +20,14 @@ from blochamp import (
     IntegratorOpts,
     PsdState,
     StepFailure,
+    Trajectory,
     integrate,
     rhs,
     xi_coordinates,
 )
-from blochamp.dynamics import CSV_HEADER, exact_trajectory
+from blochamp.dynamics import CSV_HEADER, StepStats, exact_trajectory
 from blochamp import dynamics, presets, shift_transform
+from conftest import csv_oracle
 
 
 MIXED = PsdState(1.0, [0.0, 0.0, 0.0])
@@ -222,7 +224,7 @@ class TestExactTrajectory:
     def test_grid_and_states(self):
         traj = exact_trajectory(presets.linear_cptp(1.0), MIXED, 2.0, min_steps=50)
         # ||A||_1 = 4 sets 8 steps; min_steps sets 50.
-        assert np.array_equal(traj.t, 2.0 * np.arange(51) / 50)
+        assert np.array_equal(traj.t, np.linspace(0.0, 2.0, 51))
         assert traj.stop_reason == "t_end"
         assert np.abs(traj.r[:, 0] - (1.0 - np.exp(-4.0 * traj.t))).max() <= 1e-14
         assert len(exact_trajectory(presets.linear_cptp(1.0), MIXED, 2.0)) == 9
@@ -268,6 +270,86 @@ class TestExactTrajectory:
         traj = exact_trajectory(presets.linear_cptp(1.0), PsdState(1.0, [0, 0, 1]),
                                 1.0, opts)
         assert traj.stop_reason == "surface" and len(traj) == 1
+
+
+    def test_last_grid_time_is_t_end(self, rng):
+        # t_end k / n with k = n rounds to 6.593088936121537 here.
+        t_end = 6.593088936121536
+        traj = exact_trajectory(presets.linear_cptp(1.0), PsdState(1.0, [0.1, 0, 0]), t_end,
+                                min_steps=2936)
+        assert traj.t[-1] == t_end
+        assert np.array_equal(traj.t, np.linspace(0.0, t_end, 2937))
+        for t_end in rng.uniform(0.5, 5.0, 200):
+            assert exact_trajectory(presets.linear_cptp(1.0), MIXED, t_end,
+                                    min_steps=200).t[-1] == t_end
+
+    def test_sample_rows_follow_integrate(self):
+        # t = 0, the sorted distinct samples in (0, t_end], then t_end.
+        shuffled = [1.5, 0.25, 0.0, 1.5, 0.75, 0.25]
+        for engine, tol in ((integrate, 1e-9), (exact_trajectory, 1e-14)):
+            traj = engine(presets.linear_cptp(1.0), MIXED, 2.0, sample_times=shuffled)
+            assert traj.t.tolist() == [0.0, 0.25, 0.75, 1.5, 2.0]
+            assert np.abs(traj.r[:, 0] - (1.0 - np.exp(-4.0 * traj.t))).max() <= tol
+
+    @pytest.mark.parametrize("last", [2.0 * (1.0 - 1e-13), 2.0 * (1.0 + 1e-13)])
+    def test_sample_within_time_window_of_t_end(self, last):
+        # Within TIME_WINDOW of t_end a sample stands for t_end, which is not
+        # added again.
+        traj = exact_trajectory(presets.linear_cptp(1.0), MIXED, 2.0, sample_times=[1.0, last])
+        assert traj.t.tolist() == [0.0, 1.0, last]
+        assert np.array_equal(traj.t, integrate(presets.linear_cptp(1.0), MIXED, 2.0,
+                                                sample_times=[1.0, last]).t)
+        assert traj.r[-1, 0] == pytest.approx(1.0 - math.exp(-4.0 * last), rel=1e-15)
+
+    def test_samples_on_the_grid_are_the_grid_states(self):
+        plain = exact_trajectory(presets.onejump_nino(1.0), PsdState(1.2, [0.3, 0.2, 0.1]),
+                                 3.0, min_steps=40)
+        sampled = exact_trajectory(presets.onejump_nino(1.0), PsdState(1.2, [0.3, 0.2, 0.1]),
+                                   3.0, min_steps=40, sample_times=plain.t[::-1])
+        assert np.array_equal(sampled.t, plain.t)
+        assert np.array_equal(sampled.tau, plain.tau) and np.array_equal(sampled.r, plain.r)
+
+    @pytest.mark.parametrize("engine", [exact_trajectory, integrate])
+    @pytest.mark.parametrize("samples, message", [
+        ([0.5, math.nan], "sample_times must be finite"),
+        ([math.inf], "sample_times must be finite"),
+        ([-0.1, 0.5], "sample_times must lie within [0, t_end]"),
+        ([0.5, 1.01], "sample_times must lie within [0, t_end]")],
+        ids=["nan", "inf", "negative", "past_t_end"])
+    def test_rejects_bad_samples(self, engine, samples, message):
+        with pytest.raises(ValueError) as info:
+            engine(presets.linear_cptp(1.0), MIXED, 1.0, sample_times=samples)
+        assert str(info.value) == message
+
+    def test_sample_states_are_checked(self):
+        # The state leaves the cone before the first grid time, 0.5, and
+        # is outside at the first sample, 0.05, as DP45 finds on the samples.
+        start, samples = PsdState(1.0, [0.69, 0.69, 0.0]), np.linspace(0.0, 5.0, 101)
+        for engine in (exact_trajectory, integrate):
+            with pytest.raises(ConeViolation) as info:
+                engine(presets.linear_noncp(1.0, 0.5), start, 5.0, sample_times=samples)
+            assert info.value.t == 0.05
+            assert np.linalg.norm(info.value.r) > info.value.tau * (1.0 + 1e-4)
+
+    def test_surface_stop_drops_later_samples(self):
+        spec, start = presets.threejump_nino(1.0, 0.5), PsdState(1.0, [0.3, 0.0, 0.0])
+        opts = IntegratorOpts(stop_on_surface=True)
+        t_s = exact_trajectory(spec, start, 10.0, opts).t[-1]
+        samples = np.linspace(0.0, 10.0, 101)
+        traj = exact_trajectory(spec, start, 10.0, opts, sample_times=samples)
+        assert traj.stop_reason == "surface" and abs(traj.cone_margin[-1]) <= 1e-12
+        assert traj.t[-1] == pytest.approx(t_s, rel=1e-12)
+        assert np.array_equal(traj.t[:-1], samples[samples < traj.t[-1]])
+
+    def test_blow_up_with_samples(self):
+        spec = ChannelSpec(HermitianPauliVector([-1.0, 0.0, 0.0, 0.0]), g=1.0)
+        start = PsdState(1.5, [0, 0, 0])
+        with pytest.raises(BlowUp) as plain:
+            exact_trajectory(spec, start, 1.1)
+        with pytest.raises(BlowUp) as sampled:
+            exact_trajectory(spec, start, 1.1, sample_times=[0.2, 0.4, 0.6, 1.0])
+        assert sampled.value.t == plain.value.t == pytest.approx(math.log(3.0) / 2.0,
+                                                                 rel=1e-12)
 
 
 def shifted_threejump(c):
@@ -419,6 +501,31 @@ class TestCsv:
         row = lines[-1].split(",")
         assert float(row[1]) == traj.tau[-1]
         assert float(row[2]) == traj.r[-1, 0]
+
+    def test_rows_match_the_per_value_oracle(self, rng):
+        special = [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -1e-310,
+                   2.2250738585072014e-308, 1.7976931348623157e308, 0.1, 1.0 / 3.0]
+        values = np.concatenate((
+            rng.choice([-1.0, 1.0], 100_000) * 10.0 ** rng.uniform(-325.0, 308.0, 100_000),
+            rng.normal(size=1000), special))
+        values = np.resize(rng.permutation(values), (len(values) // 9 + 1) * 9)
+        cols = values.reshape(9, -1)
+        traj = Trajectory(t=cols[0], tau=cols[1], r=cols[2:5].T, purity=cols[5],
+                          entropy=cols[6], tr_x_omega=cols[7], cone_margin=cols[8],
+                          stats=StepStats(0, 0, 0.0), stop_reason="t_end",
+                          spec=presets.linear_cptp(1.0))
+        buf = io.StringIO()
+        traj.write_csv(buf)
+        assert buf.getvalue() == csv_oracle(traj)
+
+    def test_off_cone_run_with_nan_entropy(self):
+        traj = integrate(presets.onejump_nino(1.0),
+                         PsdState(1.0, [1.05, 0.0, 0.0], physical=False), 9.0,
+                         IntegratorOpts(allow_off_cone=True))
+        assert np.isnan(traj.entropy).all()
+        buf = io.StringIO()
+        traj.write_csv(buf)
+        assert buf.getvalue() == csv_oracle(traj)
 
     def test_samples_iterator(self):
         traj = integrate(presets.linear_cptp(1.0), MIXED, 0.5)
