@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import io
 import json
 import re
 import sys
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import analysis, presets, verify
 from .channels import ChannelSpec, classify, load_spec
-from .dynamics import CSV_HEADER, IntegratorOpts, exact_trajectory, integrate
+from .dynamics import CSV_HEADER, GRID_STEPS, IntegratorOpts, exact_trajectory
 from .errors import BlochampError
 from .pauli import PsdState, purity_entropy
 from .tolerances import CP_TOL, MONOTONE_TOL
@@ -53,6 +52,21 @@ def _given(args, names) -> dict:
     return {k: getattr(args, k) for k in names if getattr(args, k) is not None}
 
 
+def _numbers(text: str, flag: str, count: int | None = None) -> list[float]:
+    """The comma-separated finite numbers given to ``flag``, ``count`` of them if set."""
+    entries = text.split(",")
+    if count is not None and len(entries) != count:
+        raise BlochampError(f"{flag} takes {count} comma-separated numbers, got {text!r}")
+    for entry in entries:
+        try:
+            finite = np.isfinite(float(entry))
+        except ValueError:
+            finite = False
+        if not finite:
+            raise BlochampError(f"{flag}: {entry!r} is not a finite number")
+    return [float(v) for v in entries]
+
+
 def _add_channel_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--preset", choices=presets.preset_names(),
                    help="named channel definition")
@@ -79,8 +93,6 @@ def _add_initial_state_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_integrator_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--rtol", type=float)
-    p.add_argument("--atol", type=float)
     p.add_argument("--allow-off-cone", action="store_true",
                    help="disable the cone and apex halting checks")
     p.add_argument("--stop-on-surface", action="store_true",
@@ -88,8 +100,7 @@ def _add_integrator_args(p: argparse.ArgumentParser) -> None:
 
 
 def _opts_from_args(args) -> IntegratorOpts:
-    return IntegratorOpts(**_given(args, ("rtol", "atol")),
-                          allow_off_cone=args.allow_off_cone,
+    return IntegratorOpts(allow_off_cone=args.allow_off_cone,
                           stop_on_surface=args.stop_on_surface)
 
 
@@ -112,17 +123,11 @@ def _print_json(obj) -> None:
 
 def _cmd_simulate(args) -> int:
     spec = _build_channel(args)
-    opts = _opts_from_args(args)
-    if args.samples is None:
-        traj = integrate(spec, _initial_from_args(args), args.t, opts)
-    else:
-        if args.samples < 2:
-            raise BlochampError(f"--samples must be at least 2, got {args.samples}")
-        traj = exact_trajectory(spec, _initial_from_args(args), args.t, opts,
-                                sample_times=np.linspace(0.0, args.t, args.samples))
-    buf = io.StringIO()
-    traj.write_csv(buf)
-    _write_out(buf.getvalue(), args.out)
+    if args.samples < 2:
+        raise BlochampError(f"--samples must be at least 2, got {args.samples}")
+    traj = exact_trajectory(spec, _initial_from_args(args), args.t, _opts_from_args(args),
+                            sample_times=np.linspace(0.0, args.t, args.samples))
+    traj.write_csv(sys.stdout if args.out in (None, "-") else args.out)
     return 0
 
 
@@ -155,15 +160,10 @@ def _cmd_fixed_points(args) -> int:
     return 0
 
 
-# The stability report samples at least this many grid steps: at --t 5 that
-# is no coarser than the 77 to 169 steps DP45 takes on the six presets.
-_STABILITY_STEPS = 200
-
-
 def _cmd_stability(args) -> int:
     spec = _build_channel(args)
     traj = exact_trajectory(spec, _initial_from_args(args), args.t,
-                            _opts_from_args(args), min_steps=_STABILITY_STEPS)
+                            _opts_from_args(args), min_steps=GRID_STEPS)
     dev = np.abs(traj.tau - 1.0)
     cls = classify(spec)
     _print_json({
@@ -189,14 +189,14 @@ def _cmd_stability(args) -> int:
 def _cmd_slowdown(args) -> int:
     spec = _build_channel(args)
     if args.fp is not None:
-        fp = [float(v) for v in args.fp.split(",")]
+        fp = _numbers(args.fp, "--fp", 3)
     else:
         rep = analysis.find_fixed_points(spec)
         found = [p.r for p in rep.points] + [line.point for line in rep.fixed_lines]
         if not found:
             raise BlochampError("no fixed point found; pass one with --fp")
         fp = [float(v) for v in found[0]]
-    direction = [float(v) for v in args.dir.split(",")]
+    direction = _numbers(args.dir, "--dir", 3)
     exponent = analysis.slowdown_exponent(spec, fp, direction)
     _print_json({"fixed_point": fp, "direction": direction,
                  "exponent": exponent})
@@ -206,7 +206,7 @@ def _cmd_slowdown(args) -> int:
 def _cmd_choi(args) -> int:
     spec = _build_channel(args)
     if args.times is not None:
-        ts = [float(v) for v in args.times.split(",")]
+        ts = _numbers(args.times, "--times")
     elif args.scan is not None:
         if args.scan < 1:
             raise BlochampError(f"--scan must be at least 1, got {args.scan}")
@@ -260,7 +260,7 @@ _SWEEP_OBSERVABLES = ("tau", "x", "y", "z", "r_norm", "purity", "entropy")
 def _cmd_sweep(args) -> int:
     if args.preset is None:
         raise BlochampError("sweep requires --preset")
-    values = [float(v) for v in args.values.split(",")]
+    values = _numbers(args.values, "--values")
     params = _given(args, _PRESET_PARAMS)
     lines = ["param,value,observable,result"]
     for value in values:
@@ -297,14 +297,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "for Bloch vector amplification.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", help="integrate a channel, write a "
-                                        f"trajectory ({CSV_HEADER})")
+    p = sub.add_parser("simulate", help="write the exact trajectory of a "
+                                        f"channel ({CSV_HEADER})")
     _add_channel_args(p)
     _add_initial_state_args(p)
     _add_integrator_args(p)
     p.add_argument("--t", type=float, required=True, help="integration time")
-    p.add_argument("--samples", type=int,
-                   help="resample uniformly to this many points")
+    p.add_argument("--samples", type=int, default=GRID_STEPS + 1,
+                   help="number of uniformly spaced rows (default: %(default)s)")
     p.add_argument("--out", help="output file (default: stdout)")
     p.set_defaults(func=_cmd_simulate)
 

@@ -2,14 +2,14 @@
 
 The state vector is y = (tau, x, y, z) and its flow is
 ``AffineGenerator.velocity``, y' = A y + g (w.y) y, with the exact solution
-y(t) = Y(t) / s(t), Y = e^{At} y0 and s = 1 + g (Y_tau - tau0).  Two
-engines evaluate it.  ``integrate`` steps an embedded Dormand-Prince 4(5)
-pair with adaptive step-size control and records every accepted step (or a
-caller-supplied time grid).  ``exact_trajectory`` reads the exact solution
-on a uniform grid from ``_scan``, which also finds the blow-up time for
-``integrate``, or at caller-supplied times advanced from that grid.
-Trajectories carry purity, entropy, tr(X Omega) and the cone margin
-tau - |r|.
+y(t) = Y(t) / s(t), Y = e^{At} y0 and s = 1 + g (Y_tau - tau0).
+``exact_trajectory`` reads it on a uniform grid from ``_scan``, or at
+caller-supplied times advanced from that grid; the CLI and ``verify`` read
+every trajectory from it.  The library's ``integrate`` still steps an
+embedded Dormand-Prince 4(5) pair with adaptive step-size control, records
+every accepted step (or a caller-supplied time grid) and asks the scan only
+for the blow-up time.  Trajectories carry purity, entropy, tr(X Omega) and
+the cone margin tau - |r|.
 """
 
 from __future__ import annotations
@@ -27,12 +27,17 @@ from .tolerances import (APEX_TAU, CONE_RATIO_TOL, EIG_ROUNDOFF, SURFACE_TOL,
                          TIME_WINDOW)
 
 __all__ = [
-    "IntegratorOpts", "StepStats", "Sample", "Trajectory",
-    "rhs", "integrate", "exact_trajectory", "xi_coordinates", "CSV_HEADER",
+    "IntegratorOpts", "StepStats", "Sample", "Trajectory", "rhs", "integrate",
+    "exact_trajectory", "xi_coordinates", "CSV_HEADER", "GRID_STEPS",
 ]
 
 CSV_HEADER = "t,tau,x,y,z,purity,entropy,trXOmega,coneMargin"
 _CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
+
+# The fewest grid steps of ``stability`` and of ``verify``'s unsampled runs,
+# and ``simulate``'s default row count less one.  At t = 5 it is no coarser
+# than the 77 to 169 steps DP45 takes on the six presets.
+GRID_STEPS = 200
 
 
 @dataclass(frozen=True)
@@ -44,8 +49,8 @@ class IntegratorOpts:
     and apex halting checks (used for instability probes and for propagating
     operator-basis elements); ``stop_on_surface`` ends the run cleanly when
     the state reaches the pure surface |r| = tau, which is where an
-    amplification gate terminates.  ``exact_trajectory`` ignores ``rtol``
-    and ``atol`` and reads ``max_steps`` as the largest grid it will record.
+    amplification gate terminates.  Only ``integrate``'s DP45 stepper reads
+    ``rtol`` and ``atol``; ``exact_trajectory`` caps its grid at ``max_steps``.
     """
 
     rtol: float = 1e-10

@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analysis, presets
 from .channels import initial_velocity, jump_generator
-from .dynamics import IntegratorOpts, integrate, rhs
+from .dynamics import GRID_STEPS, IntegratorOpts, exact_trajectory, rhs
 from .pauli import PsdState
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all",
@@ -54,6 +54,19 @@ class _Check:
 
 def _mixed() -> PsdState:
     return PsdState(1.0, np.zeros(3))
+
+
+def _run(spec, initial: PsdState, t_end: float, opts: IntegratorOpts | None = None):
+    """The exact solution on at least GRID_STEPS uniform steps of [0, t_end]."""
+    return exact_trajectory(spec, initial, t_end, opts, min_steps=GRID_STEPS)
+
+
+def _pointwise_deviation(spec_a, spec_b, r0, t_end: float, n: int) -> float:
+    """Largest state difference of two channels from (1, r0) at n times in [0, t_end]."""
+    grid = np.linspace(0.0, t_end, n)
+    a, b = (exact_trajectory(spec, PsdState(1.0, r0), t_end, sample_times=grid)
+            for spec in (spec_a, spec_b))
+    return max(float(np.abs(a.r - b.r).max()), float(np.abs(a.tau - b.tau).max()))
 
 
 # --------------------------------------------------------------------------
@@ -95,14 +108,13 @@ def _c_cptp_gate_closed_form(seed: int) -> tuple[bool, str]:
     for m in (0.5, 1.0):
         spec = presets.linear_cptp(m)
         for t in (0.1, 0.5, 1.0, 2.0, 5.0):
-            traj = integrate(spec, _mixed(), t)
-            x = traj.r[-1, 0]
+            x, y, z = _run(spec, _mixed(), t).r[-1]
             x_ref = 1.0 - math.exp(-4.0 * m * m * t)
             rel = abs(x - x_ref) / abs(x_ref)
             worst = max(worst, rel)
             chk.expect(rel <= 1e-9,
                        f"m={m}, t={t}: relative error {rel:.2e} > 1e-9")
-            off = max(abs(traj.r[-1, 1]), abs(traj.r[-1, 2]))
+            off = max(abs(y), abs(z))
             chk.expect(off <= 1e-12, f"m={m}, t={t}: |y|,|z| reach {off:.2e}")
     elapsed = time.perf_counter() - t0
     chk.expect(elapsed < 1.0, f"runtime {elapsed:.2f}s >= 1s")
@@ -118,8 +130,7 @@ def _c_onejump_gate_closed_form(seed: int) -> tuple[bool, str]:
         spec = presets.onejump_nino(m)
         for x0 in (0.0, 0.3):
             for t in (0.5, 2.0, 10.0):
-                traj = integrate(spec, PsdState(1.0, [x0, 0.0, 0.0]), t)
-                x = traj.r[-1, 0]
+                x = _run(spec, PsdState(1.0, [x0, 0.0, 0.0]), t).r[-1, 0]
                 x_ref = 1.0 - 1.0 / (1.0 / (1.0 - x0) + 2.0 * m * m * t)
                 rel = abs(x - x_ref) / abs(x_ref)
                 worst = max(worst, rel)
@@ -155,16 +166,9 @@ def _c_slowdown_exponents(seed: int) -> tuple[bool, str]:
 def _c_threejump_noncp_equivalence(seed: int) -> tuple[bool, str]:
     """The nonlinear three-jump gate and its linear dual coincide pointwise."""
     chk = _Check()
-    grid = np.linspace(0.0, 10.0, 101)
-    start = PsdState(1.0, [1e-3, 0.0, 2e-4])
-    worst = 0.0
-    tja = integrate(presets.threejump_nino(1.0, 0.5), start, 10.0,
-                    sample_times=grid)
-    tjb = integrate(presets.linear_noncp(1.0, 0.5), start, 10.0,
-                    sample_times=grid)
-    dev_r = float(np.abs(tja.r - tjb.r).max())
-    dev_tau = float(np.abs(tja.tau - tjb.tau).max())
-    worst = max(dev_r, dev_tau)
+    worst = _pointwise_deviation(presets.threejump_nino(1.0, 0.5),
+                                 presets.linear_noncp(1.0, 0.5),
+                                 [1e-3, 0.0, 2e-4], 10.0, 101)
     chk.expect(worst <= 1e-9, f"pointwise deviation {worst:.2e} > 1e-9")
     chk.note(f"max pointwise deviation {worst:.2e}")
     return chk.result()
@@ -173,13 +177,11 @@ def _c_threejump_noncp_equivalence(seed: int) -> tuple[bool, str]:
 def _c_xi_growth_rates(seed: int) -> tuple[bool, str]:
     """Rotated coordinates grow at M - gamma and decay at M + gamma."""
     chk = _Check()
-    opts = IntegratorOpts(rtol=1e-12, atol=1e-14)
     grid = np.linspace(0.0, 2.0, 51)
     worst = 0.0
     for big_m, gamma in ((1.0, 0.0), (1.0, 0.5), (2.0, 1.0)):
         spec = presets.threejump_nino(big_m, gamma)
-        traj = integrate(spec, PsdState(1.0, [0.01, 0.0, 0.0]), 2.0, opts,
-                         sample_times=grid)
+        traj = exact_trajectory(spec, PsdState(1.0, [0.01, 0, 0]), 2.0, sample_times=grid)
         xi_plus = 0.5 * (traj.r[:, 1] + traj.r[:, 0])
         xi_minus = 0.5 * (traj.r[:, 1] - traj.r[:, 0])
         rate_p = np.polyfit(traj.t, np.log(np.abs(xi_plus)), 1)[0]
@@ -302,20 +304,19 @@ def _c_trace_positivity_purity(seed: int) -> tuple[bool, str]:
     """Trace conservation, cone preservation, and purity monotonicity."""
     chk = _Check()
     rng = np.random.default_rng(seed)
-    opts = IntegratorOpts(rtol=1e-9, atol=1e-11)
-    opts_surface = IntegratorOpts(rtol=1e-9, atol=1e-11, stop_on_surface=True)
+    surface = IntegratorOpts(stop_on_surface=True)
     runs = (
-        ("linear_cptp", presets.linear_cptp(1.0), opts),
-        ("nojump_nino", presets.nojump_nino(0.0, 1.0), opts),
-        ("onejump_nino", presets.onejump_nino(1.0), opts),
-        ("pseudolinear_nino", presets.pseudolinear_nino(1.0), opts),
-        ("threejump_nino", presets.threejump_nino(1.0, 0.5), opts_surface),
-        ("linear_noncp", presets.linear_noncp(1.0, 0.5), opts_surface),
+        ("linear_cptp", presets.linear_cptp(1.0), None),
+        ("nojump_nino", presets.nojump_nino(0.0, 1.0), None),
+        ("onejump_nino", presets.onejump_nino(1.0), None),
+        ("pseudolinear_nino", presets.pseudolinear_nino(1.0), None),
+        ("threejump_nino", presets.threejump_nino(1.0, 0.5), surface),
+        ("linear_noncp", presets.linear_noncp(1.0, 0.5), surface),
     )
     worst_tau = worst_r = 0.0
     for name, spec, o in runs:
         for r0 in _random_interior_states(rng, 100):
-            traj = integrate(spec, PsdState(1.0, r0), 10.0, o)
+            traj = _run(spec, PsdState(1.0, r0), 10.0, o)
             tau_dev = float(np.abs(traj.tau - 1.0).max())
             rn_max = float(np.sqrt((traj.r ** 2).sum(axis=1)).max())
             worst_tau = max(worst_tau, tau_dev)
@@ -332,6 +333,7 @@ def _c_trace_positivity_purity(seed: int) -> tuple[bool, str]:
     # epsilon^2 of squared radius; single-stage gates must be monotone.
     eps = 1e-3
     purity = 0.5 * (1.0 + 0.99 ** 2)
+    series = []
     for gate, params, slack in (
         ("linear_cptp", {"m": 1.0}, 1e-12),
         ("one_jump", {"m": 1.0}, 1e-12),
@@ -339,22 +341,18 @@ def _c_trace_positivity_purity(seed: int) -> tuple[bool, str]:
         ("linear_non_cp", {"M": 1.0, "gamma": 0.5}, eps * eps),
     ):
         plan = analysis.plan_amplification(gate, params, purity, epsilon=eps)
-        stages = [plan.main] if plan.pre_amp is None else [plan.pre_amp, plan.main]
-        state = _mixed()
-        series = []
-        for stage in stages:
-            traj = integrate(stage.spec, state, stage.duration)
-            series.append(traj.purity)
-            fin = traj.final_state
-            state = PsdState(fin.tau, fin.r)
-        p = np.concatenate(series)
-        drop = float(np.max(np.maximum.accumulate(p) - p))
-        chk.expect(drop <= slack, f"{gate}: purity drops by {drop:.2e}")
+        state, p = _mixed(), []
+        for stage in [plan.main] if plan.pre_amp is None else [plan.pre_amp, plan.main]:
+            traj = _run(stage.spec, state, stage.duration)
+            p.append(traj.purity)
+            state = PsdState(traj.tau[-1], traj.r[-1])
+        series.append((gate, np.concatenate(p), slack))
     for name, spec, t_end in (("nojump_nino", presets.nojump_nino(0.0, 1.0), 3.0),
                               ("pseudolinear_nino", presets.pseudolinear_nino(1.0), 2.0)):
-        p = integrate(spec, _mixed(), t_end).purity
+        series.append((name, _run(spec, _mixed(), t_end).purity, 1e-12))
+    for name, p, slack in series:
         drop = float(np.max(np.maximum.accumulate(p) - p))
-        chk.expect(drop <= 1e-12, f"{name}: purity drops by {drop:.2e}")
+        chk.expect(drop <= slack, f"{name}: purity drops by {drop:.2e}")
     chk.note(f"max |tau-1| {worst_tau:.2e}; max |r|-1 {worst_r:.2e}")
     return chk.result()
 
@@ -362,15 +360,11 @@ def _c_trace_positivity_purity(seed: int) -> tuple[bool, str]:
 def _c_pseudolinear_duality(seed: int) -> tuple[bool, str]:
     """The pseudo-linear gate shadows the linear gate on the unit-trace plane."""
     chk = _Check()
-    grid = np.linspace(0.0, 3.0, 61)
-    start = PsdState(1.0, [0.2, -0.3, 0.4])
-    ta = integrate(presets.pseudolinear_nino(1.0), start, 3.0, sample_times=grid)
-    tb = integrate(presets.linear_cptp(1.0), start, 3.0, sample_times=grid)
-    dev = max(float(np.abs(ta.r - tb.r).max()), float(np.abs(ta.tau - tb.tau).max()))
+    dev = _pointwise_deviation(presets.pseudolinear_nino(1.0), presets.linear_cptp(1.0),
+                               [0.2, -0.3, 0.4], 3.0, 61)
     chk.expect(dev <= 1e-9, f"pointwise deviation {dev:.2e} > 1e-9")
 
-    pert = integrate(presets.pseudolinear_nino(1.0),
-                     PsdState(1.05, [0.2, -0.3, 0.4]), 3.0)
+    pert = _run(presets.pseudolinear_nino(1.0), PsdState(1.05, [0.2, -0.3, 0.4]), 3.0)
     u = np.abs(pert.tau - 1.0)
     chk.expect(u[-1] < 1e-3, f"perturbed trace ends at |tau-1|={u[-1]:.2e}")
     chk.expect(bool(np.all(np.diff(u) <= 1e-12)),

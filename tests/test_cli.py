@@ -9,7 +9,7 @@ import pytest
 
 import blochamp
 from blochamp import (ChannelSpec, HermitianPauliVector, IntegratorOpts, PsdState,
-                      assemble, cli, integrate, presets, save_spec)
+                      assemble, cli, integrate, presets, save_spec, verify)
 from blochamp.cli import build_parser, run_cli
 from blochamp.dynamics import CSV_HEADER
 from conftest import random_gksl_spec, random_nino_spec, random_pseudolinear_spec
@@ -76,11 +76,46 @@ class TestSimulate:
         assert code == 1 and out == ""
         assert err == f"error: --samples must be at least 2, got {samples}\n"
 
-    def test_nan_tolerance_rejected(self, capsys):
-        code, out, err = run(capsys, "simulate", "--preset", "linear_cptp",
-                             "--t", "1", "--rtol", "nan")
+    def test_grid_beyond_max_steps_refused(self, capsys):
+        code, out, err = run(capsys, "simulate", "--preset", "linear_cptp", "--t", "1e6")
         assert code == 1 and out == ""
-        assert err.startswith("error: rtol must be finite")
+        assert err == ("error: the grid needs 4000000 steps, more than "
+                       "max_steps = 2000000\n")
+
+
+@pytest.mark.parametrize("command", ["simulate", "stability"])
+def test_tolerance_flags_removed(capsys, command):
+    for flag in ("--rtol", "--atol"):
+        code, out, err = run(capsys, command, "--preset", "linear_cptp", "--t", "1",
+                             flag, "1e-3")
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {flag} 1e-3" in err
+    code, out, _ = run(capsys, command, "--help")
+    assert code == 0 and "--allow-off-cone" in out
+    assert "--rtol" not in out and "--atol" not in out
+
+
+# Each flag that takes comma-separated numbers, after a command that reads it.
+NUMBER_FLAGS = {
+    "--values": ("sweep", "--preset", "linear_cptp", "--param", "m", "--t", "1"),
+    "--times": ("choi", "--preset", "linear_cptp"),
+    "--fp": ("slowdown", "--preset", "linear_cptp"),
+    "--dir": ("slowdown", "--preset", "linear_cptp", "--fp", "1,0,0"),
+}
+
+
+@pytest.mark.parametrize("flag", list(NUMBER_FLAGS))
+def test_bad_number_list_names_flag_and_entry(capsys, flag):
+    for value, entry in (("1,nan,0", "nan"), ("1,abc,0", "abc"), ("1,,0", ""),
+                         ("-inf,0,1", "-inf"), ("1,0,1e999", "1e999")):
+        code, out, err = run(capsys, *NUMBER_FLAGS[flag], f"{flag}={value}")
+        assert (code, out) == (1, "")
+        assert err == f"error: {flag}: {entry!r} is not a finite number\n"
+    if flag in ("--fp", "--dir"):
+        for value in ("1,0", "1,0,0,0", ""):
+            code, out, err = run(capsys, *NUMBER_FLAGS[flag], f"{flag}={value}")
+            assert (code, out) == (1, "")
+            assert err == f"error: {flag} takes 3 comma-separated numbers, got {value!r}\n"
 
 
 class TestReports:
@@ -316,14 +351,6 @@ class TestStability:
         assert err.startswith("error: t_end must be positive and finite")
         assert err.count("\n") == 1
 
-    def test_tolerances_validated_but_unused(self, capsys):
-        code, _, err = run(capsys, "stability", "--preset", "onejump_nino", "--rtol", "nan")
-        assert code == 1 and err.startswith("error: rtol must be finite")
-        base = run(capsys, "stability", "--preset", "onejump_nino")
-        loose = run(capsys, "stability", "--preset", "onejump_nino", "--rtol", "1e-3",
-                    "--atol", "1e-3")
-        assert base == loose and base[0] == 0
-
 
 def test_linear_spec_with_nonzero_omega_runs_everywhere(tmp_path, capsys):
     path = _spec_file(tmp_path, GROWING)
@@ -352,7 +379,7 @@ def forbid_integrate(monkeypatch):
     def fail(*args, **kwargs):
         raise AssertionError("integrate was called")
 
-    monkeypatch.setattr(cli, "integrate", fail)
+    assert not hasattr(cli, "integrate") and not hasattr(verify, "integrate")
     monkeypatch.setattr(blochamp.dynamics, "integrate", fail)
 
 
@@ -373,18 +400,28 @@ LONG_RUNS = [(("--preset", "pseudolinear_nino", "--m", "1", "--t", "400"),
               presets.nojump_nino(0.1, 1.0), 500.0)]
 
 
+# Random channel families that simulate is checked on against DP45.
+RANDOM_FAMILIES = [random_nino_spec, random_gksl_spec,
+                   lambda rng: replace(random_nino_spec(rng), g=0.5),
+                   lambda rng: replace(random_nino_spec(rng), h=rng.normal(size=3))]
+RANDOM_FAMILY_IDS = ["nino", "gksl", "g_half", "precessing"]
+
+
 class TestSimulateSamples:
-    """``simulate --samples`` reads the exact solution; DP45 is the oracle."""
+    """``simulate`` reads the exact solution on --samples uniform times (201 by
+    default); DP45 is the oracle."""
 
     N = 51
 
-    def check_against_dp45(self, capsys, spec, argv, start, t_end, opts):
-        code, out, err = run(capsys, "simulate", *argv, "--t", str(t_end),
-                             "--samples", str(self.N))
+    def check_against_dp45(self, capsys, spec, argv, start, t_end, opts, samples=N):
+        """Without ``samples``, the run takes the default grid of 201 rows."""
+        extra = () if samples is None else ("--samples", str(samples))
+        code, out, err = run(capsys, "simulate", *argv, "--t", str(t_end), *extra)
         assert code == 0, err
+        n = 201 if samples is None else samples
         got = csv_table(out)
-        assert got.shape == (self.N, 9)
-        grid = np.linspace(0.0, t_end, self.N)
+        assert got.shape == (n, 9)
+        grid = np.linspace(0.0, t_end, n)
         assert np.array_equal(got[:, 0], grid)
         want = integrate(spec, start, t_end, opts, sample_times=grid)
         states = np.column_stack((want.tau, want.r))
@@ -392,16 +429,27 @@ class TestSimulateSamples:
 
     @pytest.mark.parametrize("name, x0", PRESET_STARTS)
     def test_presets_agree_with_dp45(self, capsys, name, x0):
+        self.check_preset(capsys, name, x0, self.N)
+
+    @pytest.mark.parametrize("name, x0", PRESET_STARTS)
+    def test_default_grid_presets_agree_with_dp45(self, capsys, name, x0):
+        self.check_preset(capsys, name, x0, None)
+
+    def check_preset(self, capsys, name, x0, samples):
         spec = presets.expand_preset(presets.Preset(name, {}))
         self.check_against_dp45(capsys, spec, ["--preset", name, f"--x0={x0}", "--z0=0.1"],
-                                PsdState(1.0, [x0, 0.0, 0.1]), 3.0, IntegratorOpts(**TIGHT))
+                                PsdState(1.0, [x0, 0.0, 0.1]), 3.0, IntegratorOpts(**TIGHT),
+                                samples)
 
-    @pytest.mark.parametrize("family", [
-        random_nino_spec, random_gksl_spec,
-        lambda rng: replace(random_nino_spec(rng), g=0.5),
-        lambda rng: replace(random_nino_spec(rng), h=rng.normal(size=3))],
-        ids=["nino", "gksl", "g_half", "precessing"])
+    @pytest.mark.parametrize("family", RANDOM_FAMILIES, ids=RANDOM_FAMILY_IDS)
     def test_random_specs_agree_with_dp45(self, capsys, tmp_path, rng, family):
+        self.check_random_specs(capsys, tmp_path, rng, family, self.N)
+
+    @pytest.mark.parametrize("family", RANDOM_FAMILIES, ids=RANDOM_FAMILY_IDS)
+    def test_default_grid_random_specs_agree_with_dp45(self, capsys, tmp_path, rng, family):
+        self.check_random_specs(capsys, tmp_path, rng, family, None)
+
+    def check_random_specs(self, capsys, tmp_path, rng, family, samples):
         start = PsdState(1.05, [0.2, 0.1, 0.0], physical=False)
         opts = IntegratorOpts(**TIGHT, allow_off_cone=True)
         for i in range(4):
@@ -413,15 +461,23 @@ class TestSimulateSamples:
             try:
                 integrate(spec, start, 1.0, opts)
             except blochamp.BlowUp as exc:
-                code, out, err = run(capsys, "simulate", *argv, "--t", "1", "--samples", "11")
+                extra = () if samples is None else ("--samples", "11")
+                code, out, err = run(capsys, "simulate", *argv, "--t", "1", *extra)
                 assert code == 1 and out == ""
                 assert error_time(err) == pytest.approx(exc.t, rel=1e-12)
                 continue
-            self.check_against_dp45(capsys, spec, argv, start, 1.0, opts)
+            self.check_against_dp45(capsys, spec, argv, start, 1.0, opts, samples)
 
     def test_stop_on_surface_at_dp45_surface_time(self, capsys):
+        self.check_surface_stop(capsys, ("--samples", "101"), 101)
+
+    def test_default_grid_stop_on_surface(self, capsys):
+        self.check_surface_stop(capsys, (), 201)
+
+    @staticmethod
+    def check_surface_stop(capsys, extra, n):
         code, out, err = run(capsys, "simulate", "--preset", "threejump_nino", "--x0", "0.3",
-                             "--t", "10", "--samples", "101", "--stop-on-surface")
+                             "--t", "10", *extra, "--stop-on-surface")
         assert code == 0, err
         got = csv_table(out)
         dp = integrate(presets.threejump_nino(1.0, 0.5), PsdState(1.0, [0.3, 0, 0]), 10.0,
@@ -429,7 +485,7 @@ class TestSimulateSamples:
         assert dp.stop_reason == "surface"
         assert got[-1, 0] == pytest.approx(dp.t[-1], rel=1e-9)
         assert abs(got[-1, 8]) <= 1e-12
-        grid = np.linspace(0.0, 10.0, 101)
+        grid = np.linspace(0.0, 10.0, n)
         assert np.array_equal(got[:-1, 0], grid[grid < got[-1, 0]])
 
     def test_blow_up_is_named(self, tmp_path, capsys):
@@ -465,15 +521,6 @@ class TestSimulateSamples:
                              "--t", "2", "--samples", "5")
         assert code == 0, err
         assert len(csv_table(out)) == 5
-
-    def test_tolerances_validated_but_unused(self, capsys):
-        argv = ("simulate", "--preset", "onejump_nino", "--x0", "0.3", "--t", "2",
-                "--samples", "11")
-        code, _, err = run(capsys, *argv, "--rtol", "nan")
-        assert code == 1 and err.startswith("error: rtol must be finite")
-        base = run(capsys, *argv)
-        assert base == run(capsys, *argv, "--rtol", "1e-3", "--atol", "1e-3")
-        assert base[0] == 0
 
 
 def sweep_table(out):
@@ -568,19 +615,35 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--criteria", "bogus")
         assert code == 1 and "bogus" in err
 
+    def test_suite_does_not_integrate(self, monkeypatch):
+        forbid_integrate(monkeypatch)
+        failed = [(r.cid, r.detail) for r in verify.run_all() if not r.ok]
+        assert not failed
 
-def test_readme_cli_examples_parse():
+
+def test_readme_cli_examples_parse(tmp_path, monkeypatch, capsys):
+    """Every README example parses, and each whose input files exist runs in an
+    empty directory without integrating."""
     block = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
     block = block.split("```")[1].replace("\\\n", " ")
     commands = [shlex.split(line) for line in block.splitlines()
                 if line.startswith("blochamp ")]
     assert len(commands) >= 10
     parser = build_parser()
+    monkeypatch.chdir(tmp_path)
+    forbid_integrate(monkeypatch)
+    ran = 0
     for argv in commands:
         try:
             parser.parse_args(argv[1:])
         except SystemExit:
             pytest.fail(f"README example does not parse: {shlex.join(argv)}")
+        if "--spec" in argv and not Path(argv[argv.index("--spec") + 1]).exists():
+            continue
+        code, _, err = run(capsys, *argv[1:])
+        assert code == 0, f"{shlex.join(argv)}: {err}"
+        ran += 1
+    assert ran >= 10
 
 
 class TestParserReuse:
