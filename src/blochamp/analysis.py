@@ -22,7 +22,7 @@ import numpy as np
 
 from . import presets
 from .channels import ChannelSpec, assemble
-from .dynamics import exact_trajectory
+from .dynamics import integrate
 from .errors import InvalidParams, TargetUnreachable
 from .pauli import SIGMA, SIGMA_X, SIGMA_Y, PsdState
 from .tolerances import (LINE_SIGN_TOL, MARGINAL_TOL, RANK_TOL, SPEED_ZERO,
@@ -239,7 +239,7 @@ class GatePlan:
 
     ``t_gate`` is the main-stage duration; ``achieved`` is the exact state
     that the planned stages reach from the maximally mixed state, read from
-    ``exact_trajectory``.
+    ``integrate``.
     """
 
     gate: str
@@ -308,9 +308,8 @@ def plan_amplification(gate: str, params: Mapping[str, float],
             f"main stage needs t={t_gate:.6g}, beyond the budget t_max={t_max:g}")
 
     mixed = PsdState(1.0, np.zeros(3))
-    pre_end = exact_trajectory(pre_spec, mixed, t_pre).final_state
-    achieved = exact_trajectory(
-        main_spec, PsdState(pre_end.tau, pre_end.r), t_gate).final_state
+    pre_end = integrate(pre_spec, mixed, t_pre).final_state
+    achieved = integrate(main_spec, PsdState(pre_end.tau, pre_end.r), t_gate).final_state
     return GatePlan(gate=gate, pre_amp=GateStage(pre_spec, t_pre),
                     main=GateStage(main_spec, t_gate),
                     target_purity=target_purity, epsilon=epsilon,
@@ -322,7 +321,7 @@ def _single_stage_plan(gate, spec, duration, target_purity, epsilon, t_max):
         raise TargetUnreachable(
             f"gate {gate} needs t={duration:.6g} to reach purity "
             f"{target_purity}, beyond the budget t_max={t_max:g}")
-    achieved = exact_trajectory(spec, PsdState(1.0, np.zeros(3)), duration).final_state
+    achieved = integrate(spec, PsdState(1.0, np.zeros(3)), duration).final_state
     return GatePlan(gate=gate, pre_amp=None, main=GateStage(spec, duration),
                     target_purity=target_purity, epsilon=epsilon,
                     t_gate=duration, achieved=achieved)

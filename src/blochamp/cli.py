@@ -18,7 +18,7 @@ import numpy as np
 
 from . import analysis, presets, verify
 from .channels import ChannelSpec, classify, load_spec
-from .dynamics import CSV_HEADER, GRID_STEPS, IntegratorOpts, exact_trajectory
+from .dynamics import CSV_HEADER, GRID_STEPS, IntegratorOpts, integrate
 from .errors import BlochampError
 from .pauli import PsdState, purity_entropy
 from .tolerances import CP_TOL, MONOTONE_TOL
@@ -125,8 +125,8 @@ def _cmd_simulate(args) -> int:
     spec = _build_channel(args)
     if args.samples < 2:
         raise BlochampError(f"--samples must be at least 2, got {args.samples}")
-    traj = exact_trajectory(spec, _initial_from_args(args), args.t, _opts_from_args(args),
-                            sample_times=np.linspace(0.0, args.t, args.samples))
+    traj = integrate(spec, _initial_from_args(args), args.t, _opts_from_args(args),
+                     sample_times=np.linspace(0.0, args.t, args.samples))
     traj.write_csv(sys.stdout if args.out in (None, "-") else args.out)
     return 0
 
@@ -162,8 +162,8 @@ def _cmd_fixed_points(args) -> int:
 
 def _cmd_stability(args) -> int:
     spec = _build_channel(args)
-    traj = exact_trajectory(spec, _initial_from_args(args), args.t,
-                            _opts_from_args(args), min_steps=GRID_STEPS)
+    traj = integrate(spec, _initial_from_args(args), args.t, _opts_from_args(args),
+                     min_steps=GRID_STEPS)
     dev = np.abs(traj.tau - 1.0)
     cls = classify(spec)
     _print_json({
@@ -266,8 +266,7 @@ def _cmd_sweep(args) -> int:
     for value in values:
         params[args.param] = value
         spec = presets.expand_preset(presets.Preset(args.preset, params))
-        traj = exact_trajectory(spec, PsdState(args.tau0, [args.x0, args.y0, args.z0]),
-                                args.t)
+        traj = integrate(spec, PsdState(args.tau0, [args.x0, args.y0, args.z0]), args.t)
         fin = traj.final_state
         results = (fin.tau, *fin.r, fin.r_norm, traj.purity[-1], traj.entropy[-1])
         lines += [f"{args.param},{_fmt(value)},{obs},{_fmt(res)}"

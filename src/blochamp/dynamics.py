@@ -1,20 +1,18 @@
-"""Time integration of the coordinate equations of motion.
+"""Time evolution of the coordinate equations of motion.
 
 The state vector is y = (tau, x, y, z) and its flow is
 ``AffineGenerator.velocity``, y' = A y + g (w.y) y, with the exact solution
 y(t) = Y(t) / s(t), Y = e^{At} y0 and s = 1 + g (Y_tau - tau0).
-``exact_trajectory`` reads it on a uniform grid from ``_scan``, or at
-caller-supplied times advanced from that grid; the CLI and ``verify`` read
-every trajectory from it.  The library's ``integrate`` still steps an
-embedded Dormand-Prince 4(5) pair with adaptive step-size control, records
-every accepted step (or a caller-supplied time grid) and asks the scan only
-for the blow-up time.  Trajectories carry purity, entropy, tr(X Omega) and
-the cone margin tau - |r|.
+``integrate`` reads it on a uniform grid from ``_scan``, or at
+caller-supplied times advanced from that grid; every command, ``verify``
+and the gate plans read their trajectories from it.  Trajectories carry
+purity, entropy, tr(X Omega) and the cone margin tau - |r|.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
@@ -28,7 +26,7 @@ from .tolerances import (APEX_TAU, CONE_RATIO_TOL, EIG_ROUNDOFF, SURFACE_TOL,
 
 __all__ = [
     "IntegratorOpts", "StepStats", "Sample", "Trajectory", "rhs", "integrate",
-    "exact_trajectory", "xi_coordinates", "CSV_HEADER", "GRID_STEPS",
+    "xi_coordinates", "CSV_HEADER", "GRID_STEPS",
 ]
 
 CSV_HEADER = "t,tau,x,y,z,purity,entropy,trXOmega,coneMargin"
@@ -36,21 +34,23 @@ _CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
 
 # The fewest grid steps of ``stability`` and of ``verify``'s unsampled runs,
 # and ``simulate``'s default row count less one.  At t = 5 it is no coarser
-# than the 77 to 169 steps DP45 takes on the six presets.
+# than the 77 to 169 steps that Dormand-Prince 4(5) at rtol 1e-10 takes on
+# the six presets.
 GRID_STEPS = 200
 
 
 @dataclass(frozen=True)
 class IntegratorOpts:
-    """Integration settings.
+    """Settings of an ``integrate`` run.
 
-    ``rtol`` and ``atol`` must be finite, nonnegative and not both zero;
-    ``max_steps`` must be at least 1.  ``allow_off_cone`` disables the cone
-    and apex halting checks (used for instability probes and for propagating
-    operator-basis elements); ``stop_on_surface`` ends the run cleanly when
-    the state reaches the pure surface |r| = tau, which is where an
-    amplification gate terminates.  Only ``integrate``'s DP45 stepper reads
-    ``rtol`` and ``atol``; ``exact_trajectory`` caps its grid at ``max_steps``.
+    ``max_steps`` caps the grid and must be at least 1.  ``allow_off_cone``
+    disables the cone and apex halting checks (used for instability probes
+    and for propagating operator-basis elements); ``stop_on_surface`` ends
+    the run cleanly when the state reaches the pure surface |r| = tau, which
+    is where an amplification gate terminates.  ``rtol`` and ``atol`` are
+    deprecated: ``integrate`` reads the exact solution and no longer reads
+    them.  They must still be finite, nonnegative and not both zero, and a
+    value other than the default emits a DeprecationWarning.
     """
 
     rtol: float = 1e-10
@@ -68,10 +68,20 @@ class IntegratorOpts:
             raise ValueError("rtol and atol must not both be zero")
         if not self.max_steps >= 1:
             raise ValueError(f"max_steps must be >= 1, got {self.max_steps!r}")
+        if self.rtol != IntegratorOpts.rtol or self.atol != IntegratorOpts.atol:
+            warnings.warn("IntegratorOpts rtol and atol are deprecated: integrate "
+                          "reads the exact solution and no longer reads them",
+                          DeprecationWarning, stacklevel=3)
 
 
 @dataclass(frozen=True)
 class StepStats:
+    """Work of one run: ``accepted`` counts the grid steps scanned.
+
+    ``rejected`` is always 0 and ``max_error`` always 0.0; they remain for
+    callers that read them.
+    """
+
     accepted: int
     rejected: int
     max_error: float
@@ -159,65 +169,6 @@ def xi_coordinates(state: PsdState) -> tuple[float, float]:
     return (y + x) / 2.0, (y - x) / 2.0
 
 
-# ---------------------------------------------------------------------------
-# Dormand-Prince 4(5) tableau (FSAL; the fifth-order solution propagates).
-# The flow is autonomous, so the nodes c_i are not needed.
-
-_A = (
-    (),
-    (1 / 5,),
-    (3 / 40, 9 / 40),
-    (44 / 45, -56 / 15, 32 / 9),
-    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
-    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
-)
-_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
-# Difference between the fifth- and fourth-order weights.
-_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
-
-_SAFETY = 0.9
-_MIN_FACTOR = 0.2
-_MAX_FACTOR = 5.0
-
-
-def _dp45_step(f, y, h, k1):
-    k = [k1]
-    for i in range(1, 6):
-        yi = y + h * sum(a * ki for a, ki in zip(_A[i], k))
-        k.append(f(yi))
-    y_new = y + h * (_B[0] * k[0] + _B[2] * k[2] + _B[3] * k[3]
-                     + _B[4] * k[4] + _B[5] * k[5])
-    k.append(f(y_new))
-    err = h * (_E[0] * k[0] + _E[2] * k[2] + _E[3] * k[3]
-               + _E[4] * k[4] + _E[5] * k[5] + _E[6] * k[6])
-    return y_new, k[6], err
-
-
-def _scaled(v, scale):
-    """v / scale, where 0/0 counts as 0 and a nonzero v over 0 as inf.
-
-    A zero scale needs atol = 0 and a zero coordinate.
-    """
-    return np.divide(v, scale, out=np.where(v == 0.0, 0.0, np.inf),
-                     where=scale != 0.0)
-
-
-def _error_norm(err, y_old, y_new, rtol, atol):
-    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
-    return float(np.sqrt(np.mean(_scaled(err, scale) ** 2)))
-
-
-def _initial_step(y, k1, t_end, rtol, atol):
-    scale = atol + rtol * np.abs(y)
-    d0 = float(np.linalg.norm(_scaled(y, scale)))
-    d1 = float(np.linalg.norm(_scaled(k1, scale)))
-    if not (d0 >= 1e-5 and 1e-5 <= d1 < math.inf):  # d1 = inf would give h = 0
-        h = t_end / 100.0
-    else:
-        h = 0.01 * d0 / d1
-    return min(h, t_end / 10.0)
-
-
 def _margin(y) -> float:
     return float(y[0] - math.sqrt(y[1] ** 2 + y[2] ** 2 + y[3] ** 2))
 
@@ -292,8 +243,7 @@ def _grid_steps(gen: AffineGenerator, t_end: float, min_steps: int = 1) -> int:
     return max(min_steps, math.ceil(t_end * float(np.abs(gen.A).sum(axis=0).max())))
 
 
-def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
-          record: bool = True) -> _Scan:
+def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int) -> _Scan:
     """The exact solution at the grid times np.linspace(0, t_end, n + 1), and t*.
 
     y(t) = Y(t) / s(t) with Y = e^{At} y0 and s = 1 + g (Y_tau - tau0); n
@@ -302,8 +252,7 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
     common positive factor, which leaves Y / s unchanged, and then advanced
     by the powers e^{hA}, ..., e^{64 hA}, one block of grid times at a time.
     The state diverges where s first reaches 0: the scan ends at the last
-    grid time before it and bisects that step for t*.  Unless ``record``,
-    only the last block's times and states are returned.
+    grid time before it and bisects that step for t*.
     """
     a, g = gen.A, gen.g
     h = t_end / n
@@ -322,8 +271,6 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
         crossed = np.flatnonzero(s <= 0.0)
         j = int(crossed[0]) if crossed.size else len(ys)
         if j:
-            if not record:
-                blocks.clear()
             blocks.append(ys[:j] / s[:j, None])
             y = ys[j - 1]
         k += j
@@ -376,47 +323,6 @@ def _sample_targets(sample_times: Sequence[float], t_end: float) -> list[float]:
     return targets
 
 
-def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
-              opts: IntegratorOpts | None = None, *,
-              sample_times: Sequence[float] | None = None) -> Trajectory:
-    """Integrate a channel from an initial state up to t_end.
-
-    With ``sample_times`` the trajectory is recorded exactly at the given
-    times (the stepper lands on them; no interpolation), plus t=0 and t_end;
-    otherwise every accepted step is recorded.  Unless ``allow_off_cone`` is
-    set, the run halts with ConeViolation or ApexReached when the state
-    leaves the cone beyond tolerance or the trace underflows.  A nonlinear
-    run (g != 0) whose state diverges at a time t* <= t_end is integrated up
-    to the last time of the blow-up scan before t* and then raises BlowUp,
-    unless it stops or halts earlier.
-    """
-    opts = IntegratorOpts() if opts is None else opts
-    y = _initial_vector(initial, t_end, opts)
-    gen = assemble(spec)
-
-    record_all = sample_times is None
-    targets = [float(t_end)] if record_all else _sample_targets(sample_times, t_end)
-
-    rec_t = [0.0]
-    rec_y = [y.copy()]
-
-    if opts.stop_on_surface and _margin(y) <= SURFACE_TOL:
-        return _build_trajectory(spec, gen, rec_t, rec_y, StepStats(0, 0, 0.0),
-                                 "surface")
-
-    scan = (_scan(gen, y, t_end, _grid_steps(gen, t_end), record=False)
-            if gen.g != 0.0 else None)
-    blow_up = scan is not None and scan.t_star is not None
-    if blow_up:
-        t_last = float(scan.t[-1])
-        targets = [v for v in targets if v < t_last] + [t_last]
-    stats, stop_reason = _run_adaptive(gen.velocity, y, targets, opts, rec_t,
-                                       rec_y, record_all)
-    if blow_up and stop_reason != "surface":
-        raise _blow_up_error(scan)
-    return _build_trajectory(spec, gen, rec_t, rec_y, stats, stop_reason)
-
-
 def _advance(gen: AffineGenerator, y: np.ndarray, dt) -> np.ndarray:
     """The exact states a time dt after the states y.
 
@@ -448,27 +354,27 @@ def _merge_samples(gen: AffineGenerator, scan: _Scan, targets: list[float]):
     return t_all[order], y_all[order], order < len(ts)
 
 
-def exact_trajectory(spec: ChannelSpec, initial: PsdState, t_end: float,
-                     opts: IntegratorOpts | None = None, *, min_steps: int = 1,
-                     sample_times: Sequence[float] | None = None) -> Trajectory:
-    """The exact solution on a uniform grid of [0, t_end], with integrate's checks.
+def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
+              opts: IntegratorOpts | None = None, *, min_steps: int = 1,
+              sample_times: Sequence[float] | None = None) -> Trajectory:
+    """The exact solution of a channel from an initial state up to t_end.
 
     Records y(t) = e^{At} y0 / s(t) at the n + 1 times
     np.linspace(0, t_end, n + 1) of ``_scan``, with
     n = max(min_steps, ceil(t_end ||A||_1)); a grid of more than
     ``opts.max_steps`` steps is refused with StepFailure.  With
-    ``sample_times`` the rows are those of ``integrate`` instead: t = 0,
-    the sample times and t_end.  Each sample state is advanced from the
-    grid state at the last grid time at or before it, and the checks read
-    the grid and sample states in time order.  Unless ``allow_off_cone`` is
-    set, the first state below the apex cutoff or outside the cone halts
-    the run as in ``integrate``.  A ``stop_on_surface`` run ends where the
-    state first reaches the pure surface, bisected on the exact solution
-    between the last two states where the cone margin turns negative, and
-    drops later samples.  A state that diverges at t* <= t_end raises
-    BlowUp unless the run halts or stops on an earlier grid time.
-    ``rtol`` and ``atol`` do not apply, and ``stats`` counts the grid steps
-    scanned as accepted steps.
+    ``sample_times`` the rows are t = 0, the sorted distinct sample times
+    and t_end instead.  Each sample state is advanced from the grid state
+    at the last grid time at or before it, and the checks read the grid and
+    sample states in time order.  Unless ``allow_off_cone`` is set, the
+    first state below the apex cutoff or outside the cone beyond tolerance
+    halts the run with ApexReached or ConeViolation.  A ``stop_on_surface``
+    run ends where the state first reaches the pure surface, bisected on
+    the exact solution between the last two states where the cone margin
+    turns negative, and drops later samples.  A nonlinear run (g != 0)
+    whose state diverges at a time t* <= t_end raises BlowUp unless it
+    halts or stops on an earlier grid time.  ``stats`` counts the grid
+    steps scanned as accepted steps.
     """
     opts = IntegratorOpts() if opts is None else opts
     y0 = _initial_vector(initial, t_end, opts)
@@ -515,59 +421,6 @@ def exact_trajectory(spec: ChannelSpec, initial: PsdState, t_end: float,
     return _build_trajectory(spec, gen, ts, ys, StepStats(steps - 1, 0, 0.0), "t_end")
 
 
-def _run_adaptive(f, y, targets, opts, rec_t, rec_y, record_all):
-    rtol, atol = opts.rtol, opts.atol
-    t = 0.0
-    t_end = targets[-1]
-    k1 = f(y)
-    h = _initial_step(y, k1, t_end, rtol, atol)
-    ti = 0
-    n_acc = n_rej = 0
-    max_err = 0.0
-
-    while ti < len(targets):
-        if n_acc + n_rej >= opts.max_steps:
-            raise StepFailure("maximum step count exceeded", t, y[0], y[1:])
-        target = targets[ti]
-        h = min(h, target - t)
-        hits_target = t + h >= target - 1e-14 * max(1.0, target)
-        if hits_target:
-            h = target - t
-        y_new, k_new, err_vec = _dp45_step(f, y, h, k1)
-        err = _error_norm(err_vec, y, y_new, rtol, atol)
-        if not err <= 1.0:  # a NaN error norm is a rejection too
-            n_rej += 1
-            if h <= 1e-14 * max(1.0, abs(t)):
-                raise StepFailure("step size underflow: local error tolerance "
-                                  "cannot be met", t, y[0], y[1:])
-            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
-            continue
-        n_acc += 1
-        max_err = max(max_err, err)
-        t_new = target if hits_target else t + h
-
-        if opts.stop_on_surface and _margin(y_new) < 0.0:
-            h_used = t_new - t
-            t_s, y_s = _bisect_surface(
-                lambda hh: _dp45_step(f, y, hh, k1)[0], t, y, h_used)
-            rec_t.append(t_s)
-            rec_y.append(y_s.copy())
-            return StepStats(n_acc, n_rej, max_err), "surface"
-        if not opts.allow_off_cone:
-            _check_cone(t_new, y_new, initial=False)
-
-        t, y, k1 = t_new, y_new, k_new
-        if record_all or hits_target:
-            rec_t.append(t)
-            rec_y.append(y.copy())
-        if hits_target:
-            ti += 1
-        factor = _MAX_FACTOR if err == 0.0 else min(
-            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
-        h = max(h, 1e-16) * factor
-    return StepStats(n_acc, n_rej, max_err), "t_end"
-
-
 def _build_trajectory(spec, gen, rec_t, rec_y, stats, stop_reason) -> Trajectory:
     ys = np.asarray(rec_y)
     tau = ys[:, 0]
@@ -579,7 +432,7 @@ def _build_trajectory(spec, gen, rec_t, rec_y, stats, stop_reason) -> Trajectory
         purity = 0.5 * (1.0 + ratio ** 2)
         lam_p = 0.5 * (1.0 + ratio)
         lam_m = 0.5 * (1.0 - ratio)
-        entropy = -(_xlogx(lam_p) + _xlogx(lam_m))
+        entropy = 0.0 - (_xlogx(lam_p) + _xlogx(lam_m))  # +0, not -0, when pure
     return Trajectory(
         t=np.asarray(rec_t), tau=tau, r=r, purity=purity, entropy=entropy,
         tr_x_omega=trxo, cone_margin=tau - rn, stats=stats,

@@ -34,8 +34,7 @@ class ApexReached(IntegrationError):
 
 
 class StepFailure(IntegrationError):
-    """A run needs more steps than ``max_steps`` allows, or the adaptive step
-    controller could not meet its error tolerance."""
+    """A run needs more steps than ``max_steps`` allows."""
 
 
 class BlowUp(IntegrationError):

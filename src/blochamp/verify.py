@@ -15,7 +15,7 @@ import numpy as np
 
 from . import analysis, presets
 from .channels import initial_velocity, jump_generator
-from .dynamics import GRID_STEPS, IntegratorOpts, exact_trajectory, rhs
+from .dynamics import GRID_STEPS, IntegratorOpts, integrate, rhs
 from .pauli import PsdState
 
 __all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_all",
@@ -58,13 +58,13 @@ def _mixed() -> PsdState:
 
 def _run(spec, initial: PsdState, t_end: float, opts: IntegratorOpts | None = None):
     """The exact solution on at least GRID_STEPS uniform steps of [0, t_end]."""
-    return exact_trajectory(spec, initial, t_end, opts, min_steps=GRID_STEPS)
+    return integrate(spec, initial, t_end, opts, min_steps=GRID_STEPS)
 
 
 def _pointwise_deviation(spec_a, spec_b, r0, t_end: float, n: int) -> float:
     """Largest state difference of two channels from (1, r0) at n times in [0, t_end]."""
     grid = np.linspace(0.0, t_end, n)
-    a, b = (exact_trajectory(spec, PsdState(1.0, r0), t_end, sample_times=grid)
+    a, b = (integrate(spec, PsdState(1.0, r0), t_end, sample_times=grid)
             for spec in (spec_a, spec_b))
     return max(float(np.abs(a.r - b.r).max()), float(np.abs(a.tau - b.tau).max()))
 
@@ -181,7 +181,7 @@ def _c_xi_growth_rates(seed: int) -> tuple[bool, str]:
     worst = 0.0
     for big_m, gamma in ((1.0, 0.0), (1.0, 0.5), (2.0, 1.0)):
         spec = presets.threejump_nino(big_m, gamma)
-        traj = exact_trajectory(spec, PsdState(1.0, [0.01, 0, 0]), 2.0, sample_times=grid)
+        traj = integrate(spec, PsdState(1.0, [0.01, 0, 0]), 2.0, sample_times=grid)
         xi_plus = 0.5 * (traj.r[:, 1] + traj.r[:, 0])
         xi_minus = 0.5 * (traj.r[:, 1] - traj.r[:, 0])
         rate_p = np.polyfit(traj.t, np.log(np.abs(xi_plus)), 1)[0]

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -10,12 +11,14 @@ from blochamp import (
     JumpTerm,
     PauliVectorC,
     PsdState,
+    StepFailure,
     assemble,
-    integrate,
+    dynamics,
     reconstruct,
 )
-from blochamp.dynamics import CSV_HEADER
+from blochamp.dynamics import CSV_HEADER, StepStats
 from blochamp.pauli import SIGMA
+from blochamp.tolerances import SURFACE_TOL
 
 
 @pytest.fixture
@@ -120,6 +123,151 @@ def matrix_rhs(spec, x):
     return dx
 
 
+# Dormand-Prince 4(5) tableau (FSAL; the fifth-order solution propagates).
+# The flow is autonomous, so the nodes c_i are not needed.
+
+_A = (
+    (),
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+)
+_B = (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84)
+# Difference between the fifth- and fourth-order weights.
+_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
+
+_SAFETY = 0.9
+_MIN_FACTOR = 0.2
+_MAX_FACTOR = 5.0
+
+
+def _dp45_step(f, y, h, k1):
+    k = [k1]
+    for i in range(1, 6):
+        yi = y + h * sum(a * ki for a, ki in zip(_A[i], k))
+        k.append(f(yi))
+    y_new = y + h * (_B[0] * k[0] + _B[2] * k[2] + _B[3] * k[3]
+                     + _B[4] * k[4] + _B[5] * k[5])
+    k.append(f(y_new))
+    err = h * (_E[0] * k[0] + _E[2] * k[2] + _E[3] * k[3]
+               + _E[4] * k[4] + _E[5] * k[5] + _E[6] * k[6])
+    return y_new, k[6], err
+
+
+def _scaled(v, scale):
+    """v / scale, where 0/0 counts as 0 and a nonzero v over 0 as inf.
+
+    A zero scale needs atol = 0 and a zero coordinate.
+    """
+    return np.divide(v, scale, out=np.where(v == 0.0, 0.0, np.inf),
+                     where=scale != 0.0)
+
+
+def _error_norm(err, y_old, y_new, rtol, atol):
+    scale = atol + rtol * np.maximum(np.abs(y_old), np.abs(y_new))
+    return float(np.sqrt(np.mean(_scaled(err, scale) ** 2)))
+
+
+def _initial_step(y, k1, t_end, rtol, atol):
+    scale = atol + rtol * np.abs(y)
+    d0 = float(np.linalg.norm(_scaled(y, scale)))
+    d1 = float(np.linalg.norm(_scaled(k1, scale)))
+    if not (d0 >= 1e-5 and 1e-5 <= d1 < math.inf):  # d1 = inf would give h = 0
+        h = t_end / 100.0
+    else:
+        h = 0.01 * d0 / d1
+    return min(h, t_end / 10.0)
+
+
+def _run_adaptive(f, y, targets, opts, rtol, atol, rec_t, rec_y, record_all):
+    t = 0.0
+    t_end = targets[-1]
+    k1 = f(y)
+    h = _initial_step(y, k1, t_end, rtol, atol)
+    ti = 0
+    n_acc = n_rej = 0
+    max_err = 0.0
+
+    while ti < len(targets):
+        if n_acc + n_rej >= opts.max_steps:
+            raise StepFailure("maximum step count exceeded", t, y[0], y[1:])
+        target = targets[ti]
+        h = min(h, target - t)
+        hits_target = t + h >= target - 1e-14 * max(1.0, target)
+        if hits_target:
+            h = target - t
+        y_new, k_new, err_vec = _dp45_step(f, y, h, k1)
+        err = _error_norm(err_vec, y, y_new, rtol, atol)
+        if not err <= 1.0:  # a NaN error norm is a rejection too
+            n_rej += 1
+            if h <= 1e-14 * max(1.0, abs(t)):
+                raise StepFailure("step size underflow: local error tolerance "
+                                  "cannot be met", t, y[0], y[1:])
+            h *= max(_MIN_FACTOR, _SAFETY * err ** -0.2)
+            continue
+        n_acc += 1
+        max_err = max(max_err, err)
+        t_new = target if hits_target else t + h
+
+        if opts.stop_on_surface and dynamics._margin(y_new) < 0.0:
+            h_used = t_new - t
+            t_s, y_s = dynamics._bisect_surface(
+                lambda hh: _dp45_step(f, y, hh, k1)[0], t, y, h_used)
+            rec_t.append(t_s)
+            rec_y.append(y_s.copy())
+            return StepStats(n_acc, n_rej, max_err), "surface"
+        if not opts.allow_off_cone:
+            dynamics._check_cone(t_new, y_new, initial=False)
+
+        t, y, k1 = t_new, y_new, k_new
+        if record_all or hits_target:
+            rec_t.append(t)
+            rec_y.append(y.copy())
+        if hits_target:
+            ti += 1
+        factor = _MAX_FACTOR if err == 0.0 else min(
+            _MAX_FACTOR, max(_MIN_FACTOR, _SAFETY * err ** -0.2))
+        h = max(h, 1e-16) * factor
+    return StepStats(n_acc, n_rej, max_err), "t_end"
+
+
+def dp45(spec, initial, t_end, opts=None, *, rtol=1e-12, atol=1e-14, sample_times=None):
+    """Oracle for integrate: Dormand-Prince 4(5) steps of the velocity with
+    adaptive step-size control at rtol and atol.
+
+    With ``sample_times`` the stepper lands on each sample time (no
+    interpolation) and records t = 0, the samples and t_end; otherwise it
+    records every accepted step.  It halts and stops as integrate does, with
+    the surface bisected on the DP45 step.  A state that diverges at
+    t* <= t_end is stepped up to the blow-up scan's last time before t*,
+    then raises integrate's BlowUp.  ``stats`` counts accepted and rejected
+    steps and the largest accepted error norm.
+    """
+    opts = IntegratorOpts() if opts is None else opts
+    y = dynamics._initial_vector(initial, t_end, opts)
+    gen = assemble(spec)
+    record_all = sample_times is None
+    targets = ([float(t_end)] if record_all
+               else dynamics._sample_targets(sample_times, t_end))
+    rec_t, rec_y = [0.0], [y.copy()]
+    if opts.stop_on_surface and dynamics._margin(y) <= SURFACE_TOL:
+        return dynamics._build_trajectory(spec, gen, rec_t, rec_y, StepStats(0, 0, 0.0),
+                                          "surface")
+    scan = (dynamics._scan(gen, y, t_end, dynamics._grid_steps(gen, t_end))
+            if gen.g != 0.0 else None)
+    blow_up = scan is not None and scan.t_star is not None
+    if blow_up:
+        t_last = float(scan.t[-1])
+        targets = [v for v in targets if v < t_last] + [t_last]
+    stats, stop_reason = _run_adaptive(gen.velocity, y, targets, opts, rtol, atol,
+                                       rec_t, rec_y, record_all)
+    if blow_up and stop_reason != "surface":
+        raise dynamics._blow_up_error(scan)
+    return dynamics._build_trajectory(spec, gen, rec_t, rec_y, stats, stop_reason)
+
+
 def trace_jump_generator(j):
     """2x2-trace oracle for jump_generator: G[a,b] = tr(s_a B s_b B^dag)/2,
     C[a] = tr(s_a B B^dag)/2."""
@@ -213,19 +361,19 @@ _CHOI_BASIS = (
 
 
 def integrated_choi_spectra(spec, ts):
-    """Oracle for choi_spectra: integrate the four operator-basis elements
-    with DP45 at rtol 1e-12, then assemble sum_ij E_ij (x) Phi_t(E_ij) with
-    Kronecker products, one time at a time."""
+    """Oracle for choi_spectra: step the four operator-basis elements with
+    the dp45 oracle at rtol 1e-12, then assemble sum_ij E_ij (x) Phi_t(E_ij)
+    with Kronecker products, one time at a time."""
     ts = np.asarray(ts, dtype=float)
     unique_ts = np.unique(ts)
     basis = [PsdState(tau, r, physical=False) for tau, r in _CHOI_BASIS]
     if ts.max() == 0.0:
         propagated = [{0.0: state} for state in basis]
     else:
-        opts = IntegratorOpts(rtol=1e-12, atol=1e-14, allow_off_cone=True)
+        opts = IntegratorOpts(allow_off_cone=True)
         propagated = []
         for state in basis:
-            traj = integrate(spec, state, float(ts.max()), opts, sample_times=unique_ts)
+            traj = dp45(spec, state, float(ts.max()), opts, sample_times=unique_ts)
             propagated.append({float(t): traj.state(i) for i, t in enumerate(traj.t)})
 
     spectra = np.empty((ts.size, 4))

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from blochamp import (
-    IntegratorOpts,
     InvalidParams,
     PsdState,
     TargetUnreachable,
@@ -13,18 +12,17 @@ from blochamp import (
     choi_spectrum,
     dualize,
     find_fixed_points,
-    integrate,
     plan_amplification,
     purity_entropy,
     rhs,
     rotate,
     slowdown_exponent,
 )
-from blochamp import AffineGenerator, analysis, assemble, dynamics, presets, reconstruct
+from blochamp import AffineGenerator, analysis, assemble, presets, reconstruct
 from blochamp.tolerances import LINE_SIGN_TOL
-from conftest import (integrated_choi_spectra, matrix_rhs, newton_roots, plane_flow,
-                      random_gksl_spec, random_nino_spec, random_rotation, rotated_spec,
-                      scaled_spec)
+from conftest import (dp45, integrated_choi_spectra, matrix_rhs, newton_roots,
+                      plane_flow, random_gksl_spec, random_nino_spec, random_rotation,
+                      rotated_spec, scaled_spec)
 
 
 def _follows_sign_rule(d):
@@ -332,8 +330,7 @@ class TestChoi:
         def no_integrate(*args, **kwargs):
             raise AssertionError("choi_spectra integrated")
 
-        assert not hasattr(analysis, "integrate")
-        monkeypatch.setattr(dynamics, "integrate", no_integrate)
+        monkeypatch.setattr(analysis, "integrate", no_integrate)
         spectra = choi_spectra(presets.linear_noncp(1.0, 0.5), np.linspace(0, 0.5, 10))
         assert spectra[:, 0].min() < -1e-6
 
@@ -412,11 +409,9 @@ class TestGatePlanning:
         purity = 0.5 * (1.0 + 0.99 ** 2)
         plan = plan_amplification("three_jump", {"M": 1.0, "gamma": 0.5},
                                   purity, epsilon=1e-3)
-        pre = integrate(plan.pre_amp.spec, PsdState(1.0, [0, 0, 0]),
-                        plan.pre_amp.duration)
+        pre = dp45(plan.pre_amp.spec, PsdState(1.0, [0, 0, 0]), plan.pre_amp.duration)
         assert pre.r[-1, 0] == pytest.approx(1e-3, rel=1e-9)
-        main = integrate(plan.main.spec,
-                         PsdState(pre.tau[-1], pre.r[-1]), plan.t_gate)
+        main = dp45(plan.main.spec, PsdState(pre.tau[-1], pre.r[-1]), plan.t_gate)
         assert np.linalg.norm(main.r[-1]) == pytest.approx(0.99, abs=1e-6)
 
     @pytest.mark.parametrize("purity", [0.9, 0.99, 0.999])
@@ -426,10 +421,9 @@ class TestGatePlanning:
         ("linear_non_cp", {"M": 1.0, "gamma": 0.5})])
     def test_achieved_agrees_with_dp45(self, gate, params, purity):
         plan = plan_amplification(gate, params, purity)
-        opts = IntegratorOpts(rtol=1e-12, atol=1e-14)
         state = PsdState(1.0, [0, 0, 0])
         for stage in [plan.pre_amp, plan.main] if plan.pre_amp else [plan.main]:
-            fin = integrate(stage.spec, state, stage.duration, opts).final_state
+            fin = dp45(stage.spec, state, stage.duration).final_state
             state = PsdState(fin.tau, fin.r)
         assert plan.achieved.tau == pytest.approx(state.tau, rel=1e-9)
         assert np.abs(plan.achieved.r - state.r).max() <= 1e-9

@@ -9,10 +9,10 @@ import pytest
 
 import blochamp
 from blochamp import (ChannelSpec, HermitianPauliVector, IntegratorOpts, PsdState,
-                      assemble, cli, integrate, presets, save_spec, verify)
+                      assemble, cli, presets, save_spec)
 from blochamp.cli import build_parser, run_cli
 from blochamp.dynamics import CSV_HEADER
-from conftest import random_gksl_spec, random_nino_spec, random_pseudolinear_spec
+from conftest import dp45, random_gksl_spec, random_nino_spec, random_pseudolinear_spec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -34,6 +34,10 @@ class TestSimulate:
         last = lines[-1].split(",")
         assert float(last[0]) == 2.0
         assert float(last[1]) == pytest.approx(1.0, abs=1e-10)
+        # A pure start stops at once, and its entropy prints as 0, not -0.
+        code, out, _ = run(capsys, "simulate", "--preset", "linear_cptp", "--t", "1",
+                           "--samples", "3", "--stop-on-surface", "--x0", "1")
+        assert code == 0 and out == f"{CSV_HEADER}\n0,1,1,0,0,1,0,0,0\n"
 
     def test_csv_to_file(self, tmp_path, capsys):
         out_file = tmp_path / "traj.csv"
@@ -216,7 +220,6 @@ class TestReports:
 # A g = 0 channel whose Omega does not vanish: its trace grows from every state.
 GROWING = {"ell": [1, 0.3, 0, 0], "g": 0,
            "jumps": [{"xi_re": [0, 0, 1, 0], "xi_im": [0, 0, 0, 1], "zeta": 1}]}
-TIGHT = dict(rtol=1e-12, atol=1e-14)
 
 
 def _spec_file(tmp_path, data, name="spec.json"):
@@ -231,13 +234,13 @@ class TestStability:
     @staticmethod
     def report(capsys, monkeypatch, *argv):
         """The stability report, and the trajectory it was read from."""
-        seen, real = [], cli.exact_trajectory
+        seen, real = [], cli.integrate
 
         def spy(*args, **kwargs):
             seen.append(real(*args, **kwargs))
             return seen[-1]
 
-        monkeypatch.setattr(cli, "exact_trajectory", spy)
+        monkeypatch.setattr(cli, "integrate", spy)
         code, out, err = run(capsys, "stability", *argv)
         assert code == 0, err
         return json.loads(out), seen[0]
@@ -246,8 +249,7 @@ class TestStability:
     def oracle(spec, traj, opts):
         """The report's numbers from DP45 on the same times (a sampled
         extremum depends on where the samples fall)."""
-        dp = integrate(spec, traj.state(0), float(traj.t[-1]), opts,
-                       sample_times=traj.t)
+        dp = dp45(spec, traj.state(0), float(traj.t[-1]), opts, sample_times=traj.t)
         assert np.array_equal(dp.t, traj.t)
         dev = np.abs(dp.tau - 1.0)
         return {
@@ -273,8 +275,7 @@ class TestStability:
     def test_presets_agree_with_dp45(self, capsys, monkeypatch, name, x0):
         spec = presets.expand_preset(presets.Preset(name, {}))
         self.check_against_dp45(capsys, monkeypatch, spec,
-                                ["--preset", name, f"--x0={x0 * 1.05}"],
-                                IntegratorOpts(**TIGHT))
+                                ["--preset", name, f"--x0={x0 * 1.05}"], IntegratorOpts())
 
     @pytest.mark.parametrize("family", [random_nino_spec, random_gksl_spec,
                                         random_pseudolinear_spec])
@@ -285,9 +286,9 @@ class TestStability:
             path = tmp_path / f"{i}.json"
             save_spec(spec, path)
             argv = ["--spec", str(path), "--t", "1", "--x0", "0.2", "--allow-off-cone"]
-            opts = IntegratorOpts(**TIGHT, allow_off_cone=True)
+            opts = IntegratorOpts(allow_off_cone=True)
             try:
-                integrate(spec, PsdState(1.05, [0.2, 0, 0], physical=False), 1.0, opts)
+                dp45(spec, PsdState(1.05, [0.2, 0, 0], physical=False), 1.0, opts)
             except blochamp.BlowUp as exc:
                 # Both scan for t*, on grids of different sizes.
                 code, _, err = run(capsys, "stability", *argv)
@@ -303,8 +304,8 @@ class TestStability:
         rep, traj = self.report(capsys, monkeypatch, *argv)
         assert traj.stop_reason == "surface" and traj.t[-1] < 10.0
         assert abs(traj.cone_margin[-1]) <= 1e-12
-        dp = integrate(presets.threejump_nino(1.0, 0.5), PsdState(1.0, [0.3, 0, 0]), 10.0,
-                       IntegratorOpts(**TIGHT, stop_on_surface=True))
+        dp = dp45(presets.threejump_nino(1.0, 0.5), PsdState(1.0, [0.3, 0, 0]), 10.0,
+                  IntegratorOpts(stop_on_surface=True))
         assert dp.stop_reason == "surface"
         assert traj.t[-1] == pytest.approx(dp.t[-1], rel=1e-9)
         assert rep["final_trace_deviation"] == pytest.approx(
@@ -375,14 +376,6 @@ def csv_table(out):
                      for line in out.strip().split("\n")[1:]])
 
 
-def forbid_integrate(monkeypatch):
-    def fail(*args, **kwargs):
-        raise AssertionError("integrate was called")
-
-    assert not hasattr(cli, "integrate") and not hasattr(verify, "integrate")
-    monkeypatch.setattr(blochamp.dynamics, "integrate", fail)
-
-
 def error_time(err):
     """t* of a printed blow-up line."""
     assert err.startswith("error: the state diverges at t* = ") and err.count("\n") == 1
@@ -423,7 +416,7 @@ class TestSimulateSamples:
         assert got.shape == (n, 9)
         grid = np.linspace(0.0, t_end, n)
         assert np.array_equal(got[:, 0], grid)
-        want = integrate(spec, start, t_end, opts, sample_times=grid)
+        want = dp45(spec, start, t_end, opts, sample_times=grid)
         states = np.column_stack((want.tau, want.r))
         assert np.abs(got[:, 1:5] - states).max() <= 1e-9 * max(1.0, np.abs(states).max())
 
@@ -438,8 +431,7 @@ class TestSimulateSamples:
     def check_preset(self, capsys, name, x0, samples):
         spec = presets.expand_preset(presets.Preset(name, {}))
         self.check_against_dp45(capsys, spec, ["--preset", name, f"--x0={x0}", "--z0=0.1"],
-                                PsdState(1.0, [x0, 0.0, 0.1]), 3.0, IntegratorOpts(**TIGHT),
-                                samples)
+                                PsdState(1.0, [x0, 0.0, 0.1]), 3.0, IntegratorOpts(), samples)
 
     @pytest.mark.parametrize("family", RANDOM_FAMILIES, ids=RANDOM_FAMILY_IDS)
     def test_random_specs_agree_with_dp45(self, capsys, tmp_path, rng, family):
@@ -451,7 +443,7 @@ class TestSimulateSamples:
 
     def check_random_specs(self, capsys, tmp_path, rng, family, samples):
         start = PsdState(1.05, [0.2, 0.1, 0.0], physical=False)
-        opts = IntegratorOpts(**TIGHT, allow_off_cone=True)
+        opts = IntegratorOpts(allow_off_cone=True)
         for i in range(4):
             spec = family(rng)
             path = tmp_path / f"{i}.json"
@@ -459,7 +451,7 @@ class TestSimulateSamples:
             argv = ["--spec", str(path), "--tau0", "1.05", "--x0", "0.2", "--y0", "0.1",
                     "--allow-off-cone"]
             try:
-                integrate(spec, start, 1.0, opts)
+                dp45(spec, start, 1.0, opts)
             except blochamp.BlowUp as exc:
                 extra = () if samples is None else ("--samples", "11")
                 code, out, err = run(capsys, "simulate", *argv, "--t", "1", *extra)
@@ -480,8 +472,8 @@ class TestSimulateSamples:
                              "--t", "10", *extra, "--stop-on-surface")
         assert code == 0, err
         got = csv_table(out)
-        dp = integrate(presets.threejump_nino(1.0, 0.5), PsdState(1.0, [0.3, 0, 0]), 10.0,
-                       IntegratorOpts(**TIGHT, stop_on_surface=True))
+        dp = dp45(presets.threejump_nino(1.0, 0.5), PsdState(1.0, [0.3, 0, 0]), 10.0,
+                  IntegratorOpts(stop_on_surface=True))
         assert dp.stop_reason == "surface"
         assert got[-1, 0] == pytest.approx(dp.t[-1], rel=1e-9)
         assert abs(got[-1, 8]) <= 1e-12
@@ -491,8 +483,7 @@ class TestSimulateSamples:
     def test_blow_up_is_named(self, tmp_path, capsys):
         path = _spec_file(tmp_path, {"ell": [-1, 0, 0, 0], "g": 1})
         with pytest.raises(blochamp.BlowUp) as exc:
-            integrate(blochamp.load_spec(path), PsdState(1.5, [0, 0, 0]), 2.0,
-                      IntegratorOpts(**TIGHT))
+            dp45(blochamp.load_spec(path), PsdState(1.5, [0, 0, 0]), 2.0)
         code, out, err = run(capsys, "simulate", "--spec", path, "--tau0", "1.5",
                              "--t", "2", "--samples", "11")
         assert code == 1 and out == ""
@@ -514,13 +505,6 @@ class TestSimulateSamples:
         got = csv_table(out)
         assert got.shape == (101, 9) and np.isfinite(got).all()
         assert got[-1, 1:5] == pytest.approx([1.0, 1.0, 0.0, 0.0], abs=1e-12)
-
-    def test_does_not_integrate(self, capsys, monkeypatch):
-        forbid_integrate(monkeypatch)
-        code, out, err = run(capsys, "simulate", "--preset", "onejump_nino", "--x0", "0.3",
-                             "--t", "2", "--samples", "5")
-        assert code == 0, err
-        assert len(csv_table(out)) == 5
 
 
 def sweep_table(out):
@@ -555,7 +539,7 @@ class TestSweep:
         assert len(rows) == 7 * len(values)
         for i, value in enumerate(values):
             spec = presets.expand_preset(presets.Preset(name, {param: value}))
-            dp = integrate(spec, PsdState(1.0, [x0, 0.0, 0.1]), 3.0, IntegratorOpts(**TIGHT))
+            dp = dp45(spec, PsdState(1.0, [x0, 0.0, 0.1]), 3.0)
             fin = dp.final_state
             want = (fin.tau, *fin.r, fin.r_norm, dp.purity[-1], dp.entropy[-1])
             got = rows[7 * i:7 * (i + 1)]
@@ -579,14 +563,6 @@ class TestSweep:
         assert code == 0, err
         results = [float(row[3]) for row in sweep_table(out)]
         assert len(results) == 7 and all(math.isfinite(v) for v in results)
-
-    def test_does_not_integrate(self, capsys, monkeypatch):
-        forbid_integrate(monkeypatch)
-        code, out, err = run(capsys, "sweep", "--preset", "threejump_nino", "--param",
-                             "gamma", "--values", "0,0.25,0.5", "--M", "1", "--x0", "0.001",
-                             "--t", "5")
-        assert code == 0, err
-        assert len(sweep_table(out)) == 21
 
 
 class TestNegativeValues:
@@ -615,15 +591,10 @@ class TestVerify:
         code, _, err = run(capsys, "verify", "--criteria", "bogus")
         assert code == 1 and "bogus" in err
 
-    def test_suite_does_not_integrate(self, monkeypatch):
-        forbid_integrate(monkeypatch)
-        failed = [(r.cid, r.detail) for r in verify.run_all() if not r.ok]
-        assert not failed
-
 
 def test_readme_cli_examples_parse(tmp_path, monkeypatch, capsys):
     """Every README example parses, and each whose input files exist runs in an
-    empty directory without integrating."""
+    empty directory."""
     block = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
     block = block.split("```")[1].replace("\\\n", " ")
     commands = [shlex.split(line) for line in block.splitlines()
@@ -631,7 +602,6 @@ def test_readme_cli_examples_parse(tmp_path, monkeypatch, capsys):
     assert len(commands) >= 10
     parser = build_parser()
     monkeypatch.chdir(tmp_path)
-    forbid_integrate(monkeypatch)
     ran = 0
     for argv in commands:
         try:

@@ -25,9 +25,10 @@ from blochamp import (
     rhs,
     xi_coordinates,
 )
-from blochamp.dynamics import CSV_HEADER, StepStats, exact_trajectory
-from blochamp import dynamics, presets, shift_transform
-from conftest import csv_oracle
+from blochamp.dynamics import CSV_HEADER, StepStats
+from blochamp import presets, shift_transform
+import conftest
+from conftest import csv_oracle, dp45
 
 
 MIXED = PsdState(1.0, [0.0, 0.0, 0.0])
@@ -127,15 +128,16 @@ class TestIntegrate:
                       sample_times=[0.5, math.nan])
 
     def test_nan_error_norm_is_rejected(self, monkeypatch):
-        # A velocity that turns NaN after its first evaluation makes every
-        # error norm NaN; such steps are rejected until the step size
-        # underflows instead of being accepted until the step budget runs out.
+        # The dp45 oracle: a velocity that turns NaN after its first
+        # evaluation makes every error norm NaN; such steps are rejected until
+        # the step size underflows instead of being accepted until the step
+        # budget runs out.
         calls = itertools.count()
         monkeypatch.setattr(AffineGenerator, "velocity", lambda self, y: (
             np.zeros(4) if next(calls) == 0 else np.full(4, math.nan)))
         with pytest.raises(StepFailure, match="step size underflow"):
-            integrate(presets.linear_cptp(1.0), MIXED, 1.0,
-                      IntegratorOpts(max_steps=1000))
+            dp45(presets.linear_cptp(1.0), MIXED, 1.0, IntegratorOpts(max_steps=1000),
+                 rtol=1e-10, atol=1e-12)
 
 
 class TestIntegratorOpts:
@@ -153,25 +155,33 @@ class TestIntegratorOpts:
         with pytest.raises(ValueError, match=field):
             IntegratorOpts(**kwargs)
 
-    def test_pure_relative_tolerance(self):
+    def test_tolerances_are_deprecated(self):
+        with pytest.warns(DeprecationWarning, match="no longer reads them"):
+            opts = IntegratorOpts(rtol=1e-6)
         start = PsdState(1.0, [0.1, 0.1, 0.1])
-        traj = integrate(presets.linear_cptp(0.5), start, 1.0,
-                         IntegratorOpts(atol=0.0))
+        traj = integrate(presets.linear_cptp(0.5), start, 1.0, opts)
         ref = integrate(presets.linear_cptp(0.5), start, 1.0)
+        assert np.array_equal(traj.r, ref.r) and np.array_equal(traj.t, ref.t)
+
+    def test_pure_relative_tolerance(self):
+        # The dp45 oracle at atol = 0.
+        start = PsdState(1.0, [0.1, 0.1, 0.1])
+        traj = dp45(presets.linear_cptp(0.5), start, 1.0, rtol=1e-10, atol=0.0)
+        ref = dp45(presets.linear_cptp(0.5), start, 1.0, rtol=1e-10, atol=1e-12)
         assert np.abs(traj.r[-1] / ref.r[-1] - 1.0).max() <= 1e-8
         # With atol = 0 an exactly zero coordinate has a zero error scale; its
         # zero error counts as 0 and the run follows x(t) = 1 - e^{-t}.
-        traj = integrate(presets.linear_cptp(0.5), MIXED, 1.0,
-                         IntegratorOpts(atol=0.0))
+        traj = dp45(presets.linear_cptp(0.5), MIXED, 1.0, rtol=1e-10, atol=0.0)
         assert traj.r[-1, 0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-8)
         assert np.all(traj.r[:, 1:] == 0.0)
 
     def test_zero_scale_error_norm(self):
+        # The dp45 oracle's error norm.
         zero = np.zeros(4)
-        assert dynamics._error_norm(zero, zero, zero, 1e-10, 0.0) == 0.0
+        assert conftest._error_norm(zero, zero, zero, 1e-10, 0.0) == 0.0
         # A nonzero error over a zero scale cannot be met: the step is rejected.
         err = np.array([0.0, 1e-30, 0.0, 0.0])
-        assert dynamics._error_norm(err, zero, zero, 1e-10, 0.0) == math.inf
+        assert conftest._error_norm(err, zero, zero, 1e-10, 0.0) == math.inf
 
 
 class TestHalting:
@@ -219,22 +229,23 @@ class TestHalting:
 
 
 class TestExactTrajectory:
-    """The exact solution on a grid halts, stops and fails as integrate does."""
+    """integrate's exact solution on a grid halts, stops and fails as the
+    dp45 oracle does."""
 
     def test_grid_and_states(self):
-        traj = exact_trajectory(presets.linear_cptp(1.0), MIXED, 2.0, min_steps=50)
+        traj = integrate(presets.linear_cptp(1.0), MIXED, 2.0, min_steps=50)
         # ||A||_1 = 4 sets 8 steps; min_steps sets 50.
         assert np.array_equal(traj.t, np.linspace(0.0, 2.0, 51))
         assert traj.stop_reason == "t_end"
         assert np.abs(traj.r[:, 0] - (1.0 - np.exp(-4.0 * traj.t))).max() <= 1e-14
-        assert len(exact_trajectory(presets.linear_cptp(1.0), MIXED, 2.0)) == 9
+        assert len(integrate(presets.linear_cptp(1.0), MIXED, 2.0)) == 9
 
     def test_cone_violation_on_unstable_flow(self):
         start = PsdState(1.0, [0.69, 0.69, 0.0])
         with pytest.raises(ConeViolation, match="left the PSD cone") as info:
-            exact_trajectory(presets.linear_noncp(1.0, 0.5), start, 5.0)
-        with pytest.raises(ConeViolation) as ref:
             integrate(presets.linear_noncp(1.0, 0.5), start, 5.0)
+        with pytest.raises(ConeViolation) as ref:
+            dp45(presets.linear_noncp(1.0, 0.5), start, 5.0)
         # The first grid time outside the cone; ||A||_1 = 2 sets 10 steps of
         # 0.5, and the state crosses within the one that ends there.
         err = info.value
@@ -243,73 +254,69 @@ class TestExactTrajectory:
 
     def test_apex_reached_for_contracting_trace(self):
         with pytest.raises(ApexReached, match="trace underflow"):
-            exact_trajectory(presets.nojump_nino(-1.0, 0.0), PsdState(0.5, [0, 0, 0]),
-                             15.0)
+            integrate(presets.nojump_nino(-1.0, 0.0), PsdState(0.5, [0, 0, 0]), 15.0)
 
     def test_initial_state_checked(self):
         with pytest.raises(ConeViolation, match="initial state outside"):
-            exact_trajectory(presets.linear_cptp(1.0),
-                             PsdState(1.0, [2.0, 0, 0], physical=False), 1.0)
-        traj = exact_trajectory(presets.onejump_nino(1.0),
-                                PsdState(1.0, [1.05, 0.0, 0.0], physical=False), 9.0,
-                                IntegratorOpts(allow_off_cone=True))
+            integrate(presets.linear_cptp(1.0),
+                      PsdState(1.0, [2.0, 0, 0], physical=False), 1.0)
+        traj = integrate(presets.onejump_nino(1.0),
+                         PsdState(1.0, [1.05, 0.0, 0.0], physical=False), 9.0,
+                         IntegratorOpts(allow_off_cone=True))
         assert traj.r[-1, 0] == pytest.approx(1.5, rel=1e-12)
 
     @pytest.mark.parametrize("t_end", [0.0, -1.0, math.nan, math.inf])
     def test_rejects_bad_t_end(self, t_end):
         with pytest.raises(ValueError, match="t_end must be positive and finite"):
-            exact_trajectory(presets.linear_cptp(1.0), MIXED, t_end)
+            integrate(presets.linear_cptp(1.0), MIXED, t_end)
 
     def test_grid_bounded_by_max_steps(self):
         with pytest.raises(StepFailure, match="the grid needs 40 steps"):
-            exact_trajectory(presets.linear_cptp(1.0), MIXED, 10.0,
-                             IntegratorOpts(max_steps=39))
+            integrate(presets.linear_cptp(1.0), MIXED, 10.0, IntegratorOpts(max_steps=39))
 
     def test_surface_stop_immediate_for_pure_start(self):
         opts = IntegratorOpts(stop_on_surface=True)
-        traj = exact_trajectory(presets.linear_cptp(1.0), PsdState(1.0, [0, 0, 1]),
-                                1.0, opts)
+        traj = integrate(presets.linear_cptp(1.0), PsdState(1.0, [0, 0, 1]), 1.0, opts)
         assert traj.stop_reason == "surface" and len(traj) == 1
 
 
     def test_last_grid_time_is_t_end(self, rng):
         # t_end k / n with k = n rounds to 6.593088936121537 here.
         t_end = 6.593088936121536
-        traj = exact_trajectory(presets.linear_cptp(1.0), PsdState(1.0, [0.1, 0, 0]), t_end,
-                                min_steps=2936)
+        traj = integrate(presets.linear_cptp(1.0), PsdState(1.0, [0.1, 0, 0]), t_end,
+                         min_steps=2936)
         assert traj.t[-1] == t_end
         assert np.array_equal(traj.t, np.linspace(0.0, t_end, 2937))
         for t_end in rng.uniform(0.5, 5.0, 200):
-            assert exact_trajectory(presets.linear_cptp(1.0), MIXED, t_end,
-                                    min_steps=200).t[-1] == t_end
+            assert integrate(presets.linear_cptp(1.0), MIXED, t_end,
+                             min_steps=200).t[-1] == t_end
 
     def test_sample_rows_follow_integrate(self):
         # t = 0, the sorted distinct samples in (0, t_end], then t_end.
         shuffled = [1.5, 0.25, 0.0, 1.5, 0.75, 0.25]
-        for engine, tol in ((integrate, 1e-9), (exact_trajectory, 1e-14)):
-            traj = engine(presets.linear_cptp(1.0), MIXED, 2.0, sample_times=shuffled)
-            assert traj.t.tolist() == [0.0, 0.25, 0.75, 1.5, 2.0]
-            assert np.abs(traj.r[:, 0] - (1.0 - np.exp(-4.0 * traj.t))).max() <= tol
+        traj = integrate(presets.linear_cptp(1.0), MIXED, 2.0, sample_times=shuffled)
+        assert traj.t.tolist() == [0.0, 0.25, 0.75, 1.5, 2.0]
+        assert np.abs(traj.r[:, 0] - (1.0 - np.exp(-4.0 * traj.t))).max() <= 1e-14
 
     @pytest.mark.parametrize("last", [2.0 * (1.0 - 1e-13), 2.0 * (1.0 + 1e-13)])
     def test_sample_within_time_window_of_t_end(self, last):
         # Within TIME_WINDOW of t_end a sample stands for t_end, which is not
         # added again.
-        traj = exact_trajectory(presets.linear_cptp(1.0), MIXED, 2.0, sample_times=[1.0, last])
+        traj = integrate(presets.linear_cptp(1.0), MIXED, 2.0, sample_times=[1.0, last])
         assert traj.t.tolist() == [0.0, 1.0, last]
-        assert np.array_equal(traj.t, integrate(presets.linear_cptp(1.0), MIXED, 2.0,
-                                                sample_times=[1.0, last]).t)
+        assert np.array_equal(traj.t, dp45(presets.linear_cptp(1.0), MIXED, 2.0,
+                                           sample_times=[1.0, last]).t)
         assert traj.r[-1, 0] == pytest.approx(1.0 - math.exp(-4.0 * last), rel=1e-15)
 
     def test_samples_on_the_grid_are_the_grid_states(self):
-        plain = exact_trajectory(presets.onejump_nino(1.0), PsdState(1.2, [0.3, 0.2, 0.1]),
-                                 3.0, min_steps=40)
-        sampled = exact_trajectory(presets.onejump_nino(1.0), PsdState(1.2, [0.3, 0.2, 0.1]),
-                                   3.0, min_steps=40, sample_times=plain.t[::-1])
+        plain = integrate(presets.onejump_nino(1.0), PsdState(1.2, [0.3, 0.2, 0.1]),
+                          3.0, min_steps=40)
+        sampled = integrate(presets.onejump_nino(1.0), PsdState(1.2, [0.3, 0.2, 0.1]),
+                            3.0, min_steps=40, sample_times=plain.t[::-1])
         assert np.array_equal(sampled.t, plain.t)
         assert np.array_equal(sampled.tau, plain.tau) and np.array_equal(sampled.r, plain.r)
 
-    @pytest.mark.parametrize("engine", [exact_trajectory, integrate])
+    @pytest.mark.parametrize("engine", [dp45, integrate])
     @pytest.mark.parametrize("samples, message", [
         ([0.5, math.nan], "sample_times must be finite"),
         ([math.inf], "sample_times must be finite"),
@@ -317,6 +324,8 @@ class TestExactTrajectory:
         ([0.5, 1.01], "sample_times must lie within [0, t_end]")],
         ids=["nan", "inf", "negative", "past_t_end"])
     def test_rejects_bad_samples(self, engine, samples, message):
+        # The oracle refuses what integrate refuses, so no comparison runs it
+        # on sample times that integrate would not take.
         with pytest.raises(ValueError) as info:
             engine(presets.linear_cptp(1.0), MIXED, 1.0, sample_times=samples)
         assert str(info.value) == message
@@ -325,18 +334,17 @@ class TestExactTrajectory:
         # The state leaves the cone before the first grid time, 0.5, and
         # is outside at the first sample, 0.05, as DP45 finds on the samples.
         start, samples = PsdState(1.0, [0.69, 0.69, 0.0]), np.linspace(0.0, 5.0, 101)
-        for engine in (exact_trajectory, integrate):
-            with pytest.raises(ConeViolation) as info:
-                engine(presets.linear_noncp(1.0, 0.5), start, 5.0, sample_times=samples)
-            assert info.value.t == 0.05
-            assert np.linalg.norm(info.value.r) > info.value.tau * (1.0 + 1e-4)
+        with pytest.raises(ConeViolation) as info:
+            integrate(presets.linear_noncp(1.0, 0.5), start, 5.0, sample_times=samples)
+        assert info.value.t == 0.05
+        assert np.linalg.norm(info.value.r) > info.value.tau * (1.0 + 1e-4)
 
     def test_surface_stop_drops_later_samples(self):
         spec, start = presets.threejump_nino(1.0, 0.5), PsdState(1.0, [0.3, 0.0, 0.0])
         opts = IntegratorOpts(stop_on_surface=True)
-        t_s = exact_trajectory(spec, start, 10.0, opts).t[-1]
+        t_s = integrate(spec, start, 10.0, opts).t[-1]
         samples = np.linspace(0.0, 10.0, 101)
-        traj = exact_trajectory(spec, start, 10.0, opts, sample_times=samples)
+        traj = integrate(spec, start, 10.0, opts, sample_times=samples)
         assert traj.stop_reason == "surface" and abs(traj.cone_margin[-1]) <= 1e-12
         assert traj.t[-1] == pytest.approx(t_s, rel=1e-12)
         assert np.array_equal(traj.t[:-1], samples[samples < traj.t[-1]])
@@ -345,9 +353,9 @@ class TestExactTrajectory:
         spec = ChannelSpec(HermitianPauliVector([-1.0, 0.0, 0.0, 0.0]), g=1.0)
         start = PsdState(1.5, [0, 0, 0])
         with pytest.raises(BlowUp) as plain:
-            exact_trajectory(spec, start, 1.1)
+            integrate(spec, start, 1.1)
         with pytest.raises(BlowUp) as sampled:
-            exact_trajectory(spec, start, 1.1, sample_times=[0.2, 0.4, 0.6, 1.0])
+            integrate(spec, start, 1.1, sample_times=[0.2, 0.4, 0.6, 1.0])
         assert sampled.value.t == plain.value.t == pytest.approx(math.log(3.0) / 2.0,
                                                                  rel=1e-12)
 
@@ -421,6 +429,25 @@ class TestBlowUp:
         assert info.value.t == pytest.approx(t_star, rel=1e-9)
 
 
+def test_readme_library_example(tmp_path, monkeypatch):
+    """The README's Library example runs and writes the two-rate solution."""
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    block = readme.read_text(encoding="utf-8").split("\n## Library example\n", 1)[1]
+    code = block.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(code, "README.md", "exec"), {})
+    lines = (tmp_path / "trajectory.csv").read_text(encoding="utf-8").splitlines()
+    assert lines[0] == CSV_HEADER
+    rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+    t = np.linspace(0.0, 10.0, 201)
+    assert np.array_equal(rows[:, 0], t)
+    # x and y mix e^{(M - gamma) t} and e^{-(M + gamma) t}, as in TestIntegrate.
+    up, down = np.exp(0.5 * t), np.exp(-1.5 * t)
+    want = np.column_stack((np.ones_like(t), 0.5e-3 * (up + down), 0.5e-3 * (up - down),
+                            np.zeros_like(t)))
+    assert np.abs(rows[:, 1:5] - want).max() <= 1e-12
+
+
 def test_sampled_run_and_choi_do_not_import_numpy_ma():
     code = (
         "import sys, numpy\n"
@@ -475,11 +502,9 @@ class TestXiCoordinates:
 
 class TestGrowthRates:
     def test_two_rate_spectrum(self):
-        opts = IntegratorOpts(rtol=1e-12, atol=1e-14)
         grid = np.linspace(0.0, 2.0, 41)
         traj = integrate(presets.threejump_nino(2.0, 1.0),
-                         PsdState(1.0, [0.01, 0, 0]), 2.0, opts,
-                         sample_times=grid)
+                         PsdState(1.0, [0.01, 0, 0]), 2.0, sample_times=grid)
         xp = 0.5 * (traj.r[:, 1] + traj.r[:, 0])
         xm = 0.5 * (traj.r[:, 1] - traj.r[:, 0])
         rate_p = np.polyfit(traj.t, np.log(np.abs(xp)), 1)[0]

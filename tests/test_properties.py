@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from blochamp import (  # noqa: E402
+    BlowUp,
     IntegratorOpts,
     PsdState,
     assemble,
@@ -26,6 +27,7 @@ from blochamp import (  # noqa: E402
 )
 from conftest import (  # noqa: E402
     coords_of,
+    dp45,
     matrix_rhs,
     random_cone_state,
     random_gksl_spec,
@@ -36,7 +38,10 @@ from conftest import (  # noqa: E402
 
 PROPERTY = settings(derandomize=True, deadline=None)
 SEEDS = st.integers(0, 2 ** 32 - 1)
-TIGHT = IntegratorOpts(rtol=1e-12, atol=1e-14, allow_off_cone=True)
+OFF_CONE = IntegratorOpts(allow_off_cone=True)
+# Off the cone a state first crosses the pure surface: every run ends at
+# t_end, at that crossing or in a blow-up.
+TO_SURFACE = IntegratorOpts(allow_off_cone=True, stop_on_surface=True)
 
 
 def _spec(kind, seed):
@@ -92,9 +97,10 @@ def test_trace_plane_is_invariant(seed, g):
     t_end = 1.0 / gen.scale
     assume(_clear_of_blow_up(gen, y0, t_end))
     ts = np.linspace(0.0, t_end, 6)
-    traj = integrate(spec, PsdState(y0[0], y0[1:], physical=False), t_end, TIGHT,
-                     sample_times=ts)
-    assert np.abs(g * traj.tau - 1.0).max() <= 1e-12
+    for engine in (integrate, dp45):
+        traj = engine(spec, PsdState(y0[0], y0[1:], physical=False), t_end, OFF_CONE,
+                      sample_times=ts)
+        assert np.abs(g * traj.tau - 1.0).max() <= 1e-12
 
 
 @PROPERTY
@@ -127,6 +133,8 @@ def test_pseudolinear_channel_and_its_dual_agree_on_the_plane(seed):
 
 @PROPERTY
 @given(SEEDS, st.sampled_from([0.0, 0.5, 1.0]))
+@example(0, 1.0)                  # stops at the surface
+@example(16, 1.0)                 # blows up at t* = 0.109, after six samples
 def test_propagator_dp45_and_operator_rhs_agree(seed, g):
     rng = np.random.default_rng(seed)
     spec = replace(random_nino_spec(rng), g=g, h=rng.normal(size=3))
@@ -136,11 +144,38 @@ def test_propagator_dp45_and_operator_rhs_agree(seed, g):
     v = gen.velocity(y0)
     assert np.abs(v - np.concatenate(([dtau], dr))).max() <= 1e-12 * gen.scale * y0[0]
 
+    start = PsdState(y0[0], y0[1:])
     t_end = 1.0 / gen.scale
-    assume(_clear_of_blow_up(gen, y0, t_end))
-    ts = np.linspace(0.0, t_end, 6)
-    exact = _exact(gen, y0, ts)
-    traj = integrate(spec, PsdState(y0[0], y0[1:], physical=False), t_end, TIGHT,
-                     sample_times=ts)
-    got = np.column_stack((traj.tau, traj.r))
-    assert np.abs(got - exact).max() <= 1e-9 * np.abs(exact).max()
+    if _clear_of_blow_up(gen, y0, t_end):
+        ts = np.linspace(0.0, t_end, 6)
+        exact = _exact(gen, y0, ts)
+        traj = dp45(spec, start, t_end, OFF_CONE, sample_times=ts)
+        assert np.abs(_states(traj) - exact).max() <= 1e-9 * np.abs(exact).max()
+
+    t_end = 4.0 / gen.scale
+    ts = np.linspace(0.0, t_end, 9)
+    try:
+        _agrees_with_dp45(spec, start, t_end, ts)
+    except BlowUp as exc:
+        with pytest.raises(BlowUp) as ref:
+            dp45(spec, start, t_end, TO_SURFACE, sample_times=ts)
+        assert ref.value.t == pytest.approx(exc.t, rel=1e-12)
+        before = ts[ts < exc.t]
+        if len(before) > 1:
+            _agrees_with_dp45(spec, start, before[-1], before)
+
+
+def _states(traj):
+    return np.column_stack((traj.tau, traj.r))
+
+
+def _agrees_with_dp45(spec, start, t_end, ts):
+    """integrate and the dp45 oracle end the same way, at the same time, with
+    the same rows and states within 1e-9 of the largest."""
+    traj = integrate(spec, start, t_end, TO_SURFACE, sample_times=ts)
+    ref = dp45(spec, start, t_end, TO_SURFACE, sample_times=ts)
+    assert traj.stop_reason == ref.stop_reason
+    assert np.array_equal(traj.t[:-1], ref.t[:-1])
+    assert traj.t[-1] == pytest.approx(ref.t[-1], rel=1e-9)
+    want = _states(ref)
+    assert np.abs(_states(traj) - want).max() <= 1e-9 * np.abs(want).max()
