@@ -184,30 +184,60 @@ def _check_cone(t, y, initial: bool) -> None:
                             t, y[0], y[1:])
 
 
-def _bisect(state_at, y, h, inside, done):
-    """Bisect [0, h] for the first dt at which ``inside(state_at(dt))`` fails.
+# A bisection advances its state by e^{A w/2}, ..., e^{A w/2^53} from one
+# batched expm, w the bracket's width when the stack is made: 53 halvings
+# take the bracket to one part in 2^53 of w, a double's precision.
+_HALVINGS = 53
 
-    ``inside`` holds at y (dt = 0) and fails at dt = h.  The bracket
-    [lo, hi] halves until ``done(lo, y_lo, hi)``, at most 200 times.
-    Returns lo, the state there and hi.
+
+def _bisect(a, g, y, h, inside, done):
+    """Bisect [0, h] for the first dt at which ``inside`` fails on the flow.
+
+    The flow is y' = A y + g (w.y) y, whose state a time dt after y is
+    z / (1 + g (z_tau - y_tau)) with z = e^{A dt} y; with g = 0 it is
+    Y' = A Y.  ``inside`` holds at y (dt = 0) and fails at dt = h.  The
+    bracket [lo, hi] halves until ``done(lo, y_lo, hi)``, at most 200
+    times, y_lo being the state at lo.  The k-th halving of a bracket of
+    width w puts its midpoint w / 2^k past lo, so z at each midpoint is one
+    product of z at lo with a matrix of the stack e^{A w/2}, ...,
+    e^{A w/2^53}, which one batched expm gives; with w ||A||_1 <= 1 no
+    matrix of it needs squaring.  A bracket still open after 53 halvings
+    takes a fresh stack on what remains of it; a root close to dt = 0,
+    where lo stays 0 while hi shrinks, needs one.  Returns lo, y_lo and hi.
     """
-    lo, y_lo, hi = 0.0, y, h
+    lo, z_lo, y_lo, hi = 0.0, y, y, h
+    dts, steps = (), None
+    k = 0
     for _ in range(200):
         if done(lo, y_lo, hi):
             break
-        mid = 0.5 * (lo + hi)
-        y_mid = state_at(mid)
+        if k == len(dts):
+            dts = (hi - lo) * 0.5 ** np.arange(1, _HALVINGS + 1)
+            steps = expm(a * dts[:, None, None])
+            k = 0
+        z = steps[k] @ z_lo
+        # Normalized from y, as _advance does: a product of per-halving
+        # normalizations would compound roundoff near a blow-up.
+        y_mid = z / (1.0 + g * (z[0] - y[0])) if g else z
+        mid = lo + dts[k]
+        k += 1
         if inside(y_mid):
-            lo, y_lo = mid, y_mid
+            lo, z_lo, y_lo = mid, z, y_mid
         else:
             hi = mid
     return lo, y_lo, hi
 
 
-def _bisect_surface(step_to, t, y, h_hi):
-    """Shrink the step until the state lands on the pure surface from inside."""
+def _bisect_surface(gen: AffineGenerator, t, y, h_hi):
+    """The first time after t, and the state there, on the pure surface.
+
+    y is the state at t, on or inside the cone, and the state h_hi later
+    lies outside it.  ``_bisect`` shrinks [0, h_hi] until the state at its
+    lower end has a cone margin of at most SURFACE_TOL, or the bracket is
+    no wider than 1e-16 max(1, h_hi).
+    """
     lo, y_lo, _ = _bisect(
-        step_to, y, h_hi, lambda v: _margin(v) >= 0.0,
+        gen.A, gen.g, y, h_hi, lambda v: _margin(v) >= 0.0,
         lambda lo, y_lo, hi: (_margin(y_lo) <= SURFACE_TOL
                               or hi - lo <= 1e-16 * max(1.0, h_hi)))
     return t + lo, y_lo
@@ -224,6 +254,8 @@ class _Scan(NamedTuple):
     t: np.ndarray         # grid times, up to t_end or the last one before t*
     y: np.ndarray         # the exact state at each
     t_star: float | None  # the blow-up time, None when s stays positive
+    t_lo: float | None    # the t* bisection's last time before t*, and
+    y_lo: np.ndarray | None  # the exact state there; None without t*
 
 
 def _powers(step: np.ndarray, k: int) -> np.ndarray:
@@ -252,7 +284,8 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int) -> _Scan:
     common positive factor, which leaves Y / s unchanged, and then advanced
     by the powers e^{hA}, ..., e^{64 hA}, one block of grid times at a time.
     The state diverges where s first reaches 0: the scan ends at the last
-    grid time before it and bisects that step for t*.
+    grid time before it and bisects that step for t*, which also gives the
+    exact state at the bisection's last time before t*.
     """
     a, g = gen.A, gen.g
     h = t_end / n
@@ -262,7 +295,7 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int) -> _Scan:
     times = np.linspace(0.0, t_end, n + 1)
     blocks = [y0[None]]
     k = 0
-    t_star = None
+    t_star = t_lo = y_lo = None
     while k < n:
         m = max(abs(c), float(np.abs(y).max()))
         y, c = y / m, c / m
@@ -276,13 +309,12 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int) -> _Scan:
         k += j
         if crossed.size:
             t_k = times[k]
-            _, _, hi = _bisect(lambda dt: expm(a * dt) @ y, y, h,
-                               lambda v: c + g * v[0] > 0.0,
-                               lambda lo, y_lo, hi: hi - lo <= 4e-16 * (t_k + hi))
-            t_star = t_k + hi
+            lo, big_y, hi = _bisect(a, 0.0, y, h, lambda v: c + g * v[0] > 0.0,
+                                    lambda lo, y_lo, hi: hi - lo <= 4e-16 * (t_k + hi))
+            t_star, t_lo, y_lo = t_k + hi, t_k + lo, big_y / (c + g * big_y[0])
             break
     ys = np.concatenate(blocks)
-    return _Scan(times[k + 1 - len(ys):k + 1], ys, t_star)
+    return _Scan(times[k + 1 - len(ys):k + 1], ys, t_star, t_lo, y_lo)
 
 
 def _blow_up_error(scan: _Scan) -> BlowUp:
@@ -339,17 +371,23 @@ def _merge_samples(gen: AffineGenerator, scan: _Scan, targets: list[float]):
     """The scan's grid with the exact states at the sample times merged in.
 
     Each sample state is advanced from the grid state at the last grid time
-    at or before it.  A sample after the scan's last time, which is the
-    last before a blow-up, is left out.  Returns the times, the states and
-    a mask of the grid rows, in time order.
+    at or before it; a sample on a grid time copies that state.  A sample
+    after the scan's last time, which is the last before a blow-up, is left
+    out.  Returns the times, the states and a mask of the grid rows, in
+    time order.
     """
     ts, ys = scan.t, scan.y
     tq = np.asarray(targets)
     if scan.t_star is not None:
         tq = tq[tq <= ts[-1]]
     k = np.searchsorted(ts, tq, side="right") - 1
+    dt = tq - ts[k]
+    yq = ys[k]
+    moved = dt > 0.0
+    if moved.any():
+        yq[moved] = _advance(gen, yq[moved], dt[moved])
     t_all = np.concatenate((ts, tq))
-    y_all = np.concatenate((ys, _advance(gen, ys[k], tq - ts[k])))
+    y_all = np.concatenate((ys, yq))
     order = np.argsort(t_all, kind="stable")
     return t_all[order], y_all[order], order < len(ts)
 
@@ -373,8 +411,9 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
     the exact solution between the last two states where the cone margin
     turns negative, and drops later samples.  A nonlinear run (g != 0)
     whose state diverges at a time t* <= t_end raises BlowUp unless it
-    halts or stops on an earlier grid time.  ``stats`` counts the grid
-    steps scanned as accepted steps.
+    halts first, or stops on the surface first; a surface reached after
+    the scan's last grid time but before t* counts.  ``stats`` counts the
+    grid steps scanned as accepted steps.
     """
     opts = IntegratorOpts() if opts is None else opts
     y0 = _initial_vector(initial, t_end, opts)
@@ -388,6 +427,11 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
         raise StepFailure(f"the grid needs {n} steps, more than max_steps = "
                           f"{opts.max_steps}", 0.0, y0[0], y0[1:])
     scan = _scan(gen, y0, t_end, n)
+    if opts.stop_on_surface and scan.t_star is not None and _margin(scan.y_lo) < 0.0:
+        # s > 0 before t*, so the state has left the cone before t*: the
+        # state at t_lo ends the scan, and the surface is bisected before it.
+        scan = scan._replace(t=np.append(scan.t, scan.t_lo),
+                             y=np.vstack((scan.y, scan.y_lo)))
     if targets is None:
         ts, ys, on_grid = scan.t, scan.y, np.ones(len(scan.t), dtype=bool)
         rows = on_grid
@@ -408,8 +452,7 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
     steps = int(np.count_nonzero(on_grid[:end]))
     if end < len(ts):
         y = ys[end - 1]
-        t_s, y_s = _bisect_surface(lambda dt: _advance(gen, y, dt), ts[end - 1], y,
-                                   ts[end] - ts[end - 1])
+        t_s, y_s = _bisect_surface(gen, ts[end - 1], y, ts[end] - ts[end - 1])
         keep = rows[:end]
         return _build_trajectory(spec, gen, np.append(ts[:end][keep], t_s),
                                  np.vstack((ys[:end][keep], y_s)),

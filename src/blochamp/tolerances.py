@@ -5,9 +5,10 @@ measured against.  ``AffineGenerator.scale = max(1, ||A||_1)`` is the one
 scale of a channel's generator: a test for "zero up to roundoff" on A, its
 velocity or its eigenvalues multiplies by it, so rescaling every rate of a
 channel (which only rescales time) leaves each reported flag unchanged.
-The blow-up and surface bisections and the gate-time Newton stop are part
-of their algorithms and stay with them; the verify criteria keep their own
-pinned tolerances.
+The stopping rules of the one bisection that finds both the blow-up time
+and the pure surface (``dynamics._bisect``), and the gate-time Newton
+stop, are part of their algorithms and stay with them; the verify criteria
+keep their own pinned tolerances.
 """
 
 # --- States on the PSD cone (pauli, dynamics) ---------------------------

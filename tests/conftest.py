@@ -16,6 +16,7 @@ from blochamp import (
     dynamics,
     reconstruct,
 )
+from blochamp.channels import expm
 from blochamp.dynamics import CSV_HEADER, StepStats
 from blochamp.pauli import SIGMA
 from blochamp.tolerances import SURFACE_TOL
@@ -181,6 +182,47 @@ def _initial_step(y, k1, t_end, rtol, atol):
     return min(h, t_end / 10.0)
 
 
+def bisect(state_at, y, h, inside, done):
+    """Oracle for dynamics._bisect: each midpoint state comes from the
+    bracket start, ``state_at(mid)``, by a fresh step of its own.
+
+    ``inside`` holds at y (dt = 0) and fails at dt = h.  The bracket
+    [lo, hi] halves until ``done(lo, y_lo, hi)``, at most 200 times.
+    Returns lo, the state there and hi.
+    """
+    lo, y_lo, hi = 0.0, y, h
+    for _ in range(200):
+        if done(lo, y_lo, hi):
+            break
+        mid = 0.5 * (lo + hi)
+        y_mid = state_at(mid)
+        if inside(y_mid):
+            lo, y_lo = mid, y_mid
+        else:
+            hi = mid
+    return lo, y_lo, hi
+
+
+def bisect_surface(step_to, t, y, h_hi):
+    """Oracle for dynamics._bisect_surface: shrink the step ``step_to(dt)``
+    from the state y at t until it lands on the pure surface from inside."""
+    lo, y_lo, _ = bisect(
+        step_to, y, h_hi, lambda v: dynamics._margin(v) >= 0.0,
+        lambda lo, y_lo, hi: (dynamics._margin(y_lo) <= SURFACE_TOL
+                              or hi - lo <= 1e-16 * max(1.0, h_hi)))
+    return t + lo, y_lo
+
+
+def blow_up_time(gen, t, y, h):
+    """Oracle for the t* of dynamics._scan: bisect, from the state y at t,
+    the first dt in [0, h] at which 1 + g (tau(e^{A dt} y) - tau) > 0 fails,
+    each midpoint by its own expm."""
+    _, _, hi = bisect(lambda dt: expm(gen.A * dt) @ y, y, h,
+                      lambda v: 1.0 + gen.g * (v[0] - y[0]) > 0.0,
+                      lambda lo, y_lo, hi: hi - lo <= 4e-16 * (t + hi))
+    return t + hi
+
+
 def _run_adaptive(f, y, targets, opts, rtol, atol, rec_t, rec_y, record_all):
     t = 0.0
     t_end = targets[-1]
@@ -213,8 +255,8 @@ def _run_adaptive(f, y, targets, opts, rtol, atol, rec_t, rec_y, record_all):
 
         if opts.stop_on_surface and dynamics._margin(y_new) < 0.0:
             h_used = t_new - t
-            t_s, y_s = dynamics._bisect_surface(
-                lambda hh: _dp45_step(f, y, hh, k1)[0], t, y, h_used)
+            t_s, y_s = bisect_surface(lambda hh: _dp45_step(f, y, hh, k1)[0], t, y,
+                                      h_used)
             rec_t.append(t_s)
             rec_y.append(y_s.copy())
             return StepStats(n_acc, n_rej, max_err), "surface"
@@ -242,8 +284,11 @@ def dp45(spec, initial, t_end, opts=None, *, rtol=1e-12, atol=1e-14, sample_time
     records every accepted step.  It halts and stops as integrate does, with
     the surface bisected on the DP45 step.  A state that diverges at
     t* <= t_end is stepped up to the blow-up scan's last time before t*,
-    then raises integrate's BlowUp.  ``stats`` counts accepted and rejected
-    steps and the largest accepted error norm.
+    then raises integrate's BlowUp.  A stop_on_surface run for which
+    e^{A(t* - t_last)} y_last, t_last being that scan time, has a negative
+    cone margin has left the cone before t* (s > 0 until then): it steps on
+    towards t* and stops at the surface.  ``stats`` counts accepted and
+    rejected steps and the largest accepted error norm.
     """
     opts = IntegratorOpts() if opts is None else opts
     y = dynamics._initial_vector(initial, t_end, opts)
@@ -260,6 +305,9 @@ def dp45(spec, initial, t_end, opts=None, *, rtol=1e-12, atol=1e-14, sample_time
     blow_up = scan is not None and scan.t_star is not None
     if blow_up:
         t_last = float(scan.t[-1])
+        big_y = expm(gen.A * (scan.t_star - t_last)) @ scan.y[-1]
+        if opts.stop_on_surface and dynamics._margin(big_y) < 0.0:
+            t_last = scan.t_star
         targets = [v for v in targets if v < t_last] + [t_last]
     stats, stop_reason = _run_adaptive(gen.velocity, y, targets, opts, rtol, atol,
                                        rec_t, rec_y, record_all)

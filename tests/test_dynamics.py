@@ -26,7 +26,7 @@ from blochamp import (
     xi_coordinates,
 )
 from blochamp.dynamics import CSV_HEADER, StepStats
-from blochamp import presets, shift_transform
+from blochamp import dynamics, presets, shift_transform
 import conftest
 from conftest import csv_oracle, dp45
 
@@ -419,6 +419,40 @@ class TestBlowUp:
         assert traj.stop_reason == "surface"
         assert traj.t[-1] == pytest.approx(t_s, rel=1e-6)
 
+    def test_surface_between_the_last_grid_time_and_t_star(self):
+        # tau0 puts t* just after the surface time t_s, inside the scan step
+        # that ends the grid: no recorded state has crossed the surface.
+        spec = shifted_threejump(-1.5)
+        opts = IntegratorOpts(stop_on_surface=True)
+        start = [0.5, 0.5, 0.0]
+        t_s = integrate(presets.threejump_nino(1.0, 0.5), PsdState(1.0, start),
+                        10.0, opts).t[-1]
+        e = math.exp(1.75 * t_s * (1.0 + 1e-6))
+        tau0 = e / (e - 1.0)
+        y0 = np.array([tau0] + [tau0 * v for v in start])
+        gen = blochamp.assemble(spec)
+        scan = dynamics._scan(gen, y0, 10.0, dynamics._grid_steps(gen, 10.0))
+        assert scan.t[-1] < t_s < scan.t_star
+        traj = integrate(spec, PsdState(y0[0], y0[1:]), 10.0, opts)
+        assert traj.stop_reason == "surface" and abs(traj.cone_margin[-1]) <= 1e-12
+        assert traj.t[-1] == pytest.approx(t_s, rel=1e-6)
+        assert traj.t[-2] == scan.t[-1]
+
+    @pytest.mark.parametrize("tau0, rel", [(1.5, 1e-15), (100.0, 4e-15)])
+    def test_t_star_matches_the_bisection_from_the_bracket_start(self, tau0, rel):
+        # tau0 = 100 puts t* in the first scan step, far below its end, so
+        # the bracket outlasts one stack of halvings.  There s = 1 + (Y_tau
+        # - 100) cancels two digits: the oracle lands 1.9e-15 from the true
+        # root (0.0050251679267507206, to 20 digits), the stack 5e-16.
+        gen = blochamp.assemble(self.SPEC)
+        y0 = np.array([tau0, 0.0, 0.0, 0.0])
+        scan = dynamics._scan(gen, y0, 1.1, dynamics._grid_steps(gen, 1.1))
+        h = 1.1 / dynamics._grid_steps(gen, 1.1)
+        want = conftest.blow_up_time(gen, scan.t[-1], scan.y[-1], h)
+        assert abs(scan.t_star - want) <= rel * want
+        assert abs(scan.t_star - self.t_star(tau0)) <= 1e-14 * scan.t_star
+        assert scan.t[-1] <= scan.t_lo < scan.t_star
+
     def test_blow_up_first_raises(self):
         spec = shifted_threejump(-1.5)
         opts = IntegratorOpts(stop_on_surface=True)
@@ -427,6 +461,45 @@ class TestBlowUp:
         with pytest.raises(BlowUp) as info:
             integrate(spec, PsdState(tau0, [0.5 * tau0, 0.5 * tau0, 0.0]), 10.0, opts)
         assert info.value.t == pytest.approx(t_star, rel=1e-9)
+
+
+class TestExpmCalls:
+    """Each expm call, a batched stack included, counts once: a sample on a
+    grid time copies the grid state, and a bisection takes its midpoints
+    from one stack of half steps."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        shapes = []
+
+        def counted(a):
+            shapes.append(np.shape(a))
+            return blochamp.channels.expm(a)
+
+        monkeypatch.setattr(dynamics, "expm", counted)
+        return shapes
+
+    def test_final_state_run(self, calls):
+        traj = integrate(presets.threejump_nino(1.1, 0.4), PsdState(1.0, [0.01, 0, 0]),
+                         5.0, sample_times=[5.0])
+        assert traj.stop_reason == "t_end" and len(traj) == 2
+        assert len(calls) == 1
+
+    def test_final_state_surface_stop(self, calls):
+        traj = integrate(presets.threejump_nino(1.1, 0.4), PsdState(1.0, [0.01, 0, 0]),
+                         20.0, IntegratorOpts(stop_on_surface=True), sample_times=[20.0])
+        assert traj.stop_reason == "surface" and abs(traj.cone_margin[-1]) <= 1e-12
+        assert len(calls) <= 2
+
+    def test_blow_up(self, calls):
+        # The blow-up operation of the benchmark's ensemble: a = 1, tau0 = 1.5.
+        spec = ChannelSpec(HermitianPauliVector([-1.0, 0.0, 0.0, 0.0]), g=1.0)
+        t_star = math.log(3.0) / 2.0
+        with pytest.raises(BlowUp) as info:
+            integrate(spec, PsdState(1.5, [0, 0, 0]), 2.0 * t_star,
+                      sample_times=[2.0 * t_star])
+        assert info.value.t == pytest.approx(t_star, rel=1e-12)
+        assert len(calls) <= 2
 
 
 def test_readme_library_example(tmp_path, monkeypatch):
