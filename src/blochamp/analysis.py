@@ -10,6 +10,9 @@ its point nearest the center.
 Complete positivity of a linear channel at finite time is certified from
 its propagator e^{At}, which maps the four operator-basis elements into the
 Choi matrix; a negative eigenvalue flags a positive but non-CP map.
+
+Each stage of a gate plan ends where the scan of ``dynamics`` first finds
+its Bloch vector at the stage's radius.
 """
 
 from __future__ import annotations
@@ -20,9 +23,8 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from . import presets
+from . import dynamics, presets
 from .channels import ChannelSpec, assemble
-from .dynamics import integrate
 from .errors import InvalidParams, TargetUnreachable
 from .pauli import SIGMA, SIGMA_X, SIGMA_Y, PsdState
 from .tolerances import (LINE_SIGN_TOL, MARGINAL_TOL, RANK_TOL, SPEED_ZERO,
@@ -237,9 +239,11 @@ class GateStage:
 class GatePlan:
     """Stages and timing of one amplification gate.
 
-    ``t_gate`` is the main-stage duration; ``achieved`` is the exact state
-    that the planned stages reach from the maximally mixed state, read from
-    ``integrate``.
+    Each stage's duration is the first time its exact solution, from the
+    state the stage before it reached, brings |r| / tau to its radius:
+    epsilon for the pre-amplification stage, the target for the main one.
+    ``t_gate`` is the main-stage duration, and ``achieved`` the exact state
+    at its end.
     """
 
     gate: str
@@ -264,10 +268,13 @@ def plan_amplification(gate: str, params: Mapping[str, float],
     Single-stage gates (linear_cptp, one_jump) start from the maximally
     mixed state directly; the unstable-center gates (three_jump,
     linear_non_cp) are preceded by a short linear_cptp stage that nudges the
-    state to r = (epsilon, 0, 0) before the exponential growth takes over.
-    A plan whose main stage needs longer than ``t_max`` is refused;
-    ``t_max = inf`` sets no budget.  The durations have closed forms, and
-    ``achieved`` is the end of each stage's exact solution.
+    state to |r| = epsilon before the exponential growth takes over.  Each
+    stage ends at the first root of rho tau - |r|, rho its radius, on its
+    exact solution: ``dynamics._scan`` finds the grid step that crosses it
+    and bisects that step.  A stage scans up to t_max, and no further than
+    ``IntegratorOpts.max_steps`` grid steps; a stage whose root lies beyond
+    that, or whose state diverges first, is refused with TargetUnreachable.
+    ``t_max = inf`` sets no budget.
     """
     if gate not in GATES:
         raise InvalidParams(f"unknown gate {gate!r}; choose from {tuple(GATES)}")
@@ -282,73 +289,40 @@ def plan_amplification(gate: str, params: Mapping[str, float],
     builder = presets.PRESETS[GATES[gate]]
 
     if gate in ("linear_cptp", "one_jump"):
-        m = float(params.get("m", 1.0))
-        spec = builder(m)  # rejects m = 0 before it divides below
-        if gate == "linear_cptp":
-            duration = -math.log(1.0 - r_target) / (4.0 * m * m)
-        else:
-            duration = r_target / ((1.0 - r_target) * 2.0 * m * m)
-        return _single_stage_plan(gate, spec, duration, target_purity,
-                                  epsilon, t_max)
+        stages = [("main", builder(float(params.get("m", 1.0))), r_target)]
+    else:
+        big_m = float(params.get("M", 1.0))
+        gamma = float(params.get("gamma", 0.0))
+        if big_m <= gamma:
+            raise InvalidParams(
+                f"amplification requires M > gamma (got M={big_m}, gamma={gamma}): "
+                "otherwise the center of the ball is not unstable")
+        if epsilon >= r_target:
+            raise InvalidParams("epsilon must be smaller than the target radius")
+        stages = [("pre_amplification", presets.linear_cptp(1.0), epsilon),
+                  ("main", builder(big_m, gamma), r_target)]
 
-    big_m = float(params.get("M", 1.0))
-    gamma = float(params.get("gamma", 0.0))
-    if big_m <= gamma:
-        raise InvalidParams(
-            f"amplification requires M > gamma (got M={big_m}, gamma={gamma}): "
-            "otherwise the center of the ball is not unstable")
-    if epsilon >= r_target:
-        raise InvalidParams("epsilon must be smaller than the target radius")
-    main_spec = builder(big_m, gamma)
-    pre_spec = presets.linear_cptp(1.0)
-    t_pre = -math.log(1.0 - epsilon) / 4.0
-    t_gate = _two_rate_gate_time(big_m - gamma, big_m + gamma, epsilon, r_target)
-    if t_gate > t_max:
-        raise TargetUnreachable(
-            f"main stage needs t={t_gate:.6g}, beyond the budget t_max={t_max:g}")
-
-    mixed = PsdState(1.0, np.zeros(3))
-    pre_end = integrate(pre_spec, mixed, t_pre).final_state
-    achieved = integrate(main_spec, PsdState(pre_end.tau, pre_end.r), t_gate).final_state
-    return GatePlan(gate=gate, pre_amp=GateStage(pre_spec, t_pre),
-                    main=GateStage(main_spec, t_gate),
-                    target_purity=target_purity, epsilon=epsilon,
-                    t_gate=t_gate, achieved=achieved)
-
-
-def _single_stage_plan(gate, spec, duration, target_purity, epsilon, t_max):
-    if duration > t_max:
-        raise TargetUnreachable(
-            f"gate {gate} needs t={duration:.6g} to reach purity "
-            f"{target_purity}, beyond the budget t_max={t_max:g}")
-    achieved = integrate(spec, PsdState(1.0, np.zeros(3)), duration).final_state
-    return GatePlan(gate=gate, pre_amp=None, main=GateStage(spec, duration),
-                    target_purity=target_purity, epsilon=epsilon,
-                    t_gate=duration, achieved=achieved)
-
-
-def _two_rate_gate_time(a: float, b: float, eps: float, r_target: float) -> float:
-    """Solve (eps^2/2) (e^{2at} + e^{-2bt}) = r_target^2 for t.
-
-    Starting from (eps, 0, 0) the rotated coordinates evolve as
-    (eps/2) e^{at} and -(eps/2) e^{-bt}, so the squared radius is the left
-    side; Newton from the asymptotic solution converges in a few steps.
-    """
-    target2 = r_target * r_target
-    t = math.log(math.sqrt(2.0) * r_target / eps) / a
-
-    def f(t):
-        return 0.5 * eps * eps * (math.exp(2 * a * t) + math.exp(-2 * b * t)) - target2
-
-    def fprime(t):
-        return eps * eps * (a * math.exp(2 * a * t) - b * math.exp(-2 * b * t))
-
-    for _ in range(60):
-        step = f(t) / fprime(t)
-        t -= step
-        if abs(step) <= 1e-15 * max(1.0, abs(t)):
-            break
-    return t
+    max_steps = dynamics.IntegratorOpts.max_steps
+    y = np.array([1.0, 0.0, 0.0, 0.0])
+    done = []
+    for role, spec, rho in stages:
+        gen = assemble(spec)
+        horizon = min(t_max, max_steps / float(np.abs(gen.A).sum(axis=0).max()))
+        scan = dynamics._scan(gen, y, horizon, dynamics._grid_steps(gen, horizon), rho)
+        if scan.blow_up:
+            raise TargetUnreachable(
+                f"gate {gate}: the state diverges at t* = {scan.t_stop:.6g} before "
+                f"the {role} stage reaches |r| = {rho:.6g}")
+        if scan.t_stop is None:
+            raise TargetUnreachable(
+                f"gate {gate}: the {role} stage does not reach |r| = {rho:.6g} "
+                f"by t = {horizon:.6g} (t_max = {t_max:g}, max_steps = {max_steps})")
+        done.append(GateStage(spec, scan.t_stop))
+        y = scan.y_stop
+    return GatePlan(gate=gate, pre_amp=done[0] if len(done) == 2 else None,
+                    main=done[-1], target_purity=target_purity, epsilon=epsilon,
+                    t_gate=done[-1].duration,
+                    achieved=PsdState(y[0], y[1:], physical=False))
 
 
 def rotate(state: PsdState, axis: Sequence[float], angle: float) -> PsdState:

@@ -4,8 +4,10 @@ The state vector is y = (tau, x, y, z) and its flow is
 ``AffineGenerator.velocity``, y' = A y + g (w.y) y, with the exact solution
 y(t) = Y(t) / s(t), Y = e^{At} y0 and s = 1 + g (Y_tau - tau0).
 ``integrate`` reads it on a uniform grid from ``_scan``, or at
-caller-supplied times advanced from that grid; every command, ``verify``
-and the gate plans read their trajectories from it.  Trajectories carry
+caller-supplied times advanced from that grid; every command and ``verify``
+read their trajectories from it.  ``_scan`` also finds the first time the
+state diverges or its Bloch vector reaches a given radius, which ends a
+surface-stopping run and each stage of a gate plan.  Trajectories carry
 purity, entropy, tr(X Omega) and the cone margin tau - |r|.
 """
 
@@ -169,8 +171,9 @@ def xi_coordinates(state: PsdState) -> tuple[float, float]:
     return (y + x) / 2.0, (y - x) / 2.0
 
 
-def _margin(y) -> float:
-    return float(y[0] - math.sqrt(y[1] ** 2 + y[2] ** 2 + y[3] ** 2))
+def _margin(y, rho: float = 1.0) -> float:
+    """rho tau - |r|: the cone margin, or with rho < 1 the margin to radius rho."""
+    return float(rho * y[0] - math.sqrt(y[1] ** 2 + y[2] ** 2 + y[3] ** 2))
 
 
 def _check_cone(t, y, initial: bool) -> None:
@@ -190,57 +193,37 @@ def _check_cone(t, y, initial: bool) -> None:
 _HALVINGS = 53
 
 
-def _bisect(a, g, y, h, inside, done):
-    """Bisect [0, h] for the first dt at which ``inside`` fails on the flow.
+def _bisect(a, t, z, h, z_h, inside):
+    """Bisect [0, h] for the first dt at which ``inside`` fails on Y' = A Y.
 
-    The flow is y' = A y + g (w.y) y, whose state a time dt after y is
-    z / (1 + g (z_tau - y_tau)) with z = e^{A dt} y; with g = 0 it is
-    Y' = A Y.  ``inside`` holds at y (dt = 0) and fails at dt = h.  The
-    bracket [lo, hi] halves until ``done(lo, y_lo, hi)``, at most 200
-    times, y_lo being the state at lo.  The k-th halving of a bracket of
-    width w puts its midpoint w / 2^k past lo, so z at each midpoint is one
-    product of z at lo with a matrix of the stack e^{A w/2}, ...,
-    e^{A w/2^53}, which one batched expm gives; with w ||A||_1 <= 1 no
-    matrix of it needs squaring.  A bracket still open after 53 halvings
-    takes a fresh stack on what remains of it; a root close to dt = 0,
-    where lo stays 0 while hi shrinks, needs one.  Returns lo, y_lo and hi.
+    z is Y at t, where ``inside`` holds, and z_h is Y at t + h, where it
+    fails.  The bracket [lo, hi] halves until hi - lo <= 4e-16 (t + hi), at
+    most 200 times.  The k-th halving of a bracket of width w puts its
+    midpoint w / 2^k past lo, so Y at each midpoint is one product of Y at
+    lo with a matrix of the stack e^{A w/2}, ..., e^{A w/2^53}, which one
+    batched expm gives; with w ||A||_1 <= 1 no matrix of it needs squaring.
+    A bracket still open after 53 halvings takes a fresh stack on what
+    remains of it; a root close to dt = 0, where lo stays 0 while hi
+    shrinks, needs one.  Returns lo, Y there, hi and Y there.
     """
-    lo, z_lo, y_lo, hi = 0.0, y, y, h
+    lo, hi = 0.0, h
     dts, steps = (), None
     k = 0
     for _ in range(200):
-        if done(lo, y_lo, hi):
+        if hi - lo <= 4e-16 * (t + hi):
             break
         if k == len(dts):
             dts = (hi - lo) * 0.5 ** np.arange(1, _HALVINGS + 1)
             steps = expm(a * dts[:, None, None])
             k = 0
-        z = steps[k] @ z_lo
-        # Normalized from y, as _advance does: a product of per-halving
-        # normalizations would compound roundoff near a blow-up.
-        y_mid = z / (1.0 + g * (z[0] - y[0])) if g else z
+        z_mid = steps[k] @ z
         mid = lo + dts[k]
         k += 1
-        if inside(y_mid):
-            lo, z_lo, y_lo = mid, z, y_mid
+        if inside(z_mid):
+            lo, z = mid, z_mid
         else:
-            hi = mid
-    return lo, y_lo, hi
-
-
-def _bisect_surface(gen: AffineGenerator, t, y, h_hi):
-    """The first time after t, and the state there, on the pure surface.
-
-    y is the state at t, on or inside the cone, and the state h_hi later
-    lies outside it.  ``_bisect`` shrinks [0, h_hi] until the state at its
-    lower end has a cone margin of at most SURFACE_TOL, or the bracket is
-    no wider than 1e-16 max(1, h_hi).
-    """
-    lo, y_lo, _ = _bisect(
-        gen.A, gen.g, y, h_hi, lambda v: _margin(v) >= 0.0,
-        lambda lo, y_lo, hi: (_margin(y_lo) <= SURFACE_TOL
-                              or hi - lo <= 1e-16 * max(1.0, h_hi)))
-    return t + lo, y_lo
+            hi, z_h = mid, z_mid
+    return lo, z, hi, z_h
 
 
 # The scan renormalizes its state at the start of every block of this many
@@ -251,11 +234,14 @@ _RESCALE_STEPS = 64
 
 
 class _Scan(NamedTuple):
-    t: np.ndarray         # grid times, up to t_end or the last one before t*
-    y: np.ndarray         # the exact state at each
-    t_star: float | None  # the blow-up time, None when s stays positive
-    t_lo: float | None    # the t* bisection's last time before t*, and
-    y_lo: np.ndarray | None  # the exact state there; None without t*
+    t: np.ndarray              # grid times, up to t_end or the last one before t_stop
+    y: np.ndarray              # the exact state at each
+    t_stop: float | None       # t*, or the radius root; None without an event
+    y_stop: np.ndarray | None  # the exact state at the radius root; None at t*
+
+    @property
+    def blow_up(self) -> bool:
+        return self.t_stop is not None and self.y_stop is None
 
 
 def _powers(step: np.ndarray, k: int) -> np.ndarray:
@@ -275,53 +261,65 @@ def _grid_steps(gen: AffineGenerator, t_end: float, min_steps: int = 1) -> int:
     return max(min_steps, math.ceil(t_end * float(np.abs(gen.A).sum(axis=0).max())))
 
 
-def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int) -> _Scan:
-    """The exact solution at the grid times np.linspace(0, t_end, n + 1), and t*.
+def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
+          rho: float | None = None) -> _Scan:
+    """The exact solution on the grid np.linspace(0, t_end, n + 1) up to its first event.
 
     y(t) = Y(t) / s(t) with Y = e^{At} y0 and s = 1 + g (Y_tau - tau0); n
     comes from ``_grid_steps``, so one step e^{hA} changes Y's 1-norm by a
     factor between 1/e and e.  The pair (Y, 1 - g tau0) is rescaled by a
     common positive factor, which leaves Y / s unchanged, and then advanced
     by the powers e^{hA}, ..., e^{64 hA}, one block of grid times at a time.
-    The state diverges where s first reaches 0: the scan ends at the last
-    grid time before it and bisects that step for t*, which also gives the
-    exact state at the bisection's last time before t*.
+    The event is the first grid step that ends with s <= 0 (the state
+    diverges) or, with a radius rho, with rho Y_tau < |Y_r| (the Bloch
+    vector r / tau passes rho).  s > 0 before the event, so both tests read
+    Y alone.  The scan ends at the last grid time before the event and
+    bisects that step once, on s > 0 and rho Y_tau >= |Y_r| together: the
+    sign of s at the bracket's upper end tells t*, that end, from a radius
+    root, whose time and state are the bracket's lower end.
     """
     a, g = gen.A, gen.g
     h = t_end / n
     powers = _powers(expm(a * h), min(n, _RESCALE_STEPS))
     # (y, c) is (Y, 1 - g tau0) up to a common positive factor.
     y, c = y0, 1.0 - g * y0[0]
-    times = np.linspace(0.0, t_end, n + 1)
     blocks = [y0[None]]
     k = 0
-    t_star = t_lo = y_lo = None
+    t_stop = y_stop = None
     while k < n:
         m = max(abs(c), float(np.abs(y).max()))
         y, c = y / m, c / m
         ys = powers[:n - k] @ y
         s = c + g * ys[:, 0]
-        crossed = np.flatnonzero(s <= 0.0)
-        j = int(crossed[0]) if crossed.size else len(ys)
+        out = s <= 0.0
+        if rho is not None:
+            out |= rho * ys[:, 0] < np.sqrt((ys[:, 1:] ** 2).sum(axis=1))
+        hit = np.flatnonzero(out)
+        j = int(hit[0]) if hit.size else len(ys)
         if j:
             blocks.append(ys[:j] / s[:j, None])
             y = ys[j - 1]
         k += j
-        if crossed.size:
-            t_k = times[k]
-            lo, big_y, hi = _bisect(a, 0.0, y, h, lambda v: c + g * v[0] > 0.0,
-                                    lambda lo, y_lo, hi: hi - lo <= 4e-16 * (t_k + hi))
-            t_star, t_lo, y_lo = t_k + hi, t_k + lo, big_y / (c + g * big_y[0])
+        if hit.size:
+            lo, z_lo, hi, z_hi = _bisect(
+                a, k * h, y, h, ys[j],
+                lambda v: c + g * v[0] > 0.0 and (rho is None or _margin(v, rho) >= 0.0))
+            if c + g * z_hi[0] <= 0.0:
+                t_stop = k * h + hi
+            else:
+                t_stop, y_stop = k * h + lo, z_lo / (c + g * z_lo[0])
             break
-    ys = np.concatenate(blocks)
-    return _Scan(times[k + 1 - len(ys):k + 1], ys, t_star, t_lo, y_lo)
+    times = np.arange(k + 1, dtype=float) * h  # np.linspace's grid times
+    if k == n:
+        times[-1] = t_end
+    return _Scan(times, np.concatenate(blocks), t_stop, y_stop)
 
 
-def _blow_up_error(scan: _Scan) -> BlowUp:
-    t_last, y_last = scan.t[-1], scan.y[-1]
-    return BlowUp(f"the state diverges at t* = {scan.t_star:.17g}, where "
+def _blow_up_error(t_star: float, t: float, y: np.ndarray) -> BlowUp:
+    """The BlowUp of a state that diverges at t_star, carrying its state y at t."""
+    return BlowUp(f"the state diverges at t* = {t_star:.17g}, where "
                   "1 + g (tr(e^(At) X0) - tau0) reaches 0; the state given "
-                  f"is at t = {t_last:.17g}", scan.t_star, y_last[0], y_last[1:])
+                  f"is at t = {t:.17g}", t_star, y[0], y[1:])
 
 
 def _initial_vector(initial: PsdState, t_end: float, opts: IntegratorOpts) -> np.ndarray:
@@ -368,18 +366,18 @@ def _advance(gen: AffineGenerator, y: np.ndarray, dt) -> np.ndarray:
 
 
 def _merge_samples(gen: AffineGenerator, scan: _Scan, targets: list[float]):
-    """The scan's grid with the exact states at the sample times merged in.
+    """The states at the sample times, merged in time order after t = 0.
 
     Each sample state is advanced from the grid state at the last grid time
-    at or before it; a sample on a grid time copies that state.  A sample
-    after the scan's last time, which is the last before a blow-up, is left
-    out.  Returns the times, the states and a mask of the grid rows, in
-    time order.
+    at or before it; a sample on a grid time copies that state.  Samples
+    after the scan's last time at a blow-up, or from a radius root on, are
+    left out.  Returns the times and states of t = 0 and the samples, and
+    those of the grid and the samples together, for the checks.
     """
     ts, ys = scan.t, scan.y
     tq = np.asarray(targets)
-    if scan.t_star is not None:
-        tq = tq[tq <= ts[-1]]
+    if scan.t_stop is not None:
+        tq = tq[tq <= ts[-1]] if scan.blow_up else tq[tq < scan.t_stop]
     k = np.searchsorted(ts, tq, side="right") - 1
     dt = tq - ts[k]
     yq = ys[k]
@@ -389,7 +387,8 @@ def _merge_samples(gen: AffineGenerator, scan: _Scan, targets: list[float]):
     t_all = np.concatenate((ts, tq))
     y_all = np.concatenate((ys, yq))
     order = np.argsort(t_all, kind="stable")
-    return t_all[order], y_all[order], order < len(ts)
+    return (np.concatenate(([0.0], tq)), np.concatenate((ys[:1], yq)),
+            t_all[order], y_all[order])
 
 
 def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
@@ -406,14 +405,12 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
     at the last grid time at or before it, and the checks read the grid and
     sample states in time order.  Unless ``allow_off_cone`` is set, the
     first state below the apex cutoff or outside the cone beyond tolerance
-    halts the run with ApexReached or ConeViolation.  A ``stop_on_surface``
-    run ends where the state first reaches the pure surface, bisected on
-    the exact solution between the last two states where the cone margin
-    turns negative, and drops later samples.  A nonlinear run (g != 0)
-    whose state diverges at a time t* <= t_end raises BlowUp unless it
-    halts first, or stops on the surface first; a surface reached after
-    the scan's last grid time but before t* counts.  ``stats`` counts the
-    grid steps scanned as accepted steps.
+    halts the run with ApexReached or ConeViolation.  The scan's one event
+    ends the run early: a nonlinear run (g != 0) whose state diverges at a
+    time t* <= t_end raises BlowUp unless it halts first, and a
+    ``stop_on_surface`` run ends with the state where it first reaches the
+    pure surface |r| = tau, which the scan bisects, and drops later
+    samples.  ``stats`` counts the grid steps scanned as accepted steps.
     """
     opts = IntegratorOpts() if opts is None else opts
     y0 = _initial_vector(initial, t_end, opts)
@@ -426,42 +423,24 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
     if n > opts.max_steps:
         raise StepFailure(f"the grid needs {n} steps, more than max_steps = "
                           f"{opts.max_steps}", 0.0, y0[0], y0[1:])
-    scan = _scan(gen, y0, t_end, n)
-    if opts.stop_on_surface and scan.t_star is not None and _margin(scan.y_lo) < 0.0:
-        # s > 0 before t*, so the state has left the cone before t*: the
-        # state at t_lo ends the scan, and the surface is bisected before it.
-        scan = scan._replace(t=np.append(scan.t, scan.t_lo),
-                             y=np.vstack((scan.y, scan.y_lo)))
+    scan = _scan(gen, y0, t_end, n, 1.0 if opts.stop_on_surface else None)
     if targets is None:
-        ts, ys, on_grid = scan.t, scan.y, np.ones(len(scan.t), dtype=bool)
-        rows = on_grid
+        ts, ys = t_all, y_all = scan.t, scan.y
     else:
-        ts, ys, on_grid = _merge_samples(gen, scan, targets)
-        rows = ~on_grid  # the samples, and t = 0 below
-        rows[0] = True
-    tau, rn = ys[:, 0], np.sqrt((ys[:, 1:] ** 2).sum(axis=1))
-    end = len(ts)
-    if opts.stop_on_surface:
-        crossed = np.flatnonzero(tau - rn < 0.0)
-        end = int(crossed[0]) if crossed.size else end
+        ts, ys, t_all, y_all = _merge_samples(gen, scan, targets)
     if not opts.allow_off_cone:
-        bad = np.flatnonzero((tau[:end] < APEX_TAU)
-                             | (rn[:end] > tau[:end] * (1.0 + CONE_RATIO_TOL)))
+        tau, rn = y_all[:, 0], np.sqrt((y_all[:, 1:] ** 2).sum(axis=1))
+        bad = np.flatnonzero((tau < APEX_TAU) | (rn > tau * (1.0 + CONE_RATIO_TOL)))
         if bad.size:
-            _check_cone(ts[bad[0]], ys[bad[0]], initial=False)
-    steps = int(np.count_nonzero(on_grid[:end]))
-    if end < len(ts):
-        y = ys[end - 1]
-        t_s, y_s = _bisect_surface(gen, ts[end - 1], y, ts[end] - ts[end - 1])
-        keep = rows[:end]
-        return _build_trajectory(spec, gen, np.append(ts[:end][keep], t_s),
-                                 np.vstack((ys[:end][keep], y_s)),
-                                 StepStats(steps, 0, 0.0), "surface")
-    if scan.t_star is not None:
-        raise _blow_up_error(scan)
-    if targets is not None:  # a grid is returned as it is, without a copy
-        ts, ys = ts[rows], ys[rows]
-    return _build_trajectory(spec, gen, ts, ys, StepStats(steps - 1, 0, 0.0), "t_end")
+            _check_cone(t_all[bad[0]], y_all[bad[0]], initial=False)
+    steps = len(scan.t) - 1
+    if scan.blow_up:
+        raise _blow_up_error(scan.t_stop, scan.t[-1], scan.y[-1])
+    if scan.t_stop is not None:
+        return _build_trajectory(spec, gen, np.append(ts, scan.t_stop),
+                                 np.vstack((ys, scan.y_stop)),
+                                 StepStats(steps + 1, 0, 0.0), "surface")
+    return _build_trajectory(spec, gen, ts, ys, StepStats(steps, 0, 0.0), "t_end")
 
 
 def _build_trajectory(spec, gen, rec_t, rec_y, stats, stop_reason) -> Trajectory:

@@ -5,9 +5,9 @@ measured against.  ``AffineGenerator.scale = max(1, ||A||_1)`` is the one
 scale of a channel's generator: a test for "zero up to roundoff" on A, its
 velocity or its eigenvalues multiplies by it, so rescaling every rate of a
 channel (which only rescales time) leaves each reported flag unchanged.
-The stopping rules of the one bisection that finds both the blow-up time
-and the pure surface (``dynamics._bisect``), and the gate-time Newton
-stop, are part of their algorithms and stay with them; the verify criteria
+The stopping rule of the scan's one bisection (``dynamics._bisect``),
+which finds the blow-up time, the pure surface and each gate stage's
+radius, is part of its algorithm and stays with it; the verify criteria
 keep their own pinned tolerances.
 """
 
@@ -19,7 +19,8 @@ APEX_TAU = 1e-9
 CONE_TOL = 1e-9
 # Relative to tau: a trajectory halts with ConeViolation once |r|/tau > 1 + this.
 CONE_RATIO_TOL = 1e-4
-# Absolute on tau - |r|: a stop_on_surface run counts as on the pure surface.
+# Absolute on tau - |r|: a stop_on_surface run whose initial state is this
+# close to the pure surface stops at once.
 SURFACE_TOL = 1e-12
 # Relative to t_end: sample times this close to t_end count as t_end.
 TIME_WINDOW = 1e-12

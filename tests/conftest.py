@@ -204,8 +204,10 @@ def bisect(state_at, y, h, inside, done):
 
 
 def bisect_surface(step_to, t, y, h_hi):
-    """Oracle for dynamics._bisect_surface: shrink the step ``step_to(dt)``
-    from the state y at t until it lands on the pure surface from inside."""
+    """Shrink the step ``step_to(dt)`` from the state y at t until it lands
+    on the pure surface from inside: until the state at the bracket's lower
+    end has a cone margin of at most SURFACE_TOL, or the bracket is no
+    wider than 1e-16 max(1, h_hi)."""
     lo, y_lo, _ = bisect(
         step_to, y, h_hi, lambda v: dynamics._margin(v) >= 0.0,
         lambda lo, y_lo, hi: (dynamics._margin(y_lo) <= SURFACE_TOL
@@ -213,14 +215,46 @@ def bisect_surface(step_to, t, y, h_hi):
     return t + lo, y_lo
 
 
+def first_event(gen, t, y, h, rho=None):
+    """Oracle for the event bisection of dynamics._scan: bisect, from the
+    state y at t, the first dt in [0, h] at which s = 1 + g (tau(z) - tau) > 0
+    and, given rho, rho tau(z) >= |r(z)| fail together, z = e^{A dt} y by its
+    own expm.  Returns the lower end's time and state z / s, and the upper
+    end's time and whether s <= 0 there (a blow-up)."""
+    def s_of(z):
+        return 1.0 + gen.g * (z[0] - y[0])
+
+    def step_to(dt):
+        return expm(gen.A * dt) @ y
+
+    lo, z_lo, hi = bisect(
+        step_to, y, h,
+        lambda z: s_of(z) > 0.0 and (rho is None or dynamics._margin(z, rho) >= 0.0),
+        lambda lo, y_lo, hi: hi - lo <= 4e-16 * (t + hi))
+    return t + lo, z_lo / s_of(z_lo), t + hi, s_of(step_to(hi)) <= 0.0
+
+
 def blow_up_time(gen, t, y, h):
-    """Oracle for the t* of dynamics._scan: bisect, from the state y at t,
-    the first dt in [0, h] at which 1 + g (tau(e^{A dt} y) - tau) > 0 fails,
-    each midpoint by its own expm."""
-    _, _, hi = bisect(lambda dt: expm(gen.A * dt) @ y, y, h,
-                      lambda v: 1.0 + gen.g * (v[0] - y[0]) > 0.0,
-                      lambda lo, y_lo, hi: hi - lo <= 4e-16 * (t + hi))
-    return t + hi
+    """Oracle for the t* of dynamics._scan: ``first_event`` without a radius."""
+    return first_event(gen, t, y, h)[2]
+
+
+def blow_up(gen, y0, t_end):
+    """Oracle for the blow-up that dynamics._scan finds: the states on
+    integrate's grid, each by its own expm from y0, up to the first with
+    s = 1 + g (tau(e^{At} y0) - tau0) <= 0.  Returns t* from
+    ``blow_up_time`` on the step before it, the grid time that starts that
+    step and the state there; None when s stays positive."""
+    n = dynamics._grid_steps(gen, t_end)
+    ts = np.linspace(0.0, t_end, n + 1)
+    big_y = expm(gen.A * ts[:, None, None]) @ y0
+    s = 1.0 + gen.g * (big_y[:, 0] - y0[0])
+    out = np.flatnonzero(s <= 0.0)
+    if not out.size:
+        return None
+    k = out[0] - 1
+    y = big_y[k] / s[k]
+    return blow_up_time(gen, ts[k], y, t_end / n), ts[k], y
 
 
 def _run_adaptive(f, y, targets, opts, rtol, atol, rec_t, rec_y, record_all):
@@ -283,12 +317,12 @@ def dp45(spec, initial, t_end, opts=None, *, rtol=1e-12, atol=1e-14, sample_time
     interpolation) and records t = 0, the samples and t_end; otherwise it
     records every accepted step.  It halts and stops as integrate does, with
     the surface bisected on the DP45 step.  A state that diverges at
-    t* <= t_end is stepped up to the blow-up scan's last time before t*,
-    then raises integrate's BlowUp.  A stop_on_surface run for which
-    e^{A(t* - t_last)} y_last, t_last being that scan time, has a negative
-    cone margin has left the cone before t* (s > 0 until then): it steps on
-    towards t* and stops at the surface.  ``stats`` counts accepted and
-    rejected steps and the largest accepted error norm.
+    t* <= t_end, which ``blow_up`` finds, is stepped up to the last grid
+    time before t*, then raises integrate's BlowUp.  A stop_on_surface run
+    for which e^{A(t* - t_last)} y_last, t_last being that grid time, has a
+    negative cone margin has left the cone before t* (s > 0 until then): it
+    steps on towards t* and stops at the surface.  ``stats`` counts accepted
+    and rejected steps and the largest accepted error norm.
     """
     opts = IntegratorOpts() if opts is None else opts
     y = dynamics._initial_vector(initial, t_end, opts)
@@ -300,20 +334,60 @@ def dp45(spec, initial, t_end, opts=None, *, rtol=1e-12, atol=1e-14, sample_time
     if opts.stop_on_surface and dynamics._margin(y) <= SURFACE_TOL:
         return dynamics._build_trajectory(spec, gen, rec_t, rec_y, StepStats(0, 0, 0.0),
                                           "surface")
-    scan = (dynamics._scan(gen, y, t_end, dynamics._grid_steps(gen, t_end))
-            if gen.g != 0.0 else None)
-    blow_up = scan is not None and scan.t_star is not None
-    if blow_up:
-        t_last = float(scan.t[-1])
-        big_y = expm(gen.A * (scan.t_star - t_last)) @ scan.y[-1]
+    diverges = blow_up(gen, y, t_end) if gen.g != 0.0 else None
+    if diverges is not None:
+        t_star, t_grid, y_grid = diverges
+        t_last = float(t_grid)
+        big_y = expm(gen.A * (t_star - t_last)) @ y_grid
         if opts.stop_on_surface and dynamics._margin(big_y) < 0.0:
-            t_last = scan.t_star
+            t_last = t_star
         targets = [v for v in targets if v < t_last] + [t_last]
     stats, stop_reason = _run_adaptive(gen.velocity, y, targets, opts, rtol, atol,
                                        rec_t, rec_y, record_all)
-    if blow_up and stop_reason != "surface":
-        raise dynamics._blow_up_error(scan)
+    if diverges is not None and stop_reason != "surface":
+        raise dynamics._blow_up_error(*diverges)
     return dynamics._build_trajectory(spec, gen, rec_t, rec_y, stats, stop_reason)
+
+
+def two_rate_gate_time(a, b, eps, r_target):
+    """Solve (eps^2/2) (e^{2at} + e^{-2bt}) = r_target^2 for t.
+
+    Starting from (eps, 0, 0) the rotated coordinates evolve as
+    (eps/2) e^{at} and -(eps/2) e^{-bt}, so the squared radius is the left
+    side; Newton from the asymptotic solution converges in a few steps.
+    """
+    target2 = r_target * r_target
+    t = math.log(math.sqrt(2.0) * r_target / eps) / a
+
+    def f(t):
+        return 0.5 * eps * eps * (math.exp(2 * a * t) + math.exp(-2 * b * t)) - target2
+
+    def fprime(t):
+        return eps * eps * (a * math.exp(2 * a * t) - b * math.exp(-2 * b * t))
+
+    for _ in range(60):
+        step = f(t) / fprime(t)
+        t -= step
+        if abs(step) <= 1e-15 * max(1.0, abs(t)):
+            break
+    return t
+
+
+def gate_durations(gate, params, r_target, eps=1e-3):
+    """Oracle for plan_amplification: the closed-form stage durations
+    (pre-amplification or None, main) from the maximally mixed state.
+
+    linear_cptp: x = 1 - e^{-4 m^2 t}; one_jump: x' = 2 m^2 (1 - x)^2, so
+    x = 2 m^2 t / (1 + 2 m^2 t); the two-rate gates run linear_cptp(1) to
+    |r| = eps, then ``two_rate_gate_time`` with rates M - gamma, M + gamma.
+    """
+    if gate == "linear_cptp":
+        return None, -math.log(1.0 - r_target) / (4.0 * params["m"] ** 2)
+    if gate == "one_jump":
+        return None, r_target / ((1.0 - r_target) * 2.0 * params["m"] ** 2)
+    big_m, gamma = params["M"], params["gamma"]
+    return (-math.log(1.0 - eps) / 4.0,
+            two_rate_gate_time(big_m - gamma, big_m + gamma, eps, r_target))
 
 
 def trace_jump_generator(j):

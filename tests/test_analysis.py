@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from blochamp import (
+    ChannelSpec,
+    HermitianPauliVector,
     InvalidParams,
     PsdState,
     TargetUnreachable,
@@ -20,9 +22,9 @@ from blochamp import (
 )
 from blochamp import AffineGenerator, analysis, assemble, presets, reconstruct
 from blochamp.tolerances import LINE_SIGN_TOL
-from conftest import (dp45, integrated_choi_spectra, matrix_rhs, newton_roots,
-                      plane_flow, random_gksl_spec, random_nino_spec, random_rotation,
-                      rotated_spec, scaled_spec)
+from conftest import (dp45, gate_durations, integrated_choi_spectra, matrix_rhs,
+                      newton_roots, plane_flow, random_gksl_spec, random_nino_spec,
+                      random_rotation, rotated_spec, scaled_spec)
 
 
 def _follows_sign_rule(d):
@@ -330,7 +332,8 @@ class TestChoi:
         def no_integrate(*args, **kwargs):
             raise AssertionError("choi_spectra integrated")
 
-        monkeypatch.setattr(analysis, "integrate", no_integrate)
+        # Every trajectory and gate stage comes from the scan.
+        monkeypatch.setattr(analysis.dynamics, "_scan", no_integrate)
         spectra = choi_spectra(presets.linear_noncp(1.0, 0.5), np.linspace(0, 0.5, 10))
         assert spectra[:, 0].min() < -1e-6
 
@@ -428,6 +431,49 @@ class TestGatePlanning:
         assert plan.achieved.tau == pytest.approx(state.tau, rel=1e-9)
         assert np.abs(plan.achieved.r - state.r).max() <= 1e-9
         assert purity_entropy(plan.achieved)[0] == pytest.approx(purity, abs=1e-11)
+
+    @pytest.mark.parametrize("purity, rel", [(0.9, 1e-12), (0.99, 1e-12), (0.999, 1e-9)])
+    @pytest.mark.parametrize("gate, params", [
+        ("linear_cptp", {"m": 1.0}), ("one_jump", {"m": 1.0}),
+        ("three_jump", {"M": 1.0, "gamma": 0.5}),
+        ("linear_non_cp", {"M": 1.0, "gamma": 0.5})])
+    def test_durations_match_the_closed_forms(self, gate, params, purity, rel):
+        # Near purity 1 the one-jump time is ill-conditioned: |dr/dt| =
+        # 2 m^2 (1 - r)^2 there.
+        plan = plan_amplification(gate, params, purity)
+        pre, main = gate_durations(gate, params, math.sqrt(2.0 * purity - 1.0))
+        assert plan.t_gate == plan.main.duration
+        assert plan.t_gate == pytest.approx(main, rel=rel, abs=0)
+        if pre is None:
+            assert plan.pre_amp is None
+        else:
+            assert plan.pre_amp.duration == pytest.approx(pre, rel=rel, abs=0)
+        assert purity_entropy(plan.achieved)[0] == pytest.approx(purity, rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize("gate, params", [
+        ("linear_cptp", {"m": 10.0}), ("one_jump", {"m": 10.0}),
+        ("three_jump", {"M": 10.0, "gamma": 5.0})])
+    def test_fast_gate_without_budget(self, gate, params):
+        # The stage scans at most max_steps grid steps, not to t_max = inf.
+        plan = plan_amplification(gate, params, 0.99, t_max=math.inf)
+        _, main = gate_durations(gate, params, math.sqrt(0.98))
+        assert plan.t_gate == pytest.approx(main, rel=1e-12, abs=0)
+
+    def test_unreachable_target_names_the_scan(self):
+        with pytest.raises(TargetUnreachable, match=(
+                r"gate one_jump: the main stage does not reach \|r\| = 0\.99 "
+                r"by t = 10 \(t_max = 10, max_steps = 2000000\)$")):
+            plan_amplification("one_jump", {"m": 1.0}, 0.5 * (1.0 + 0.99 ** 2), t_max=10.0)
+
+    def test_blow_up_first_is_unreachable(self, monkeypatch):
+        # L = -I and g = 2 keep r = 0 while s = 2 e^{-2t} - 1 reaches 0 at
+        # t* = ln(2) / 2.
+        monkeypatch.setitem(presets.PRESETS, "linear_cptp", lambda m: ChannelSpec(
+            HermitianPauliVector([-1.0, 0.0, 0.0, 0.0]), g=2.0))
+        with pytest.raises(TargetUnreachable, match=(
+                r"gate linear_cptp: the state diverges at t\* = 0\.346574 before "
+                r"the main stage reaches \|r\| = 0\.99$")):
+            plan_amplification("linear_cptp", {"m": 1.0}, 0.5 * (1.0 + 0.99 ** 2))
 
     def test_equal_rates_rejected(self):
         with pytest.raises(InvalidParams):

@@ -306,7 +306,8 @@ class TestExactTrajectory:
         assert traj.t.tolist() == [0.0, 1.0, last]
         assert np.array_equal(traj.t, dp45(presets.linear_cptp(1.0), MIXED, 2.0,
                                            sample_times=[1.0, last]).t)
-        assert traj.r[-1, 0] == pytest.approx(1.0 - math.exp(-4.0 * last), rel=1e-15)
+        assert traj.r[-1, 0] == pytest.approx(1.0 - math.exp(-4.0 * last), rel=1e-15,
+                                              abs=0)
 
     def test_samples_on_the_grid_are_the_grid_states(self):
         plain = integrate(presets.onejump_nino(1.0), PsdState(1.2, [0.3, 0.2, 0.1]),
@@ -349,6 +350,25 @@ class TestExactTrajectory:
         assert traj.t[-1] == pytest.approx(t_s, rel=1e-12)
         assert np.array_equal(traj.t[:-1], samples[samples < traj.t[-1]])
 
+    def test_surface_stop_does_not_depend_on_the_samples(self, rng):
+        # The scan finds the surface on its grid alone, whatever the samples.
+        spec, opts = presets.threejump_nino(1.1, 0.4), IntegratorOpts(stop_on_surface=True)
+        stops = 0
+        for _ in range(20):
+            d = rng.normal(size=3)
+            start = PsdState(1.0, d / np.linalg.norm(d) * 0.99 * rng.random())
+            runs = [integrate(spec, start, 10.0, opts, sample_times=samples)
+                    for samples in (None, [10.0], np.linspace(0.0, 10.0, 201))]
+            if runs[0].stop_reason != "surface":
+                continue
+            stops += 1
+            for traj in runs[1:]:
+                assert traj.stop_reason == "surface"
+                assert traj.t[-1] == runs[0].t[-1] and traj.tau[-1] == runs[0].tau[-1]
+                assert np.array_equal(traj.r[-1], runs[0].r[-1])
+            assert abs(runs[0].cone_margin[-1]) <= 4e-15
+        assert stops >= 15
+
     def test_blow_up_with_samples(self):
         spec = ChannelSpec(HermitianPauliVector([-1.0, 0.0, 0.0, 0.0]), g=1.0)
         start = PsdState(1.5, [0, 0, 0])
@@ -379,12 +399,11 @@ class TestBlowUp:
     @pytest.mark.parametrize("sample_times", [None, [0.0, 0.2, 0.4, 0.6, 1.0, 1.1]])
     def test_names_the_blow_up_time(self, sample_times):
         t_star = self.t_star(1.5)
-        assert t_star == pytest.approx(math.log(3.0) / 2.0, rel=1e-15)
         with pytest.raises(BlowUp) as info:
             integrate(self.SPEC, PsdState(1.5, [0, 0, 0]), 1.1,
                       sample_times=sample_times)
         err = info.value
-        assert err.t == pytest.approx(t_star, rel=1e-9)
+        assert err.t == pytest.approx(t_star, rel=1e-15, abs=0)
         assert f"t* = {t_star:.12f}" in str(err)
         # The state carried is the exact one at a scan time before t*:
         # tau(t) = 1.5 e / (1.5 e - 0.5), e = e^{-2t}, inverted for t.
@@ -432,7 +451,7 @@ class TestBlowUp:
         y0 = np.array([tau0] + [tau0 * v for v in start])
         gen = blochamp.assemble(spec)
         scan = dynamics._scan(gen, y0, 10.0, dynamics._grid_steps(gen, 10.0))
-        assert scan.t[-1] < t_s < scan.t_star
+        assert scan.blow_up and scan.t[-1] < t_s < scan.t_stop
         traj = integrate(spec, PsdState(y0[0], y0[1:]), 10.0, opts)
         assert traj.stop_reason == "surface" and abs(traj.cone_margin[-1]) <= 1e-12
         assert traj.t[-1] == pytest.approx(t_s, rel=1e-6)
@@ -446,12 +465,14 @@ class TestBlowUp:
         # root (0.0050251679267507206, to 20 digits), the stack 5e-16.
         gen = blochamp.assemble(self.SPEC)
         y0 = np.array([tau0, 0.0, 0.0, 0.0])
-        scan = dynamics._scan(gen, y0, 1.1, dynamics._grid_steps(gen, 1.1))
-        h = 1.1 / dynamics._grid_steps(gen, 1.1)
-        want = conftest.blow_up_time(gen, scan.t[-1], scan.y[-1], h)
-        assert abs(scan.t_star - want) <= rel * want
-        assert abs(scan.t_star - self.t_star(tau0)) <= 1e-14 * scan.t_star
-        assert scan.t[-1] <= scan.t_lo < scan.t_star
+        for rho in (None, 1.0):  # r = 0 stays inside every radius
+            scan = dynamics._scan(gen, y0, 1.1, dynamics._grid_steps(gen, 1.1), rho)
+            h = 1.1 / dynamics._grid_steps(gen, 1.1)
+            want = conftest.blow_up_time(gen, scan.t[-1], scan.y[-1], h)
+            assert scan.blow_up and scan.y_stop is None
+            assert abs(scan.t_stop - want) <= rel * want
+            assert abs(scan.t_stop - self.t_star(tau0)) <= 1e-14 * scan.t_stop
+            assert scan.t[-1] < scan.t_stop <= scan.t[-1] + h
 
     def test_blow_up_first_raises(self):
         spec = shifted_threejump(-1.5)
@@ -500,6 +521,16 @@ class TestExpmCalls:
                       sample_times=[2.0 * t_star])
         assert info.value.t == pytest.approx(t_star, rel=1e-12)
         assert len(calls) <= 2
+
+    @pytest.mark.parametrize("gate, params, stages", [
+        ("linear_cptp", {"m": 1.0}, 1), ("one_jump", {"m": 1.0}, 1),
+        ("three_jump", {"M": 1.0, "gamma": 0.5}, 2),
+        ("linear_non_cp", {"M": 1.0, "gamma": 0.5}, 2)])
+    def test_gate_plan(self, calls, gate, params, stages):
+        # One scan per stage: its powers, and one or two stacks of halvings
+        # (two for the pre-amplification root, early in the first grid step).
+        blochamp.plan_amplification(gate, params, 0.99)
+        assert len(calls) <= 3 * stages
 
 
 def test_readme_library_example(tmp_path, monkeypatch):

@@ -26,12 +26,10 @@ from blochamp import (  # noqa: E402
     presets,
     reconstruct,
 )
-from blochamp.tolerances import SURFACE_TOL  # noqa: E402
 from conftest import (  # noqa: E402
-    bisect_surface,
-    blow_up_time,
     coords_of,
     dp45,
+    first_event,
     matrix_rhs,
     random_cone_state,
     random_gksl_spec,
@@ -181,43 +179,39 @@ def test_propagator_dp45_and_operator_rhs_agree(seed, g):
 @example(16, 1.0)
 @example(136, 1.0)
 def test_halving_roots_match_the_bisection_from_the_bracket_start(seed, g):
-    # t*, and the surface root in the first scan step (or, before a
-    # blow-up, the step to t_lo) that leaves the cone, against the oracles
-    # that take each midpoint from the bracket start by its own expm.
+    # The scan's one event on the pure surface, t* or the surface root,
+    # against the oracle that bisects the same grid step on the same
+    # predicate with each midpoint from the bracket start by its own expm.
     spec, gen, y0 = _family(seed, g)
     t_end = 4.0 / gen.scale
     n = dynamics._grid_steps(gen, t_end)
-    scan = dynamics._scan(gen, y0, t_end, n)
-    ts, ys = scan.t, scan.y
-    if scan.t_star is not None:
-        # s cancels the roundoff of up to 53 chained products (2.5e-15 at
-        # most over 462 blow-ups from 3,000 seeds at each g).
-        want = blow_up_time(gen, ts[-1], ys[-1], t_end / n)
-        assert abs(scan.t_star - want) <= 4e-15 * want
-        ts, ys = np.append(ts, scan.t_lo), np.vstack((ys, scan.y_lo))
-    out = np.flatnonzero(ys[:, 0] < np.linalg.norm(ys[:, 1:], axis=1))
-    if not out.size:
+    scan = dynamics._scan(gen, y0, t_end, n, 1.0)
+    if scan.t_stop is None:
+        assert scan.t[-1] == t_end
         return
-    t, y, h = ts[out[0] - 1], ys[out[0] - 1], ts[out[0]] - ts[out[0] - 1]
-    t_s, y_s = dynamics._bisect_surface(gen, t, y, h)
-    t_ref, _ = bisect_surface(lambda dt: dynamics._advance(gen, y, dt), t, y, h)
+    t, y = scan.t[-1], scan.y[-1]
+    t_lo, _, t_hi, diverges = first_event(gen, t, y, t_end / n, 1.0)
+    assert scan.blow_up == diverges
+    if diverges:
+        # s cancels the roundoff of up to 53 chained products (1.9e-15 at
+        # most over 66 blow-ups from 3,000 seeds at each g).
+        assert abs(scan.t_stop - t_hi) <= 4e-15 * t_hi
+        return
 
     def oracle(t_root):
         return dynamics._advance(gen, y, t_root - t)
 
     # The state y = z / s grows as s falls towards t*, and s cancels the
     # roundoff of z by the same factor.
-    want = oracle(t_s)
+    want = oracle(scan.t_stop)
     size = np.abs(want).max()
     tol = 1e-14 * max(1.0, size / np.abs(y).max()) * size
-    assert np.abs(y_s - want).max() <= tol
-    if abs(t_s - t_ref) > 1e-15 * t_ref:
-        # A margin within roundoff of a stopping threshold sent the two down
-        # different halvings: of SURFACE_TOL at the earlier root, which one
-        # took and the other did not, or of 0 at the later root.
-        first, last = sorted((t_s, t_ref))
-        assert (abs(dynamics._margin(oracle(first)) - SURFACE_TOL) <= tol
-                or abs(dynamics._margin(oracle(last))) <= tol)
+    assert np.abs(scan.y_stop - want).max() <= tol
+    if abs(scan.t_stop - t_lo) > 1e-15 * t_lo:
+        # A margin within roundoff of 0 at a midpoint sent the two down
+        # different halvings: the margin is that small at both roots.
+        assert abs(dynamics._margin(want)) <= tol
+        assert abs(dynamics._margin(oracle(t_lo))) <= tol
 
 
 def _states(traj):
