@@ -270,11 +270,11 @@ def plan_amplification(gate: str, params: Mapping[str, float],
     linear_non_cp) are preceded by a short linear_cptp stage that nudges the
     state to |r| = epsilon before the exponential growth takes over.  Each
     stage ends at the first root of rho tau - |r|, rho its radius, on its
-    exact solution: ``dynamics._scan`` finds the grid step that crosses it
-    and bisects that step.  A stage scans up to t_max, and no further than
-    ``IntegratorOpts.max_steps`` grid steps; a stage whose root lies beyond
-    that, or whose state diverges first, is refused with TargetUnreachable.
-    ``t_max = inf`` sets no budget.
+    exact solution: ``dynamics._event_within`` finds the grid step that
+    crosses it and bisects that step.  A stage scans up to t_max, and no
+    further than ``IntegratorOpts.max_steps`` grid steps; a stage whose root
+    lies beyond that, or whose state diverges first, is refused with
+    TargetUnreachable.  ``t_max = inf`` sets no budget.
     """
     if gate not in GATES:
         raise InvalidParams(f"unknown gate {gate!r}; choose from {tuple(GATES)}")
@@ -302,23 +302,20 @@ def plan_amplification(gate: str, params: Mapping[str, float],
         stages = [("pre_amplification", presets.linear_cptp(1.0), epsilon),
                   ("main", builder(big_m, gamma), r_target)]
 
-    max_steps = dynamics.IntegratorOpts.max_steps
     y = np.array([1.0, 0.0, 0.0, 0.0])
     done = []
     for role, spec, rho in stages:
-        gen = assemble(spec)
-        horizon = min(t_max, max_steps / float(np.abs(gen.A).sum(axis=0).max()))
-        scan = dynamics._scan(gen, y, horizon, dynamics._grid_steps(gen, horizon), rho)
-        if scan.blow_up:
+        horizon, t_stop, y_stop = dynamics._event_within(assemble(spec), y, t_max, rho)
+        if t_stop is None:
             raise TargetUnreachable(
-                f"gate {gate}: the state diverges at t* = {scan.t_stop:.6g} before "
-                f"the {role} stage reaches |r| = {rho:.6g}")
-        if scan.t_stop is None:
+                f"gate {gate}: the {role} stage does not reach |r| = {rho:.15g} "
+                f"by t = {horizon:.6g} (t_max = {t_max:g})")
+        if y_stop is None:
             raise TargetUnreachable(
-                f"gate {gate}: the {role} stage does not reach |r| = {rho:.6g} "
-                f"by t = {horizon:.6g} (t_max = {t_max:g}, max_steps = {max_steps})")
-        done.append(GateStage(spec, scan.t_stop))
-        y = scan.y_stop
+                f"gate {gate}: the state diverges at t* = {t_stop:.6g} before "
+                f"the {role} stage reaches |r| = {rho:.15g}")
+        done.append(GateStage(spec, t_stop))
+        y = y_stop
     return GatePlan(gate=gate, pre_amp=done[0] if len(done) == 2 else None,
                     main=done[-1], target_purity=target_purity, epsilon=epsilon,
                     t_gate=done[-1].duration,

@@ -215,6 +215,7 @@ def _bisect(a, t, z, h, z_h, inside):
         if k == len(dts):
             dts = (hi - lo) * 0.5 ** np.arange(1, _HALVINGS + 1)
             steps = expm(a * dts[:, None, None])
+            dts = dts.tolist()
             k = 0
         z_mid = steps[k] @ z
         mid = lo + dts[k]
@@ -256,9 +257,14 @@ def _powers(step: np.ndarray, k: int) -> np.ndarray:
     return p
 
 
+def _rate(gen: AffineGenerator) -> float:
+    """||A||_1, the largest column sum of |A|."""
+    return float(np.abs(gen.A).sum(axis=0).max())
+
+
 def _grid_steps(gen: AffineGenerator, t_end: float, min_steps: int = 1) -> int:
     """Steps of the scan's grid on [0, t_end]: h ||A||_1 <= 1, at least min_steps."""
-    return max(min_steps, math.ceil(t_end * float(np.abs(gen.A).sum(axis=0).max())))
+    return max(min_steps, math.ceil(t_end * _rate(gen)))
 
 
 def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
@@ -271,12 +277,12 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
     common positive factor, which leaves Y / s unchanged, and then advanced
     by the powers e^{hA}, ..., e^{64 hA}, one block of grid times at a time.
     The event is the first grid step that ends with s <= 0 (the state
-    diverges) or, with a radius rho, with rho Y_tau < |Y_r| (the Bloch
-    vector r / tau passes rho).  s > 0 before the event, so both tests read
-    Y alone.  The scan ends at the last grid time before the event and
-    bisects that step once, on s > 0 and rho Y_tau >= |Y_r| together: the
-    sign of s at the bracket's upper end tells t*, that end, from a radius
-    root, whose time and state are the bracket's lower end.
+    diverges) or, with a radius rho, with rho tau < |r| on the state
+    y = Y / s (the Bloch vector r / tau passes rho).  The scan ends at the
+    last grid time before the event and bisects that step once, on s > 0
+    and rho tau >= |r| together, so the radius root's state, the bracket's
+    lower end, has rho tau - |r| >= 0 as ``_margin`` computes it.  The sign
+    of s at the bracket's upper end tells t*, that end, from a radius root.
     """
     a, g = gen.A, gen.g
     h = t_end / n
@@ -292,18 +298,21 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
         ys = powers[:n - k] @ y
         s = c + g * ys[:, 0]
         out = s <= 0.0
+        zs = ys / np.where(out, 1.0, s)[:, None]  # the states, where s > 0
         if rho is not None:
-            out |= rho * ys[:, 0] < np.sqrt((ys[:, 1:] ** 2).sum(axis=1))
+            out |= rho * zs[:, 0] < np.sqrt((zs[:, 1:] ** 2).sum(axis=1))
         hit = np.flatnonzero(out)
         j = int(hit[0]) if hit.size else len(ys)
         if j:
-            blocks.append(ys[:j] / s[:j, None])
+            blocks.append(zs[:j])
             y = ys[j - 1]
         k += j
         if hit.size:
-            lo, z_lo, hi, z_hi = _bisect(
-                a, k * h, y, h, ys[j],
-                lambda v: c + g * v[0] > 0.0 and (rho is None or _margin(v, rho) >= 0.0))
+            def inside(v):
+                s_v = c + g * v[0]
+                return s_v > 0.0 and (rho is None or _margin(v / s_v, rho) >= 0.0)
+
+            lo, z_lo, hi, z_hi = _bisect(a, k * h, y, h, ys[j], inside)
             if c + g * z_hi[0] <= 0.0:
                 t_stop = k * h + hi
             else:
@@ -313,6 +322,36 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
     if k == n:
         times[-1] = t_end
     return _Scan(times, np.concatenate(blocks), t_stop, y_stop)
+
+
+# A gate stage scans its horizon in segments of at most this many grid
+# steps, each from the state the one before ended in, so a radius beyond
+# reach costs the time of the whole scan but the memory of one segment.
+_SEGMENT_STEPS = 1 << 14
+
+
+def _event_within(gen: AffineGenerator, y0: np.ndarray, t_max: float,
+                  rho: float) -> tuple[float, float | None, np.ndarray | None]:
+    """The first event of ``_scan`` from y0 within T = min(t_max, max_steps / ||A||_1).
+
+    max_steps is ``IntegratorOpts``' default, so the grid of ``_grid_steps``
+    on [0, T] has at most max_steps steps, and t_max = inf sets no budget.
+    The flow is autonomous, so each segment of the grid is scanned from the
+    state at its start.  Returns T, the event's time and the state there
+    (None at a blow-up); both are None without an event by T.
+    """
+    horizon = min(t_max, IntegratorOpts.max_steps / _rate(gen))
+    n = _grid_steps(gen, horizon)
+    h = horizon / n
+    t0, y = 0.0, y0
+    for k in range(0, n, _SEGMENT_STEPS):
+        m = min(_SEGMENT_STEPS, n - k)
+        t1 = horizon if k + m == n else (k + m) * h
+        scan = _scan(gen, y, t1 - t0, m, rho)
+        if scan.t_stop is not None:
+            return horizon, t0 + scan.t_stop, scan.y_stop
+        t0, y = t1, scan.y[-1]
+    return horizon, None, None
 
 
 def _blow_up_error(t_star: float, t: float, y: np.ndarray) -> BlowUp:

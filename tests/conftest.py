@@ -218,18 +218,21 @@ def bisect_surface(step_to, t, y, h_hi):
 def first_event(gen, t, y, h, rho=None):
     """Oracle for the event bisection of dynamics._scan: bisect, from the
     state y at t, the first dt in [0, h] at which s = 1 + g (tau(z) - tau) > 0
-    and, given rho, rho tau(z) >= |r(z)| fail together, z = e^{A dt} y by its
-    own expm.  Returns the lower end's time and state z / s, and the upper
-    end's time and whether s <= 0 there (a blow-up)."""
+    and, given rho, rho tau >= |r| on z / s fail together, z = e^{A dt} y by
+    its own expm.  Returns the lower end's time and state z / s, and the
+    upper end's time and whether s <= 0 there (a blow-up)."""
     def s_of(z):
         return 1.0 + gen.g * (z[0] - y[0])
 
     def step_to(dt):
         return expm(gen.A * dt) @ y
 
+    def inside(z):
+        s = s_of(z)
+        return s > 0.0 and (rho is None or dynamics._margin(z / s, rho) >= 0.0)
+
     lo, z_lo, hi = bisect(
-        step_to, y, h,
-        lambda z: s_of(z) > 0.0 and (rho is None or dynamics._margin(z, rho) >= 0.0),
+        step_to, y, h, inside,
         lambda lo, y_lo, hi: hi - lo <= 4e-16 * (t + hi))
     return t + lo, z_lo / s_of(z_lo), t + hi, s_of(step_to(hi)) <= 0.0
 

@@ -20,7 +20,7 @@ from blochamp import (
     rotate,
     slowdown_exponent,
 )
-from blochamp import AffineGenerator, analysis, assemble, presets, reconstruct
+from blochamp import AffineGenerator, analysis, assemble, dynamics, presets, reconstruct
 from blochamp.tolerances import LINE_SIGN_TOL
 from conftest import (dp45, gate_durations, integrated_choi_spectra, matrix_rhs,
                       newton_roots, plane_flow, random_gksl_spec, random_nino_spec,
@@ -462,8 +462,46 @@ class TestGatePlanning:
     def test_unreachable_target_names_the_scan(self):
         with pytest.raises(TargetUnreachable, match=(
                 r"gate one_jump: the main stage does not reach \|r\| = 0\.99 "
-                r"by t = 10 \(t_max = 10, max_steps = 2000000\)$")):
+                r"by t = 10 \(t_max = 10\)$")):
             plan_amplification("one_jump", {"m": 1.0}, 0.5 * (1.0 + 0.99 ** 2), t_max=10.0)
+        with pytest.raises(TargetUnreachable, match=r"reach \|r\| = 0\.99999999 by"):
+            plan_amplification("one_jump", {"m": 1.0}, 0.5 * (1.0 + 0.99999999 ** 2),
+                               t_max=10.0)
+
+    @pytest.mark.parametrize("gate, params", [
+        ("linear_cptp", {"m": 1.0}), ("one_jump", {"m": 1.0}),
+        ("three_jump", {"M": 1.0, "gamma": 0.5}),
+        ("linear_non_cp", {"M": 1.0, "gamma": 0.5})])
+    def test_stage_scanned_in_segments(self, monkeypatch, gate, params):
+        # Each segment starts from the state the one before ended in; the
+        # stage ends where one scan of the whole horizon ends.
+        whole = plan_amplification(gate, params, 0.99)
+        monkeypatch.setattr(dynamics, "_SEGMENT_STEPS", 7)
+        plan = plan_amplification(gate, params, 0.99)
+        pre, main = gate_durations(gate, params, math.sqrt(0.98))
+        assert plan.t_gate == pytest.approx(main, rel=1e-12, abs=0)
+        assert plan.t_gate == pytest.approx(whole.t_gate, rel=1e-13, abs=0)
+        if pre is not None:
+            assert plan.pre_amp.duration == pytest.approx(pre, rel=1e-12, abs=0)
+        assert np.abs(plan.achieved.r - whole.achieved.r).max() <= 1e-13
+        assert purity_entropy(plan.achieved)[0] == pytest.approx(0.99, rel=0, abs=1e-12)
+
+    def test_unreachable_stage_keeps_one_segment(self, monkeypatch):
+        # A radius beyond reach scans the whole horizon, one segment at a time.
+        seen = []
+
+        def scan(gen, y0, t_end, n, rho=None):
+            seen.append(n)
+            return real(gen, y0, t_end, n, rho)
+
+        real = dynamics._scan
+        monkeypatch.setattr(dynamics, "_SEGMENT_STEPS", 16)
+        monkeypatch.setattr(dynamics, "_scan", scan)
+        with pytest.raises(TargetUnreachable):
+            plan_amplification("one_jump", {"m": 1.0}, 0.99, t_max=20.0)
+        gen = assemble(presets.onejump_nino(1.0))
+        assert max(seen) == 16 and len(seen) > 2
+        assert sum(seen) == dynamics._grid_steps(gen, 20.0)
 
     def test_blow_up_first_is_unreachable(self, monkeypatch):
         # L = -I and g = 2 keep r = 0 while s = 2 e^{-2t} - 1 reaches 0 at

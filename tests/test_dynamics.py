@@ -366,7 +366,7 @@ class TestExactTrajectory:
                 assert traj.stop_reason == "surface"
                 assert traj.t[-1] == runs[0].t[-1] and traj.tau[-1] == runs[0].tau[-1]
                 assert np.array_equal(traj.r[-1], runs[0].r[-1])
-            assert abs(runs[0].cone_margin[-1]) <= 4e-15
+            assert 0.0 <= runs[0].cone_margin[-1] <= 4e-15
         assert stops >= 15
 
     def test_blow_up_with_samples(self):

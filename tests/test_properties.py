@@ -179,39 +179,41 @@ def test_propagator_dp45_and_operator_rhs_agree(seed, g):
 @example(16, 1.0)
 @example(136, 1.0)
 def test_halving_roots_match_the_bisection_from_the_bracket_start(seed, g):
-    # The scan's one event on the pure surface, t* or the surface root,
-    # against the oracle that bisects the same grid step on the same
-    # predicate with each midpoint from the bracket start by its own expm.
+    # The scan's one event, t* without a radius and t* or the surface root
+    # on the pure surface, against the oracle that bisects the same grid
+    # step on the same predicate with each midpoint from the bracket start
+    # by its own expm.
     spec, gen, y0 = _family(seed, g)
     t_end = 4.0 / gen.scale
     n = dynamics._grid_steps(gen, t_end)
-    scan = dynamics._scan(gen, y0, t_end, n, 1.0)
-    if scan.t_stop is None:
-        assert scan.t[-1] == t_end
-        return
-    t, y = scan.t[-1], scan.y[-1]
-    t_lo, _, t_hi, diverges = first_event(gen, t, y, t_end / n, 1.0)
-    assert scan.blow_up == diverges
-    if diverges:
-        # s cancels the roundoff of up to 53 chained products (1.9e-15 at
-        # most over 66 blow-ups from 3,000 seeds at each g).
-        assert abs(scan.t_stop - t_hi) <= 4e-15 * t_hi
-        return
+    for rho in (None, 1.0):
+        scan = dynamics._scan(gen, y0, t_end, n, rho)
+        if scan.t_stop is None:
+            assert scan.t[-1] == t_end
+            continue
+        t, y = scan.t[-1], scan.y[-1]
+        t_lo, _, t_hi, diverges = first_event(gen, t, y, t_end / n, rho)
+        assert scan.blow_up == diverges
+        if diverges:
+            # s cancels the roundoff of up to 53 chained products.
+            assert abs(scan.t_stop - t_hi) <= 4e-15 * t_hi
+            continue
+        assert dynamics._margin(scan.y_stop) >= 0.0
 
-    def oracle(t_root):
-        return dynamics._advance(gen, y, t_root - t)
+        def oracle(t_root):
+            return dynamics._advance(gen, y, t_root - t)
 
-    # The state y = z / s grows as s falls towards t*, and s cancels the
-    # roundoff of z by the same factor.
-    want = oracle(scan.t_stop)
-    size = np.abs(want).max()
-    tol = 1e-14 * max(1.0, size / np.abs(y).max()) * size
-    assert np.abs(scan.y_stop - want).max() <= tol
-    if abs(scan.t_stop - t_lo) > 1e-15 * t_lo:
-        # A margin within roundoff of 0 at a midpoint sent the two down
-        # different halvings: the margin is that small at both roots.
-        assert abs(dynamics._margin(want)) <= tol
-        assert abs(dynamics._margin(oracle(t_lo))) <= tol
+        # The state y = z / s grows as s falls towards t*, and s cancels the
+        # roundoff of z by the same factor.
+        want = oracle(scan.t_stop)
+        size = np.abs(want).max()
+        tol = 1e-14 * max(1.0, size / np.abs(y).max()) * size
+        assert np.abs(scan.y_stop - want).max() <= tol
+        if abs(scan.t_stop - t_lo) > 1e-15 * t_lo:
+            # A margin within roundoff of 0 at a midpoint sent the two down
+            # different halvings: the margin is that small at both roots.
+            assert abs(dynamics._margin(want)) <= tol
+            assert abs(dynamics._margin(oracle(t_lo))) <= tol
 
 
 def _states(traj):
