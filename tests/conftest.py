@@ -260,6 +260,109 @@ def blow_up(gen, y0, t_end):
     return blow_up_time(gen, ts[k], y, t_end / n), ts[k], y
 
 
+def keep_all_scan(gen, y0, t_end, n, rho=None):
+    """Oracle for dynamics._scan without targets or cone test: the same
+    blocks and one event bisection, keeping every grid state.  Returns the
+    grid times up to t_end or the last one before the event, the states
+    there, the event's time (None without one) and the state at a radius
+    root (None at t* or without an event)."""
+    a, g = gen.A, gen.g
+    h = t_end / n
+    powers = dynamics._powers(expm(a * h), min(n, dynamics._RESCALE_STEPS))
+    y, c = y0, 1.0 - g * y0[0]
+    blocks = [y0[None]]
+    k = 0
+    t_stop = y_stop = None
+    while k < n:
+        m = max(abs(c), float(np.abs(y).max()))
+        y, c = y / m, c / m
+        ys = powers[:n - k] @ y
+        s = c + g * ys[:, 0]
+        out = s <= 0.0
+        zs = ys / np.where(out, 1.0, s)[:, None]
+        if rho is not None:
+            out |= rho * zs[:, 0] < np.sqrt((zs[:, 1:] ** 2).sum(axis=1))
+        hit = np.flatnonzero(out)
+        j = int(hit[0]) if hit.size else len(ys)
+        if j:
+            blocks.append(zs[:j])
+            y = ys[j - 1]
+        k += j
+        if hit.size:
+            def inside(v):
+                s_v = c + g * v[0]
+                return s_v > 0.0 and (rho is None or dynamics._margin(v / s_v, rho) >= 0.0)
+
+            lo, z_lo, hi, z_hi = dynamics._bisect(a, k * h, y, h, ys[j], inside)
+            if c + g * z_hi[0] <= 0.0:
+                t_stop = k * h + hi
+            else:
+                t_stop, y_stop = k * h + lo, z_lo / (c + g * z_lo[0])
+            break
+    times = np.arange(k + 1, dtype=float) * h
+    if k == n:
+        times[-1] = t_end
+    return times, np.concatenate(blocks), t_stop, y_stop
+
+
+def merge_samples(gen, ts, ys, t_stop, blow_up, targets):
+    """Each sample state advanced from the grid state at the last grid time
+    at or before it, dropping the samples after the last grid time at a
+    blow-up and those from a radius root on.  Returns the times and states
+    of t = 0 and the samples, and of the grid and the samples merged in time
+    order, grid first at equal times."""
+    tq = np.asarray(targets)
+    if t_stop is not None:
+        tq = tq[tq <= ts[-1]] if blow_up else tq[tq < t_stop]
+    k = np.searchsorted(ts, tq, side="right") - 1
+    dt = tq - ts[k]
+    yq = ys[k]
+    moved = dt > 0.0
+    if moved.any():
+        yq[moved] = dynamics._advance(gen, yq[moved], dt[moved])
+    t_all = np.concatenate((ts, tq))
+    y_all = np.concatenate((ys, yq))
+    order = np.argsort(t_all, kind="stable")
+    return (np.concatenate(([0.0], tq)), np.concatenate((ys[:1], yq)),
+            t_all[order], y_all[order])
+
+
+def merged_integrate(spec, initial, t_end, opts=None, *, min_steps=1, sample_times=None):
+    """Oracle for integrate: ``keep_all_scan`` keeps the whole grid, the
+    samples are merged with it by ``merge_samples``, and one cone pass reads
+    the merged states in time order before the scan's event is raised or
+    recorded."""
+    opts = IntegratorOpts() if opts is None else opts
+    y0 = dynamics._initial_vector(initial, t_end, opts)
+    targets = None if sample_times is None else dynamics._sample_targets(sample_times, t_end)
+    gen = assemble(spec)
+    if opts.stop_on_surface and dynamics._margin(y0) <= SURFACE_TOL:
+        return dynamics._build_trajectory(spec, gen, [0.0], [y0], StepStats(0, 0, 0.0),
+                                          "surface")
+    n = dynamics._grid_steps(gen, t_end, min_steps)
+    if n > opts.max_steps:
+        raise StepFailure(f"the grid needs {n} steps, more than max_steps = "
+                          f"{opts.max_steps}", 0.0, y0[0], y0[1:])
+    grid_t, grid_y, t_stop, y_stop = keep_all_scan(
+        gen, y0, t_end, n, 1.0 if opts.stop_on_surface else None)
+    blow_up = t_stop is not None and y_stop is None
+    if targets is None:
+        ts, ys = t_all, y_all = grid_t, grid_y
+    else:
+        ts, ys, t_all, y_all = merge_samples(gen, grid_t, grid_y, t_stop, blow_up,
+                                             targets)
+    if not opts.allow_off_cone:
+        dynamics._check_cone(t_all, y_all)
+    steps = len(grid_t) - 1
+    if blow_up:
+        raise dynamics._blow_up_error(t_stop, grid_t[-1], grid_y[-1])
+    if t_stop is not None:
+        return dynamics._build_trajectory(spec, gen, np.append(ts, t_stop),
+                                          np.vstack((ys, y_stop)),
+                                          StepStats(steps + 1, 0, 0.0), "surface")
+    return dynamics._build_trajectory(spec, gen, ts, ys, StepStats(steps, 0, 0.0), "t_end")
+
+
 def _run_adaptive(f, y, targets, opts, rtol, atol, rec_t, rec_y, record_all):
     t = 0.0
     t_end = targets[-1]
@@ -298,7 +401,7 @@ def _run_adaptive(f, y, targets, opts, rtol, atol, rec_t, rec_y, record_all):
             rec_y.append(y_s.copy())
             return StepStats(n_acc, n_rej, max_err), "surface"
         if not opts.allow_off_cone:
-            dynamics._check_cone(t_new, y_new, initial=False)
+            dynamics._check_cone([t_new], y_new[None])
 
         t, y, k1 = t_new, y_new, k_new
         if record_all or hits_target:

@@ -7,6 +7,7 @@ import pytest
 from blochamp import (
     ChannelSpec,
     HermitianPauliVector,
+    IntegratorOpts,
     InvalidParams,
     PsdState,
     TargetUnreachable,
@@ -472,36 +473,61 @@ class TestGatePlanning:
         ("linear_cptp", {"m": 1.0}), ("one_jump", {"m": 1.0}),
         ("three_jump", {"M": 1.0, "gamma": 0.5}),
         ("linear_non_cp", {"M": 1.0, "gamma": 0.5})])
-    def test_stage_scanned_in_segments(self, monkeypatch, gate, params):
-        # Each segment starts from the state the one before ended in; the
-        # stage ends where one scan of the whole horizon ends.
+    def test_stage_scanned_in_segments(self, gate, params):
+        # The flow is autonomous: scanned in segments of 7 grid steps, each
+        # from the grid state the one before kept at its end, a stage ends
+        # where plan_amplification's one scan of the whole horizon ends.
         whole = plan_amplification(gate, params, 0.99)
-        monkeypatch.setattr(dynamics, "_SEGMENT_STEPS", 7)
-        plan = plan_amplification(gate, params, 0.99)
         pre, main = gate_durations(gate, params, math.sqrt(0.98))
-        assert plan.t_gate == pytest.approx(main, rel=1e-12, abs=0)
-        assert plan.t_gate == pytest.approx(whole.t_gate, rel=1e-13, abs=0)
+        stages = [] if pre is None else [(whole.pre_amp.spec, 1e-3)]
+        y, durations = np.array([1.0, 0.0, 0.0, 0.0]), []
+        for spec, rho in stages + [(whole.main.spec, math.sqrt(0.98))]:
+            gen = assemble(spec)
+            horizon = min(1e4, IntegratorOpts.max_steps / dynamics._rate(gen))
+            n = dynamics._grid_steps(gen, horizon)
+            t0 = 0.0
+            for k in range(0, n, 7):
+                m = min(7, n - k)
+                t1 = horizon if k + m == n else (k + m) * (horizon / n)
+                scan = dynamics._scan(gen, y, t1 - t0, m, rho, targets=[t1 - t0])
+                if scan.t_stop is not None:
+                    break
+                t0, y = t1, scan.y[-1]
+            assert scan.event == "radius"
+            durations.append(t0 + scan.t_stop)
+            y = scan.y_stop
+        assert durations[-1] == pytest.approx(main, rel=1e-12, abs=0)
+        assert whole.t_gate == pytest.approx(durations[-1], rel=1e-13, abs=0)
         if pre is not None:
-            assert plan.pre_amp.duration == pytest.approx(pre, rel=1e-12, abs=0)
-        assert np.abs(plan.achieved.r - whole.achieved.r).max() <= 1e-13
-        assert purity_entropy(plan.achieved)[0] == pytest.approx(0.99, rel=0, abs=1e-12)
+            assert durations[0] == pytest.approx(pre, rel=1e-12, abs=0)
+            assert whole.pre_amp.duration == pytest.approx(durations[0], rel=1e-13, abs=0)
+        assert np.abs(whole.achieved.r - y[1:]).max() <= 1e-13
+        assert purity_entropy(whole.achieved)[0] == pytest.approx(0.99, rel=0, abs=1e-12)
 
-    def test_unreachable_stage_keeps_one_segment(self, monkeypatch):
-        # A radius beyond reach scans the whole horizon, one segment at a time.
+    def test_unreachable_stage_keeps_no_state(self, monkeypatch):
+        # A radius beyond reach scans the whole horizon in one scan that
+        # keeps no grid state.
         seen = []
 
-        def scan(gen, y0, t_end, n, rho=None):
-            seen.append(n)
-            return real(gen, y0, t_end, n, rho)
+        def scan(*args, **kwargs):
+            seen.append((args[3], real(*args, **kwargs)))
+            return seen[-1][1]
 
         real = dynamics._scan
-        monkeypatch.setattr(dynamics, "_SEGMENT_STEPS", 16)
         monkeypatch.setattr(dynamics, "_scan", scan)
         with pytest.raises(TargetUnreachable):
             plan_amplification("one_jump", {"m": 1.0}, 0.99, t_max=20.0)
         gen = assemble(presets.onejump_nino(1.0))
-        assert max(seen) == 16 and len(seen) > 2
-        assert sum(seen) == dynamics._grid_steps(gen, 20.0)
+        [(n, result)] = seen
+        assert n == dynamics._grid_steps(gen, 20.0) and result.steps == n
+        assert result.event is None and result.y.shape == (0, 4)
+
+    def test_no_finite_horizon_is_unreachable(self):
+        # m^2 = 1e-320 is subnormal: max_steps / ||A||_1 overflows to inf.
+        with pytest.raises(TargetUnreachable, match=(
+                r"gate linear_cptp: the main stage's rates give no finite scan "
+                r"horizon.*finite t_max")):
+            plan_amplification("linear_cptp", {"m": 1e-160}, 0.9, t_max=math.inf)
 
     def test_blow_up_first_is_unreachable(self, monkeypatch):
         # L = -I and g = 2 keep r = 0 while s = 2 e^{-2t} - 1 reaches 0 at

@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from blochamp import (
     IntegratorOpts,
     PsdState,
     StepFailure,
+    TargetUnreachable,
     Trajectory,
     integrate,
     rhs,
@@ -155,6 +157,12 @@ class TestIntegratorOpts:
         with pytest.raises(ValueError, match=field):
             IntegratorOpts(**kwargs)
 
+    @pytest.mark.parametrize("min_steps", [0, -3, 2.5])
+    def test_rejects_bad_min_steps(self, min_steps):
+        spec = ChannelSpec(HermitianPauliVector([0.0, 0.0, 0.0, 0.0]))
+        with pytest.raises(ValueError, match="min_steps must be an integer >= 1"):
+            integrate(spec, MIXED, 1.0, min_steps=min_steps)
+
     def test_tolerances_are_deprecated(self):
         with pytest.warns(DeprecationWarning, match="no longer reads them"):
             opts = IntegratorOpts(rtol=1e-6)
@@ -190,6 +198,19 @@ class TestHalting:
         start = PsdState(1.0, [0.69, 0.69, 0.0])
         with pytest.raises(ConeViolation):
             integrate(presets.linear_noncp(1.0, 0.5), start, 5.0)
+
+    def test_sample_off_the_cone_before_a_grid_state_halts_there(self):
+        # The state leaves the cone near t = 0.05, inside the first grid step
+        # (h = 0.5): the sample at t = 0.1 is the first state off the cone.
+        start = PsdState(1.0, [0.69, 0.69, 0.0])
+        errors = []
+        for engine in (integrate, conftest.merged_integrate):
+            with pytest.raises(ConeViolation) as info:
+                engine(presets.linear_noncp(1.0, 0.5), start, 5.0,
+                       sample_times=np.linspace(0.0, 1.0, 11))
+            errors.append(info.value)
+        assert errors[0].t == errors[1].t == 0.1
+        assert (errors[0].tau, errors[0].r) == (errors[1].tau, errors[1].r)
 
     def test_apex_reached_for_contracting_trace(self):
         # Omega = 2I makes the trace decay toward the apex from tau < 1.
@@ -450,12 +471,14 @@ class TestBlowUp:
         tau0 = e / (e - 1.0)
         y0 = np.array([tau0] + [tau0 * v for v in start])
         gen = blochamp.assemble(spec)
-        scan = dynamics._scan(gen, y0, 10.0, dynamics._grid_steps(gen, 10.0))
-        assert scan.blow_up and scan.t[-1] < t_s < scan.t_stop
+        n = dynamics._grid_steps(gen, 10.0)
+        scan = dynamics._scan(gen, y0, 10.0, n)
+        t_last = scan.steps * (10.0 / n)  # the last grid time before t*
+        assert scan.event == "blow_up" and t_last < t_s < scan.t_stop
         traj = integrate(spec, PsdState(y0[0], y0[1:]), 10.0, opts)
         assert traj.stop_reason == "surface" and abs(traj.cone_margin[-1]) <= 1e-12
         assert traj.t[-1] == pytest.approx(t_s, rel=1e-6)
-        assert traj.t[-2] == scan.t[-1]
+        assert traj.t[-2] == t_last
 
     @pytest.mark.parametrize("tau0, rel", [(1.5, 1e-15), (100.0, 4e-15)])
     def test_t_star_matches_the_bisection_from_the_bracket_start(self, tau0, rel):
@@ -465,14 +488,17 @@ class TestBlowUp:
         # root (0.0050251679267507206, to 20 digits), the stack 5e-16.
         gen = blochamp.assemble(self.SPEC)
         y0 = np.array([tau0, 0.0, 0.0, 0.0])
+        n = dynamics._grid_steps(gen, 1.1)
+        h = 1.1 / n
         for rho in (None, 1.0):  # r = 0 stays inside every radius
-            scan = dynamics._scan(gen, y0, 1.1, dynamics._grid_steps(gen, 1.1), rho)
-            h = 1.1 / dynamics._grid_steps(gen, 1.1)
-            want = conftest.blow_up_time(gen, scan.t[-1], scan.y[-1], h)
-            assert scan.blow_up and scan.y_stop is None
+            scan = dynamics._scan(gen, y0, 1.1, n, rho)
+            # At t* the scan stops with the state at its last grid time.
+            t_last = scan.steps * h
+            assert scan.event == "blow_up" and np.array_equal(scan.y_stop, scan.y[-1])
+            want = conftest.blow_up_time(gen, t_last, scan.y_stop, h)
             assert abs(scan.t_stop - want) <= rel * want
             assert abs(scan.t_stop - self.t_star(tau0)) <= 1e-14 * scan.t_stop
-            assert scan.t[-1] < scan.t_stop <= scan.t[-1] + h
+            assert t_last < scan.t_stop <= t_last + h
 
     def test_blow_up_first_raises(self):
         spec = shifted_threejump(-1.5)
@@ -531,6 +557,53 @@ class TestExpmCalls:
         # (two for the pre-amplification root, early in the first grid step).
         blochamp.plan_amplification(gate, params, 0.99)
         assert len(calls) <= 3 * stages
+
+
+class TestFlatMemory:
+    """A run keeps only the grid states it returns, and a gate stage none,
+    so the memory of a long run does not grow with its grid."""
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_long_sampled_run(self):
+        spec = presets.linear_cptp(1.0)
+        t_end = 4e5 / dynamics._rate(blochamp.assemble(spec))
+        runs = []
+        peak = self.traced_peak(lambda: runs.append(integrate(
+            spec, PsdState(1.0, [0.1, 0.0, 0.0]), t_end,
+            sample_times=[0.0, t_end / 2, t_end])))
+        [traj] = runs
+        assert traj.stats.accepted == 400_000 and traj.t[-1] == t_end
+        assert peak < 1e6
+
+    def test_unreachable_gate_stage(self):
+        def plan():
+            with pytest.raises(TargetUnreachable):
+                blochamp.plan_amplification("one_jump", {"m": 1.0}, 0.99999999,
+                                            t_max=2e4)
+
+        assert self.traced_peak(plan) < 1e6
+
+    def test_run_halted_off_the_cone(self):
+        # The scan of a final-state run ends at the first grid state off the
+        # cone, at t = 0.5, not at t_end = 1e5.
+        errors = []
+
+        def run():
+            with pytest.raises(ConeViolation) as info:
+                integrate(presets.linear_noncp(1.0, 0.5), PsdState(1.0, [0.69, 0.69, 0.0]),
+                          1e5, sample_times=[1e5])
+            errors.append(info.value)
+
+        assert self.traced_peak(run) < 1e6
+        assert errors[0].t == 0.5
 
 
 def test_readme_library_example(tmp_path, monkeypatch):

@@ -26,11 +26,13 @@ from blochamp import (  # noqa: E402
     presets,
     reconstruct,
 )
+from blochamp.errors import IntegrationError  # noqa: E402
 from conftest import (  # noqa: E402
     coords_of,
     dp45,
     first_event,
     matrix_rhs,
+    merged_integrate,
     random_cone_state,
     random_gksl_spec,
     random_nino_spec,
@@ -133,6 +135,45 @@ def test_pseudolinear_channel_and_its_dual_agree_on_the_plane(seed):
     assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
 
 
+def _outcome(run):
+    """A run's rows, stop and step count, or its error's type, text and
+    state, with the floats as bytes so that equal means bit for bit."""
+    try:
+        traj = run()
+    except IntegrationError as err:
+        return type(err), str(err), np.array([err.t, err.tau, *err.r]).tobytes()
+    return (traj.stop_reason, traj.stats,
+            np.column_stack((traj.t, traj.tau, traj.r)).tobytes())
+
+
+@PROPERTY
+@given(st.sampled_from(["preset", "nino", "pseudolinear", "gksl", "noncp_gksl"]),
+       SEEDS, st.sampled_from(["none", "end", "201", "grid", "random"]),
+       st.booleans(), st.booleans(), st.booleans())
+def test_integrate_matches_the_merged_oracle(kind, seed, sampling, stop_on_surface,
+                                             allow_off_cone, off_plane):
+    # integrate keeps only the grid states its samples start from and checks
+    # the cone as it scans; the oracle keeps the whole grid, merges the
+    # samples into it and checks the cone in one pass over both.
+    spec = _spec(kind, seed)
+    gen = assemble(spec)
+    rng = np.random.default_rng(seed + 2)
+    y0 = _state(seed) * (0.5 + rng.random() if off_plane else 1.0)
+    t_end = (0.5 + 200.0 * rng.random()) / gen.scale
+    n = dynamics._grid_steps(gen, t_end)
+    sample_times = {
+        "none": None, "end": [t_end], "201": np.linspace(0.0, t_end, 201),
+        "grid": np.linspace(0.0, t_end, n + 1)[::3],
+        "random": np.sort(rng.random(17)) * t_end}[sampling]
+    opts = IntegratorOpts(allow_off_cone=allow_off_cone, stop_on_surface=stop_on_surface)
+    start = PsdState(y0[0], y0[1:], physical=False)
+    with np.errstate(all="ignore"):
+        got, want = (_outcome(lambda: engine(spec, start, t_end, opts,
+                                             sample_times=sample_times))
+                     for engine in (integrate, merged_integrate))
+    assert got == want
+
+
 def _family(seed, g):
     """A random channel of nonlinearity g with precession, its generator and
     an initial state inside the cone."""
@@ -189,11 +230,12 @@ def test_halving_roots_match_the_bisection_from_the_bracket_start(seed, g):
     for rho in (None, 1.0):
         scan = dynamics._scan(gen, y0, t_end, n, rho)
         if scan.t_stop is None:
-            assert scan.t[-1] == t_end
+            assert scan.steps == n and len(scan.y) == n + 1
             continue
-        t, y = scan.t[-1], scan.y[-1]
+        # The scan ends at the last grid time before its event.
+        t, y = scan.steps * (t_end / n), scan.y[-1]
         t_lo, _, t_hi, diverges = first_event(gen, t, y, t_end / n, rho)
-        assert scan.blow_up == diverges
+        assert (scan.event == "blow_up") == diverges
         if diverges:
             # s cancels the roundoff of up to 53 chained products.
             assert abs(scan.t_stop - t_hi) <= 4e-15 * t_hi
