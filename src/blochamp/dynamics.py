@@ -4,8 +4,9 @@ The state vector is y = (tau, x, y, z) and its flow is
 ``AffineGenerator.velocity``, y' = A y + g (w.y) y, with the exact solution
 y(t) = Y(t) / s(t), Y = e^{At} y0 and s = 1 + g (Y_tau - tau0).
 ``integrate`` reads it on a uniform grid from ``_scan``, or at
-caller-supplied times advanced from that grid; every command and ``verify``
-read their trajectories from it.  ``_scan`` also finds the first time the
+caller-supplied times advanced from that grid by one degree-20 Taylor
+polynomial in A / ||A||_1 (``_advance``); every command and ``verify`` read
+their trajectories from it.  ``_scan`` also finds the first time the
 state diverges or its Bloch vector reaches a given radius, which ends a
 surface-stopping run and each stage of a gate plan.  Trajectories carry
 purity, entropy, tr(X Omega) and the cone margin tau - |r|.
@@ -247,13 +248,22 @@ def _bisect(a, t, z, h, z_h, inside):
 # rescaled size.
 _RESCALE_STEPS = 64
 
+# The scan ends before the first grid state y = Y / s with a component of
+# size 2^511 or more: beyond it |r|^2, which the cone test and the
+# trajectory's columns take, does not fit in a double.  A block starts from
+# a pair (Y, c) of size 1, so within it |Y|_1 <= 4 e^64, and only where
+# s <= _S_FLOOR (8 e^64 leaves room for roundoff) can y reach _OVERFLOW.
+_OVERFLOW = 2.0 ** 511
+_S_FLOOR = 8.0 * math.exp(_RESCALE_STEPS) / _OVERFLOW
+
 
 class _Scan(NamedTuple):
     steps: int                 # to t_end, or to the last grid time before the event
     y: np.ndarray              # every grid state to there, or the one kept per target
     dt: np.ndarray             # each kept target's time less its grid state's
-    event: str | None          # "blow_up", "radius", "off_cone" or None
-    t_stop: float | None       # t*, the radius root or the grid time off the cone
+    event: str | None          # "blow_up", "radius", "off_cone", "overflow" or None
+    t_stop: float | None       # t*, the radius root, the grid time off the cone
+                               # or the last grid time before the overflow
     y_stop: np.ndarray | None  # the state there; at t*, the last grid state before it
 
 
@@ -296,9 +306,13 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
     and rho tau >= |r| together, so the radius root's state, the bracket's
     lower end, has rho tau - |r| >= 0 as ``_margin`` computes it.  The sign
     of s at the bracket's upper end tells t*, that end, from a radius root.
-    With ``cone``, a grid state before that step that ``_off_cone`` flags
-    ends the scan instead, unbisected; ``integrate`` checks an unsampled
-    run's rows after the scan, in one pass that costs less.
+    A grid step that ends with s > 0 but a state of size _OVERFLOW or more
+    ends the scan at the grid time before it, the event "overflow": a
+    linear run (g = 0) whose state grows without bound ends there, before
+    its rescaled s underflows to 0 and reads as a blow-up.  With ``cone``,
+    a grid state before any of these that ``_off_cone`` flags ends the scan
+    instead, unbisected; ``integrate`` checks an unsampled run's rows after
+    the scan, in one pass that costs less.
 
     Without ``targets`` the scan keeps every grid state to its end.  With
     sorted targets in (0, t_end (1 + TIME_WINDOW)] it keeps for each only
@@ -321,10 +335,13 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
         y, c = y / m, c / m
         ys = powers[:n - k] @ y
         s = c + g * ys[:, 0]
-        out = s <= 0.0
-        zs = ys / np.where(out, 1.0, s)[:, None]  # the states, where s > 0
-        if rho is not None:
-            out |= rho * zs[:, 0] < np.sqrt((zs[:, 1:] ** 2).sum(axis=1))
+        # s <= 0, or the state Y / s too large: no state to divide out.
+        big = s <= _S_FLOOR
+        if big.any():
+            big &= np.abs(ys).max(axis=1) * (1.0 / _OVERFLOW) >= s
+        zs = ys / np.where(big, 1.0, s)[:, None]
+        out = big if rho is None else big | (
+            rho * zs[:, 0] < np.sqrt((zs[:, 1:] ** 2).sum(axis=1)))
         stop = out | _off_cone(zs) if cone else out
         hit = np.flatnonzero(stop)
         j = int(hit[0]) if hit.size else len(ys)
@@ -343,6 +360,9 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
         k += j
         if not hit.size:
             continue
+        if big[j] and s[j] > 0.0:
+            event, t_stop, y_stop = "overflow", t, z
+            break
         if not out[j]:
             event, y_stop = "off_cone", zs[j]
             t_stop = t_end if k + 1 == n else (k + 1) * h
@@ -359,7 +379,7 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
             event, t_stop, y_stop = "radius", t + lo, z_lo / (c + g * z_lo[0])
         break
     # The targets from the last grid time on, up to the event, keep its state.
-    e = (np.searchsorted(tq, t, side="right") if event == "blow_up"
+    e = (np.searchsorted(tq, t, side="right") if event in ("blow_up", "overflow")
          else tq.size if event is None else np.searchsorted(tq, t_stop))
     kept.append(np.broadcast_to(z, (e - i, 4)))
     dts.append(tq[i:e] - t)
@@ -383,8 +403,8 @@ def _initial_vector(initial: PsdState, t_end: float, opts: IntegratorOpts) -> np
     return y
 
 
-def _sample_targets(sample_times: Sequence[float], t_end: float) -> list[float]:
-    """The times after t = 0 that a sampled run records.
+def _sample_targets(sample_times: Sequence[float], t_end: float) -> np.ndarray:
+    """The times after t = 0 that a sampled run records, as a float array.
 
     These are the sorted, distinct sample times in (0, t_end], then t_end
     when the last of them falls short of it by more than TIME_WINDOW.
@@ -396,21 +416,37 @@ def _sample_targets(sample_times: Sequence[float], t_end: float) -> list[float]:
     ts = ts[np.diff(ts, prepend=-math.inf) > 0.0]
     if ts.size and (ts[0] < 0.0 or ts[-1] > t_end * (1.0 + TIME_WINDOW)):
         raise ValueError("sample_times must lie within [0, t_end]")
-    targets = [float(v) for v in ts if v > 0.0]
-    if not targets or targets[-1] < t_end * (1.0 - TIME_WINDOW):
-        targets.append(float(t_end))
-    return targets
+    ts = ts[ts > 0.0]
+    if not ts.size or ts[-1] < t_end * (1.0 - TIME_WINDOW):
+        ts = np.append(ts, float(t_end))
+    return ts
+
+
+# The degree of _advance's Taylor polynomial: for dt ||A||_1 <= 1 its
+# remainder is at most e / 21! ~ 5e-20 of |y|.
+_TAYLOR_DEGREE = 20
 
 
 def _advance(gen: AffineGenerator, y: np.ndarray, dt) -> np.ndarray:
-    """The exact states a time dt after the states y.
+    """The exact states a time dt after the states y, for dt ||A||_1 <= 1.
 
     y is one state with one dt, or a stack (m, 4) with m times; each goes
-    to e^{A dt} y / (1 + g (tau(e^{A dt} y) - tau)).  With dt ||A||_1 <= 1
-    every product stays finite.
+    to e^{A dt} y / (1 + g (tau(e^{A dt} y) - tau)).  e^{A dt} is the
+    degree-20 Taylor polynomial in A w, w = 1 / ||A||_1 (Al-Mohy and
+    Higham, SIAM J. Sci. Comput. 33(2), 2011): the powers (A w)^k are made
+    once, and each dt weighs them by (dt / w)^k / k!.  With dt <= w the
+    remainder is at most e / 21! of |y|, below a double's roundoff, and a
+    row is a function of its own y and dt, bit for bit, whatever else the
+    stack holds.  dt = 0 returns y as it is.
     """
     dt = np.asarray(dt, dtype=float)
-    big_y = (expm(gen.A * dt[..., None, None]) @ y[..., None])[..., 0]
+    rate = _rate(gen) or 1.0  # A = 0 leaves every state as it is
+    coef = np.cumprod((dt * rate)[..., None] / np.arange(1, _TAYLOR_DEGREE + 1), axis=-1)
+    powers = _powers(gen.A / rate, _TAYLOR_DEGREE).reshape(_TAYLOR_DEGREE, 16)
+    # One (1, 20) @ (20, 16) product per row, not one over the stack, so
+    # that a row's bits do not depend on how many rows the stack holds.
+    step = np.eye(4) + (coef[..., None, :] @ powers).reshape(*dt.shape, 4, 4)
+    big_y = (step @ y[..., None])[..., 0]
     return big_y / (1.0 + gen.g * (big_y[..., :1] - y[..., :1]))
 
 
@@ -425,16 +461,19 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
     a grid of more than ``opts.max_steps`` steps is refused with
     StepFailure.  With ``sample_times`` the rows are t = 0, the sorted
     distinct sample times and t_end instead: the scan keeps only the grid
-    state at or before each, which one batched expm advances to it, so
-    memory does not grow with n.  Unless ``allow_off_cone`` is set, the
-    first row, or grid state between samples, that is below the apex cutoff
-    or outside the cone beyond tolerance halts the run with ApexReached or
-    ConeViolation.  The scan's other events end the run early: a nonlinear
-    run (g != 0) whose state diverges at a time t* <= t_end raises BlowUp
-    unless it halts first, and a ``stop_on_surface`` run ends with the
-    state where it first reaches the pure surface |r| = tau, which the scan
-    bisects, and drops later samples.  ``stats`` counts the grid steps
-    scanned as accepted steps.
+    state at or before each, and one degree-20 Taylor polynomial in
+    A / ||A||_1, whose remainder is below a double's roundoff, advances
+    each to its time (``_advance``), so memory does not grow with n.
+    Unless ``allow_off_cone`` is set, the first row, or grid state between
+    samples, that is below the apex cutoff or outside the cone beyond
+    tolerance halts the run with ApexReached or ConeViolation.  The scan's
+    other events end the run early: a nonlinear run (g != 0) whose state
+    diverges at a time t* <= t_end raises BlowUp unless it halts first, a
+    state that grows past 2^511, where |r|^2 no longer fits in a double,
+    raises StepFailure with the last grid state before it, and a
+    ``stop_on_surface`` run ends with the state where it first reaches the
+    pure surface |r| = tau, which the scan bisects, and drops later
+    samples.  ``stats`` counts the grid steps scanned as accepted steps.
     """
     if not (isinstance(min_steps, (int, np.integer)) and min_steps >= 1):
         raise ValueError(f"min_steps must be an integer >= 1, got {min_steps!r}")
@@ -468,6 +507,12 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
             _check_cone([scan.t_stop], scan.y_stop[None])
     if scan.event == "blow_up":
         raise _blow_up_error(scan.t_stop, scan.steps * h, scan.y_stop)
+    if scan.event == "overflow":
+        raise StepFailure(f"the state overflows after t = {scan.t_stop:.17g}: at the "
+                          "next grid time a component passes 2^511, where |r|^2 no "
+                          "longer fits in a double; the state given is at t = "
+                          f"{scan.t_stop:.17g}", scan.t_stop, scan.y_stop[0],
+                          scan.y_stop[1:])
     if scan.event == "radius":
         return _build_trajectory(spec, gen, np.append(ts, scan.t_stop),
                                  np.vstack((ys, scan.y_stop)),

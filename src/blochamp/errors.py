@@ -34,7 +34,12 @@ class ApexReached(IntegrationError):
 
 
 class StepFailure(IntegrationError):
-    """A run needs more steps than ``max_steps`` allows."""
+    """A run needs more steps than ``max_steps`` allows, or its state overflows.
+
+    On an overflow, ``t``, ``tau`` and ``r`` are the state at the last grid
+    time before its size passes 2^511, where |r|^2 no longer fits in a
+    double.
+    """
 
 
 class BlowUp(IntegrationError):

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -247,6 +248,19 @@ class TestHalting:
                          1.0, opts)
         assert traj.stop_reason == "surface"
         assert len(traj) == 1
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_linear_overflow_is_not_a_blow_up(self):
+        # Off the cone the linear non-CP gate grows as e^{t/2}.  Its state
+        # passes 2^511 near t = 709, long before the rescaled s would
+        # underflow to 0 (t = 1504), which read as a blow-up although g = 0.
+        with pytest.raises(StepFailure, match="overflows after t = 709:") as info:
+            integrate(presets.linear_noncp(1, 0.5), PsdState(1, [0.69, 0.69, 0]), 1e5,
+                      IntegratorOpts(allow_off_cone=True), sample_times=[1e5])
+        err = info.value
+        assert err.t == 709.0
+        state = np.array([err.tau, *err.r])
+        assert np.isfinite(state).all() and np.abs(state).max() < 2.0 ** 511
 
 
 class TestExactTrajectory:
@@ -512,8 +526,9 @@ class TestBlowUp:
 
 class TestExpmCalls:
     """Each expm call, a batched stack included, counts once: a sample on a
-    grid time copies the grid state, and a bisection takes its midpoints
-    from one stack of half steps."""
+    grid time copies the grid state, a sample off it is advanced by a
+    Taylor polynomial, which calls no expm, and a bisection takes its
+    midpoints from one stack of half steps."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -530,6 +545,12 @@ class TestExpmCalls:
         traj = integrate(presets.threejump_nino(1.1, 0.4), PsdState(1.0, [0.01, 0, 0]),
                          5.0, sample_times=[5.0])
         assert traj.stop_reason == "t_end" and len(traj) == 2
+        assert len(calls) == 1
+
+    def test_sampled_run(self, calls):
+        traj = integrate(presets.threejump_nino(1.1, 0.4), PsdState(1.0, [0.01, 0, 0]),
+                         3.0, sample_times=np.linspace(0.0, 3.0, 201))
+        assert traj.stop_reason == "t_end" and len(traj) == 201
         assert len(calls) == 1
 
     def test_final_state_surface_stop(self, calls):
@@ -557,6 +578,53 @@ class TestExpmCalls:
         # (two for the pre-amplification root, early in the first grid step).
         blochamp.plan_amplification(gate, params, 0.99)
         assert len(calls) <= 3 * stages
+
+
+class TestAdvance:
+    """``_advance``, the Taylor polynomial that takes a grid state to a
+    sample time within its grid step."""
+
+    def test_zero_dt_returns_the_state(self):
+        gen = blochamp.assemble(presets.threejump_nino(1.1, 0.4))
+        y = np.array([1.3, 0.2, -0.7, 0.4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = dynamics._advance(gen, y, 0.0)
+            stacked = dynamics._advance(gen, np.array([y, y]), np.array([0.0, 0.0]))
+        assert got.tobytes() == y.tobytes()
+        assert stacked.tobytes() == np.array([y, y]).tobytes()
+
+    def test_scalar_dt_is_a_row_of_the_stack(self):
+        gen = blochamp.assemble(presets.linear_noncp(1.0, 0.5))
+        ys = np.array([[1.0, 0.3, -0.2, 0.1], [0.8, 0.1, 0.5, -0.3], [1.2, 0, 0, 0.9]])
+        dts = np.array([0.1, 0.7, 0.35]) / dynamics._rate(gen)
+        stack = dynamics._advance(gen, ys, dts)
+        for y, dt, row in zip(ys, dts, stack):
+            got = dynamics._advance(gen, y, dt)
+            assert got.shape == (4,)
+            assert np.array_equal(got, row)
+
+    def test_no_omega_keeps_tau(self):
+        # A trace-preserving channel has Omega = 0, so A's first row is 0
+        # and every power of it keeps tau exactly.
+        gen = blochamp.assemble(presets.linear_cptp(1.0))
+        assert not gen.A[0].any()
+        y = np.array([0.7, 0.1, -0.3, 0.2])
+        dts = np.array([0.3, 1.0]) / dynamics._rate(gen)
+        got = dynamics._advance(gen, np.array([y, y]), dts)
+        assert got[:, 0].tobytes() == np.array([y[0], y[0]]).tobytes()
+
+    def test_matches_scipy(self, rng):
+        linalg = pytest.importorskip("scipy.linalg")
+        for i in range(60):
+            spec = conftest.random_gksl_spec(rng, 1 + i % 3, zeta=None if i % 2 else 1)
+            gen = AffineGenerator(blochamp.assemble(spec).A, 0.0)
+            tau, r = conftest.random_cone_state(rng)
+            y = np.concatenate(([tau], r))
+            dt = rng.uniform(0.0, 1.0) / dynamics._rate(gen)
+            want = linalg.expm(gen.A * dt) @ y
+            got = dynamics._advance(gen, y, dt)
+            assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
 
 
 class TestFlatMemory:

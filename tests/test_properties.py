@@ -15,6 +15,7 @@ from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from blochamp import (  # noqa: E402
+    AffineGenerator,
     BlowUp,
     IntegratorOpts,
     PsdState,
@@ -26,6 +27,7 @@ from blochamp import (  # noqa: E402
     presets,
     reconstruct,
 )
+from blochamp.channels import expm  # noqa: E402
 from blochamp.errors import IntegrationError  # noqa: E402
 from conftest import (  # noqa: E402
     coords_of,
@@ -256,6 +258,25 @@ def test_halving_roots_match_the_bisection_from_the_bracket_start(seed, g):
             # different halvings: the margin is that small at both roots.
             assert abs(dynamics._margin(want)) <= tol
             assert abs(dynamics._margin(oracle(t_lo))) <= tol
+
+
+@PROPERTY
+@given(st.sampled_from(["preset", "nino", "pseudolinear", "gksl", "noncp_gksl"]),
+       SEEDS, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+@example("preset", 0, 1.0, 0.5)   # a whole grid step of linear_cptp
+def test_advance_matches_expm(kind, seed, frac, other):
+    # _advance's Taylor polynomial against the Pade exponential, for any dt
+    # up to a grid step, 1 / ||A||_1.  g = 0 leaves the linear part, which
+    # is what the polynomial replaces; the division by s is unchanged.  A
+    # row is the same, bit for bit, alone or in a stack.
+    gen = AffineGenerator(assemble(_spec(kind, seed)).A, 0.0)
+    y = _state(seed)
+    dt = frac / dynamics._rate(gen)
+    want = expm(gen.A * dt) @ y
+    got = dynamics._advance(gen, y, dt)
+    assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+    stack = dynamics._advance(gen, np.array([y, y[::-1]]), np.array([dt, other * dt]))
+    assert np.array_equal(stack[0], got)
 
 
 def _states(traj):
