@@ -38,7 +38,6 @@ from .dynamics import (
     Trajectory,
     integrate,
     rhs,
-    xi_coordinates,
 )
 from .errors import (
     ApexReached,
@@ -76,5 +75,5 @@ __all__ = [
     "integrate", "is_pure", "jump_generator", "load_spec",
     "plan_amplification", "preset_names", "purity_entropy", "reconstruct",
     "rhs", "rotate", "save_spec", "shift_transform", "slowdown_exponent",
-    "spectrum", "trace_product", "xi_coordinates",
+    "spectrum", "trace_product",
 ]

@@ -266,7 +266,8 @@ def _cmd_sweep(args) -> int:
     for value in values:
         params[args.param] = value
         spec = presets.expand_preset(presets.Preset(args.preset, params))
-        traj = integrate(spec, PsdState(args.tau0, [args.x0, args.y0, args.z0]), args.t)
+        traj = integrate(spec, PsdState(args.tau0, [args.x0, args.y0, args.z0]), args.t,
+                         sample_times=[args.t])
         fin = traj.final_state
         results = (fin.tau, *fin.r, fin.r_norm, traj.purity[-1], traj.entropy[-1])
         lines += [f"{args.param},{_fmt(value)},{obs},{_fmt(res)}"

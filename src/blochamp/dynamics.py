@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,8 +28,8 @@ from .tolerances import (APEX_TAU, CONE_RATIO_TOL, EIG_ROUNDOFF, SURFACE_TOL,
                          TIME_WINDOW)
 
 __all__ = [
-    "IntegratorOpts", "StepStats", "Sample", "Trajectory", "rhs", "integrate",
-    "xi_coordinates", "CSV_HEADER", "GRID_STEPS",
+    "IntegratorOpts", "StepStats", "Trajectory", "rhs", "integrate",
+    "CSV_HEADER", "GRID_STEPS",
 ]
 
 CSV_HEADER = "t,tau,x,y,z,purity,entropy,trXOmega,coneMargin"
@@ -93,15 +93,6 @@ class StepStats:
     max_error: float
 
 
-class Sample(NamedTuple):
-    t: float
-    state: PsdState
-    purity: float
-    entropy: float
-    tr_x_omega: float
-    cone_margin: float
-
-
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Columnar record of one integration run; immutable after construction."""
@@ -136,13 +127,6 @@ class Trajectory:
     def final_state(self) -> PsdState:
         return self.state(len(self.t) - 1)
 
-    @property
-    def samples(self) -> Iterator[Sample]:
-        for i in range(len(self.t)):
-            yield Sample(float(self.t[i]), self.state(i), float(self.purity[i]),
-                         float(self.entropy[i]), float(self.tr_x_omega[i]),
-                         float(self.cone_margin[i]))
-
     def write_csv(self, fh) -> None:
         """Write the trajectory as delimited text, 17 significant digits."""
         if hasattr(fh, "write"):
@@ -167,12 +151,6 @@ def rhs(spec: ChannelSpec, state: PsdState) -> tuple[np.ndarray, float]:
     y = np.concatenate(([state.tau], state.r))
     dy = assemble(spec).velocity(y)
     return dy[1:], float(dy[0])
-
-
-def xi_coordinates(state: PsdState) -> tuple[float, float]:
-    """Rotated coordinates ((y+x)/2, (y-x)/2) that diagonalize the two-rate gate."""
-    x, y = float(state.r[0]), float(state.r[1])
-    return (y + x) / 2.0, (y - x) / 2.0
 
 
 def _margin(y, rho: float = 1.0) -> float:

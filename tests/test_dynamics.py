@@ -26,8 +26,8 @@ from blochamp import (
     Trajectory,
     integrate,
     rhs,
-    xi_coordinates,
 )
+from blochamp.cli import run_cli
 from blochamp.dynamics import CSV_HEADER, StepStats
 from blochamp import dynamics, presets, shift_transform
 import conftest
@@ -651,6 +651,15 @@ class TestFlatMemory:
         assert traj.stats.accepted == 400_000 and traj.t[-1] == t_end
         assert peak < 1e6
 
+    def test_long_sweep(self, capsys):
+        # sweep prints each value's final state and keeps no other.
+        argv = ["sweep", "--preset", "linear_cptp", "--param", "m", "--values", "1",
+                "--t", "1e5"]
+        codes = []
+        assert self.traced_peak(lambda: codes.append(run_cli(argv))) < 1e6
+        assert codes == [0]
+        assert capsys.readouterr().out.splitlines()[1].startswith("m,1,tau,")
+
     def test_unreachable_gate_stage(self):
         def plan():
             with pytest.raises(TargetUnreachable):
@@ -724,27 +733,6 @@ class TestTracePlaneStability:
             assert np.all(np.diff(dev) <= 1e-12)
 
 
-class TestXiCoordinates:
-    def test_pre_amplified_split(self):
-        xp, xm = xi_coordinates(PsdState(1.0, [0.3, 0.0, 0.0]))
-        assert xp == pytest.approx(0.15) and xm == pytest.approx(-0.15)
-
-    def test_diagonal(self):
-        v = 1.0 / math.sqrt(2.0)
-        xp, xm = xi_coordinates(PsdState(1.0, [v, v, 0.0]))
-        assert xp == pytest.approx(v) and xm == pytest.approx(0.0, abs=1e-15)
-
-    def test_center(self):
-        assert xi_coordinates(MIXED) == (0.0, 0.0)
-
-    def test_inverse(self, rng):
-        for _ in range(20):
-            x, y = rng.normal(size=2)
-            xp, xm = xi_coordinates(PsdState(2.0, [x, y, 0], physical=False))
-            assert xp - xm == pytest.approx(x, abs=1e-15)
-            assert xp + xm == pytest.approx(y, abs=1e-15)
-
-
 class TestGrowthRates:
     def test_two_rate_spectrum(self):
         grid = np.linspace(0.0, 2.0, 41)
@@ -796,10 +784,3 @@ class TestCsv:
         buf = io.StringIO()
         traj.write_csv(buf)
         assert buf.getvalue() == csv_oracle(traj)
-
-    def test_samples_iterator(self):
-        traj = integrate(presets.linear_cptp(1.0), MIXED, 0.5)
-        samples = list(traj.samples)
-        assert len(samples) == len(traj)
-        assert samples[0].t == 0.0
-        assert samples[-1].state.tau == traj.tau[-1]
