@@ -15,8 +15,11 @@ coefficients of Omega.  This module assembles A as one contraction of the
 channel's coefficients with the structure constants of the generator's
 terms, {L, X}, a precession -i [H, X] and B X B^dag, built once from the
 Pauli matrices (``_structure_constants``).  It evaluates the flow
-(``AffineGenerator.velocity``) and provides the shift symmetry
-L -> L + c*I and the duality map onto linear channels.
+(``AffineGenerator.velocity``) and its propagator e^{At}
+(``AffineGenerator.propagator``), the package's one matrix exponential: a
+degree-20 Taylor polynomial in A / ||A||_1, squared only for
+|t| ||A||_1 > 1.  It provides the shift symmetry L -> L + c*I and the
+duality map onto linear channels.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .tolerances import ROUNDOFF
 
 __all__ = [
     "JumpTerm", "ChannelSpec", "AffineGenerator", "ChannelClass",
-    "jump_generator", "assemble", "expm",
+    "jump_generator", "assemble",
     "classify", "initial_velocity", "shift_transform", "dualize",
     "spec_to_dict", "spec_from_dict", "save_spec", "load_spec",
 ]
@@ -125,7 +128,7 @@ class AffineGenerator:
     @property
     def scale(self) -> float:
         """max(1, ||A||_1): every roundoff test on the generator scales with it."""
-        return max(1.0, float(np.abs(self.A).sum(axis=0).max()))
+        return max(1.0, _rate(self))
 
     @property
     def pseudo_linear(self) -> bool:
@@ -145,58 +148,63 @@ class AffineGenerator:
         """e^{A t} for each time in the 1-d sequence ts, shape (T, 4, 4).
 
         It maps y(0) to y(t) for a linear channel (g = 0); otherwise
-        y(t) = e^{At} y0 / (1 + g (tau(e^{At} y0) - tau0)).
+        y(t) = e^{At} y0 / (1 + g (tau(e^{At} y0) - tau0)).  Each e^{At} is
+        the degree-20 Taylor polynomial in A / w, w = ||A||_1 (Al-Mohy and
+        Higham, SIAM J. Sci. Comput. 33(2), 2011), at t / 2^s, s the least
+        integer >= 0 with |t| w / 2^s <= 1, squared s times.  The powers
+        (A / w)^k are made once (``_taylor``) and each time weighs them by
+        (t w / 2^s)^k / k!, its own (1, 20) @ (20, 16) product, so a row is
+        a function of its own time, bit for bit, whatever else ts holds.
+        With |t| w / 2^s <= 1 the remainder is at most e / 21! ~ 5e-20, below
+        a double's roundoff; no eigendecomposition is taken, so defective
+        matrices are as accurate as any other, and e^{A 0} is exactly I.
         """
         ts = np.asarray(ts, dtype=float)
         if ts.ndim != 1:
             raise ValueError("times must be a 1-d sequence")
         if not np.isfinite(ts).all():
             raise ValueError("times must be finite")
-        return expm(ts[:, None, None] * self.A)
+        if not np.isfinite(self.A).all():
+            raise ValueError("the generator's entries must be finite")
+        rate, powers = self._taylor()
+        frac, exp = np.frexp(np.abs(ts) * rate)
+        s = np.maximum(exp - (frac == 0.5), 0)  # |t| w <= 2^s, exactly
+        coef = np.cumprod((np.ldexp(ts, -s) * rate)[:, None] / _ORDERS, axis=-1)
+        step = np.eye(4) + (coef[:, None, :] @ powers.reshape(_TAYLOR_DEGREE, 16)
+                            ).reshape(-1, 4, 4)
+        for k in range(int(s.max(initial=0))):
+            more = s > k
+            step[more] = step[more] @ step[more]
+        return step
+
+    def _taylor(self) -> tuple[float, np.ndarray]:
+        """w = ||A||_1 (1 for A = 0) and the powers (A / w)^k, k = 1, ..., 20,
+        a (20, 4, 4) stack: the terms of every e^{At} of the package."""
+        rate = _rate(self) or 1.0  # A = 0 leaves every state as it is
+        return rate, _powers(self.A / rate, _TAYLOR_DEGREE)
 
 
-# Coefficients b_0..b_13 of the degree-13 Pade approximant to e^x, and the
-# 1-norm up to which it is accurate to double precision (Higham 2005).
-# Dividing by b_0 makes the denominator I + O(x), so e^0 is exactly I.
-_PADE13 = tuple(b / 64764752532480000.0 for b in (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
-_THETA13 = 5.371920351148152
+# The degree of the Taylor polynomial behind every e^{At}: for
+# |t| ||A||_1 <= 1 its remainder is at most e / 21! ~ 5e-20 of e^{At}.
+_TAYLOR_DEGREE = 20
+_ORDERS = np.arange(1, _TAYLOR_DEGREE + 1)
 
 
-def expm(a) -> np.ndarray:
-    """Matrix exponential of one square matrix or of a stack (N, n, n).
+def _rate(gen: AffineGenerator) -> float:
+    """||A||_1, the largest column sum of |A|."""
+    return float(np.abs(gen.A).sum(axis=0).max())
 
-    Scaling and squaring with the degree-13 Pade approximant (Higham 2005,
-    SIAM J. Matrix Anal. Appl. 26(4)): each matrix is divided by its own
-    power of two 2^s, the smallest that brings its 1-norm to theta_13 or
-    below, and its approximant is squared s times.  No eigendecomposition,
-    so defective matrices are as accurate as any other.
-    """
-    a = np.asarray(a, dtype=float)
-    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected an (n, n) or (N, n, n) array, got shape {a.shape}")
-    if not np.isfinite(a).all():
-        raise ValueError("matrix entries must be finite")
-    stack = a.reshape(-1, *a.shape[-2:])
-    norm = np.abs(stack).sum(axis=1).max(axis=1)
-    s = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0))).astype(int)
-    x = np.ldexp(stack, -s[:, None, None])
-    b = _PADE13
-    eye = np.eye(a.shape[-1])
-    x2 = x @ x
-    x4 = x2 @ x2
-    x6 = x4 @ x2
-    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
-             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
-    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
-         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
-    r = np.linalg.solve(v - u, v + u)
-    for k in range(int(s.max(initial=0))):
-        more = s > k
-        r[more] = r[more] @ r[more]
-    return r.reshape(a.shape)
+
+def _powers(step: np.ndarray, k: int) -> np.ndarray:
+    """step^1, ..., step^k as a (k, n, n) stack, by repeated doubling."""
+    p = np.empty((k, *step.shape))
+    p[0] = step
+    done = 1
+    while done < k:
+        more = min(done, k - done)
+        p[done:done + more] = p[:more] @ p[done - 1]
+        done += more
+    return p
 
 
 def _structure_constants() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

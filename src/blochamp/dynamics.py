@@ -2,14 +2,17 @@
 
 The state vector is y = (tau, x, y, z) and its flow is
 ``AffineGenerator.velocity``, y' = A y + g (w.y) y, with the exact solution
-y(t) = Y(t) / s(t), Y = e^{At} y0 and s = 1 + g (Y_tau - tau0).
-``integrate`` reads it on a uniform grid from ``_scan``, or at
-caller-supplied times advanced from that grid by one degree-20 Taylor
-polynomial in A / ||A||_1 (``_advance``); every command and ``verify`` read
-their trajectories from it.  ``_scan`` also finds the first time the
-state diverges or its Bloch vector reaches a given radius, which ends a
-surface-stopping run and each stage of a gate plan.  Trajectories carry
-purity, entropy, tr(X Omega) and the cone margin tau - |r|.
+y(t) = Y(t) / s(t), Y = e^{At} y0 and s = 1 + g (Y_tau - tau0).  Every
+e^{At} comes from ``AffineGenerator.propagator``, a degree-20 Taylor
+polynomial in A / ||A||_1.  ``integrate`` reads the solution on a uniform
+grid from ``_scan``, powers of one step e^{hA}, or at caller-supplied
+times advanced from that grid by one propagator call (``_advance``); every
+command and ``verify`` read their trajectories from it.  ``_scan`` also
+finds the first time the state diverges or its Bloch vector reaches a
+given radius, which ends a surface-stopping run and each stage of a gate
+plan; ``_bisect`` reads each midpoint straight from the bracket start
+through the same polynomial's terms.  Trajectories carry purity, entropy,
+tr(X Omega) and the cone margin tau - |r|.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .channels import AffineGenerator, ChannelSpec, assemble, expm
+from .channels import _ORDERS, AffineGenerator, ChannelSpec, _powers, _rate, assemble
 from .errors import ApexReached, BlowUp, ConeViolation, StepFailure
 from .pauli import PsdState
 from .tolerances import (APEX_TAU, CONE_RATIO_TOL, EIG_ROUNDOFF, SURFACE_TOL,
@@ -180,44 +183,36 @@ def _check_cone(ts, ys: np.ndarray, initial: bool = False) -> None:
                         else "state left the PSD cone during integration", t, y[0], y[1:])
 
 
-# A bisection advances its state by e^{A w/2}, ..., e^{A w/2^53} from one
-# batched expm, w the bracket's width when the stack is made: 53 halvings
-# take the bracket to one part in 2^53 of w, a double's precision.
-_HALVINGS = 53
+# k! for the orders k = 1, ..., 20 of the Taylor polynomial; each is exact
+# in a double.
+_FACTORIALS = np.cumprod(_ORDERS.astype(float))
 
 
-def _bisect(a, t, z, h, z_h, inside):
+def _bisect(gen, t, z, h, z_h, inside):
     """Bisect [0, h] for the first dt at which ``inside`` fails on Y' = A Y.
 
     z is Y at t, where ``inside`` holds, and z_h is Y at t + h, where it
     fails.  The bracket [lo, hi] halves until hi - lo <= 4e-16 (t + hi), at
-    most 200 times.  The k-th halving of a bracket of width w puts its
-    midpoint w / 2^k past lo, so Y at each midpoint is one product of Y at
-    lo with a matrix of the stack e^{A w/2}, ..., e^{A w/2^53}, which one
-    batched expm gives; with w ||A||_1 <= 1 no matrix of it needs squaring.
-    A bracket still open after 53 halvings takes a fresh stack on what
-    remains of it; a root close to dt = 0, where lo stays 0 while hi
-    shrinks, needs one.  Returns lo, Y there, hi and Y there.
+    most 200 times.  Y at each midpoint dt comes straight from the bracket
+    start, z + sum_k (dt w)^k P[k], w = ||A||_1 and P[k] = (A / w)^k z / k!,
+    the terms of ``AffineGenerator.propagator``'s Taylor polynomial applied
+    to z once per bisection: with dt w <= h w <= 1 no squaring is needed,
+    and no midpoint carries the roundoff of the one before it.  Returns
+    lo, Y there, hi and Y there.
     """
-    lo, hi = 0.0, h
-    dts, steps = (), None
-    k = 0
+    rate, powers = gen._taylor()
+    terms = (powers @ z) / _FACTORIALS[:, None]
+    lo, z_lo, hi = 0.0, z, h
     for _ in range(200):
         if hi - lo <= 4e-16 * (t + hi):
             break
-        if k == len(dts):
-            dts = (hi - lo) * 0.5 ** np.arange(1, _HALVINGS + 1)
-            steps = expm(a * dts[:, None, None])
-            dts = dts.tolist()
-            k = 0
-        z_mid = steps[k] @ z
-        mid = lo + dts[k]
-        k += 1
+        mid = 0.5 * (lo + hi)
+        z_mid = z + np.power(mid * rate, _ORDERS) @ terms
         if inside(z_mid):
-            lo, z = mid, z_mid
+            lo, z_lo = mid, z_mid
         else:
             hi, z_h = mid, z_mid
-    return lo, z, hi, z_h
+    return lo, z_lo, hi, z_h
 
 
 # The scan renormalizes its state at the start of every block of this many
@@ -245,23 +240,6 @@ class _Scan(NamedTuple):
     y_stop: np.ndarray | None  # the state there; at t*, the last grid state before it
 
 
-def _powers(step: np.ndarray, k: int) -> np.ndarray:
-    """step^1, ..., step^k as a (k, n, n) stack, by repeated doubling."""
-    p = np.empty((k, *step.shape))
-    p[0] = step
-    done = 1
-    while done < k:
-        more = min(done, k - done)
-        p[done:done + more] = p[:more] @ p[done - 1]
-        done += more
-    return p
-
-
-def _rate(gen: AffineGenerator) -> float:
-    """||A||_1, the largest column sum of |A|."""
-    return float(np.abs(gen.A).sum(axis=0).max())
-
-
 def _grid_steps(gen: AffineGenerator, t_end: float, min_steps: int = 1) -> int:
     """Steps of the scan's grid on [0, t_end]: h ||A||_1 <= 1, at least min_steps."""
     return max(min_steps, math.ceil(t_end * _rate(gen)))
@@ -276,7 +254,8 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
     comes from ``_grid_steps``, so one step e^{hA} changes Y's 1-norm by a
     factor between 1/e and e.  The pair (Y, 1 - g tau0) is rescaled by a
     common positive factor, which leaves Y / s unchanged, and then advanced
-    by the powers e^{hA}, ..., e^{64 hA}, one block of grid times at a time.
+    by the powers e^{hA}, ..., e^{64 hA} of one ``propagator`` step, one
+    block of grid times at a time.
     The event is the first grid step that ends with s <= 0 (the state
     diverges) or, with a radius rho, with rho tau < |r| on the state
     y = Y / s (the Bloch vector r / tau passes rho).  The scan ends at the
@@ -298,9 +277,9 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
     target's time less that one, up to a blow-up's last grid time or before
     another event; its memory does not grow with n.
     """
-    a, g = gen.A, gen.g
+    g = gen.g
     h = t_end / n
-    powers = _powers(expm(a * h), min(n, _RESCALE_STEPS))
+    powers = _powers(gen.propagator([h])[0], min(n, _RESCALE_STEPS))
     # (y, c) is (Y, 1 - g tau0) up to a common positive factor, and z the
     # state y / s at the last grid time t scanned.
     y, c, z, t = y0, 1.0 - g * y0[0], y0, 0.0
@@ -350,7 +329,7 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
             s_v = c + g * v[0]
             return s_v > 0.0 and (rho is None or _margin(v / s_v, rho) >= 0.0)
 
-        lo, z_lo, hi, z_hi = _bisect(a, t, y, h, ys[j], inside)
+        lo, z_lo, hi, z_hi = _bisect(gen, t, y, h, ys[j], inside)
         if c + g * z_hi[0] <= 0.0:
             event, t_stop, y_stop = "blow_up", t + hi, z
         else:
@@ -388,43 +367,33 @@ def _sample_targets(sample_times: Sequence[float], t_end: float) -> np.ndarray:
     when the last of them falls short of it by more than TIME_WINDOW.
     Raises ValueError for a time that is not finite or not in [0, t_end].
     """
+    # Sorted, any NaN last, so the two ends show every bad time.  Not
+    # np.unique: it imports numpy.ma on first use, 10 ms and 0.8 MB.
     ts = np.sort(np.asarray(sample_times, dtype=float).ravel())
-    if not np.isfinite(ts).all():
+    if ts.size and not (math.isfinite(ts[0]) and math.isfinite(ts[-1])):
         raise ValueError("sample_times must be finite")
-    ts = ts[np.diff(ts, prepend=-math.inf) > 0.0]
     if ts.size and (ts[0] < 0.0 or ts[-1] > t_end * (1.0 + TIME_WINDOW)):
         raise ValueError("sample_times must lie within [0, t_end]")
-    ts = ts[ts > 0.0]
+    keep = ts > 0.0
+    keep[1:] &= ts[1:] != ts[:-1]
+    ts = ts[keep]
     if not ts.size or ts[-1] < t_end * (1.0 - TIME_WINDOW):
         ts = np.append(ts, float(t_end))
     return ts
 
 
-# The degree of _advance's Taylor polynomial: for dt ||A||_1 <= 1 its
-# remainder is at most e / 21! ~ 5e-20 of |y|.
-_TAYLOR_DEGREE = 20
-
-
 def _advance(gen: AffineGenerator, y: np.ndarray, dt) -> np.ndarray:
-    """The exact states a time dt after the states y, for dt ||A||_1 <= 1.
+    """The exact states a time dt after the states y.
 
     y is one state with one dt, or a stack (m, 4) with m times; each goes
-    to e^{A dt} y / (1 + g (tau(e^{A dt} y) - tau)).  e^{A dt} is the
-    degree-20 Taylor polynomial in A w, w = 1 / ||A||_1 (Al-Mohy and
-    Higham, SIAM J. Sci. Comput. 33(2), 2011): the powers (A w)^k are made
-    once, and each dt weighs them by (dt / w)^k / k!.  With dt <= w the
-    remainder is at most e / 21! of |y|, below a double's roundoff, and a
-    row is a function of its own y and dt, bit for bit, whatever else the
-    stack holds.  dt = 0 returns y as it is.
+    to e^{A dt} y / (1 + g (tau(e^{A dt} y) - tau)), e^{A dt} from
+    ``AffineGenerator.propagator``.  For dt ||A||_1 <= 1, a grid step or
+    less, that is the Taylor polynomial without squaring, whose remainder is
+    at most e / 21! of |y|, below a double's roundoff; a row is a function
+    of its own y and dt, bit for bit, whatever else the stack holds.
+    dt = 0 returns y as it is.
     """
-    dt = np.asarray(dt, dtype=float)
-    rate = _rate(gen) or 1.0  # A = 0 leaves every state as it is
-    coef = np.cumprod((dt * rate)[..., None] / np.arange(1, _TAYLOR_DEGREE + 1), axis=-1)
-    powers = _powers(gen.A / rate, _TAYLOR_DEGREE).reshape(_TAYLOR_DEGREE, 16)
-    # One (1, 20) @ (20, 16) product per row, not one over the stack, so
-    # that a row's bits do not depend on how many rows the stack holds.
-    step = np.eye(4) + (coef[..., None, :] @ powers).reshape(*dt.shape, 4, 4)
-    big_y = (step @ y[..., None])[..., 0]
+    big_y = (gen.propagator(np.ravel(dt)) @ y.reshape(-1, 4, 1)).reshape(y.shape)
     return big_y / (1.0 + gen.g * (big_y[..., :1] - y[..., :1]))
 
 
@@ -439,9 +408,9 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
     a grid of more than ``opts.max_steps`` steps is refused with
     StepFailure.  With ``sample_times`` the rows are t = 0, the sorted
     distinct sample times and t_end instead: the scan keeps only the grid
-    state at or before each, and one degree-20 Taylor polynomial in
-    A / ||A||_1, whose remainder is below a double's roundoff, advances
-    each to its time (``_advance``), so memory does not grow with n.
+    state at or before each, and one propagator call, the Taylor
+    polynomial unsquared within a grid step, advances each to its time
+    (``_advance``), so memory does not grow with n.
     Unless ``allow_off_cone`` is set, the first row, or grid state between
     samples, that is below the apex cutoff or outside the cone beyond
     tolerance halts the run with ApexReached or ConeViolation.  The scan's

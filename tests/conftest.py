@@ -16,10 +16,56 @@ from blochamp import (
     dynamics,
     reconstruct,
 )
-from blochamp.channels import expm
 from blochamp.dynamics import CSV_HEADER, StepStats
 from blochamp.pauli import SIGMA
 from blochamp.tolerances import SURFACE_TOL
+
+
+# The oracle for AffineGenerator.propagator, independent of its Taylor
+# polynomial: scaling and squaring with the Pade approximant.
+#
+# Coefficients b_0..b_13 of the degree-13 Pade approximant to e^x, and the
+# 1-norm up to which it is accurate to double precision (Higham 2005).
+# Dividing by b_0 makes the denominator I + O(x), so e^0 is exactly I.
+_PADE13 = tuple(b / 64764752532480000.0 for b in (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0))
+_THETA13 = 5.371920351148152
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential of one square matrix or of a stack (N, n, n).
+
+    Scaling and squaring with the degree-13 Pade approximant (Higham 2005,
+    SIAM J. Matrix Anal. Appl. 26(4)): each matrix is divided by its own
+    power of two 2^s, the smallest that brings its 1-norm to theta_13 or
+    below, and its approximant is squared s times.  No eigendecomposition,
+    so defective matrices are as accurate as any other.
+    """
+    a = np.asarray(a, dtype=float)
+    if a.ndim not in (2, 3) or a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"expected an (n, n) or (N, n, n) array, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError("matrix entries must be finite")
+    stack = a.reshape(-1, *a.shape[-2:])
+    norm = np.abs(stack).sum(axis=1).max(axis=1)
+    s = np.ceil(np.log2(np.maximum(norm / _THETA13, 1.0))).astype(int)
+    x = np.ldexp(stack, -s[:, None, None])
+    b = _PADE13
+    eye = np.eye(a.shape[-1])
+    x2 = x @ x
+    x4 = x2 @ x2
+    x6 = x4 @ x2
+    u = x @ (x6 @ (b[13] * x6 + b[11] * x4 + b[9] * x2)
+             + b[7] * x6 + b[5] * x4 + b[3] * x2 + b[1] * eye)
+    v = (x6 @ (b[12] * x6 + b[10] * x4 + b[8] * x2)
+         + b[6] * x6 + b[4] * x4 + b[2] * x2 + b[0] * eye)
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max(initial=0))):
+        more = s > k
+        r[more] = r[more] @ r[more]
+    return r.reshape(a.shape)
 
 
 @pytest.fixture
@@ -260,15 +306,53 @@ def blow_up(gen, y0, t_end):
     return blow_up_time(gen, ts[k], y, t_end / n), ts[k], y
 
 
+def mp_exact(a, t):
+    """Oracle at the truth for AffineGenerator.propagator: e^{At} by
+    mpmath.expm at 40 digits, A and t read as exact doubles, as an mpmath
+    matrix.  Skips the test without mpmath."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        return mp.expm(mp.matrix(np.asarray(a, dtype=float).tolist()) * mp.mpf(float(t)))
+
+
+def mp_event(gen, y0, t, rho=None):
+    """Oracle at the truth for the event that dynamics._scan finds near t:
+    the root of s = 1 + g (Y_tau - tau0), or given rho of rho Y_tau - |Y_r|,
+    Y = e^{At} y0, by the secant method at 40 digits on the Taylor series
+    of Y about t, whose terms A^k Y(t) / k! come from ``mp_exact``.  Returns
+    the root, and Y and the exact state Y / s at t, rounded to doubles."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(40):
+        a = mp.matrix(gen.A.tolist())
+        terms = [mp_exact(gen.A, t) * mp.matrix([float(v) for v in y0])]
+        for k in range(1, 30):
+            terms.append(a * terms[-1] / k)
+
+        def big_y(dt):
+            return sum((dt ** k * v for k, v in enumerate(terms)), mp.zeros(4, 1))
+
+        def f(dt):
+            y = big_y(dt)
+            if rho is None:
+                return 1 + gen.g * (y[0] - mp.mpf(float(y0[0])))
+            return rho * y[0] - mp.sqrt(y[1] ** 2 + y[2] ** 2 + y[3] ** 2)
+
+        root = t + mp.findroot(f, (mp.mpf(0), mp.mpf(1e-10) / gen.scale))
+        y = terms[0]
+        state = y / (1 + gen.g * (y[0] - mp.mpf(float(y0[0]))))
+        return float(root), np.array(y.tolist(), dtype=float).ravel(), np.array(
+            state.tolist(), dtype=float).ravel()
+
+
 def keep_all_scan(gen, y0, t_end, n, rho=None):
     """Oracle for dynamics._scan without targets or cone test: the same
     blocks and one event bisection, keeping every grid state.  Returns the
     grid times up to t_end or the last one before the event, the states
     there, the event's time (None without one) and the state at a radius
     root (None at t* or without an event)."""
-    a, g = gen.A, gen.g
+    g = gen.g
     h = t_end / n
-    powers = dynamics._powers(expm(a * h), min(n, dynamics._RESCALE_STEPS))
+    powers = dynamics._powers(gen.propagator([h])[0], min(n, dynamics._RESCALE_STEPS))
     y, c = y0, 1.0 - g * y0[0]
     blocks = [y0[None]]
     k = 0
@@ -293,7 +377,7 @@ def keep_all_scan(gen, y0, t_end, n, rho=None):
                 s_v = c + g * v[0]
                 return s_v > 0.0 and (rho is None or dynamics._margin(v / s_v, rho) >= 0.0)
 
-            lo, z_lo, hi, z_hi = dynamics._bisect(a, k * h, y, h, ys[j], inside)
+            lo, z_lo, hi, z_hi = dynamics._bisect(gen, k * h, y, h, ys[j], inside)
             if c + g * z_hi[0] <= 0.0:
                 t_stop = k * h + hi
             else:

@@ -21,12 +21,13 @@ from blochamp import (
     save_spec,
     shift_transform,
 )
-from blochamp.channels import expm, jump_generator
+from blochamp.channels import AffineGenerator, jump_generator
 from blochamp.pauli import SIGMA
 from blochamp import presets, reconstruct
 from blochamp.tolerances import ROUNDOFF
-from conftest import (coords_of, dp45, matrix_rhs, random_jump, random_nino_spec,
-                      random_pseudolinear_spec, scaled_spec, trace_jump_generator)
+from conftest import (coords_of, dp45, matrix_rhs, mp_exact, random_gksl_spec, random_jump,
+                      random_nino_spec, random_pseudolinear_spec, scaled_spec,
+                      trace_jump_generator)
 
 
 def random_spec(rng, g, n_jumps=None):
@@ -435,56 +436,68 @@ def max_rel_dev(got, want):
 
 
 class TestExpm:
-    def test_zero_is_identity(self):
-        assert np.array_equal(expm(np.zeros((4, 4))), np.eye(4))
+    """``AffineGenerator.propagator``, the package's one matrix exponential,
+    on matrices that test the algorithm rather than a channel."""
+
+    @staticmethod
+    def propagator(a, ts):
+        return AffineGenerator(a, 0.0).propagator(ts)
+
+    def test_zero_is_identity(self, rng):
+        assert np.array_equal(self.propagator(np.zeros((4, 4)), [0.0, 1.0]),
+                              np.array([np.eye(4), np.eye(4)]))
+        assert np.array_equal(self.propagator(random_matrix(rng, 7.0), [0.0])[0],
+                              np.eye(4))
 
     def test_diagonal(self):
         d = np.array([-30.0, -1.5, 0.0, 2.5])
-        got = expm(np.diag(d))
+        got = self.propagator(np.diag(d), [1.0])[0]
         assert np.array_equal(got, np.diag(np.diag(got)))
         assert np.allclose(np.diag(got), np.exp(d), rtol=1e-13, atol=0.0)
 
     @pytest.mark.parametrize("lam, t", [(-0.7, 3.0), (0.0, 40.0), (2.0, 0.5),
                                         (-5.0, 8.0)])
     def test_jordan_block(self, lam, t):
-        # The one-jump generator is defective; e^{t J} of a Jordan block
+        # The one-jump generator is defective; e^{t J} of a 4x4 Jordan block
         # checks that no eigendecomposition is involved.
-        got = expm(t * np.array([[lam, 1.0], [0.0, lam]]))
-        want = math.exp(lam * t) * np.array([[1.0, t], [0.0, 1.0]])
+        n = np.diag(np.ones(3), 1)
+        got = self.propagator(lam * np.eye(4) + n, [t])[0]
+        tn = t * n
+        want = math.exp(lam * t) * (np.eye(4) + tn + tn @ tn / 2.0 + tn @ tn @ tn / 6.0)
         assert np.allclose(got, want, rtol=1e-13, atol=0.0)
 
     def test_semigroup(self, rng):
         for _ in range(50):
             a = random_matrix(rng, rng.uniform(0.1, 20.0))
             s, t = rng.uniform(0.0, 1.0, 2)
-            assert max_rel_dev(expm(a * s) @ expm(a * t), expm(a * (s + t))) <= 1e-12
+            p_s, p_t, p_st = self.propagator(a, [s, t, s + t])
+            assert max_rel_dev(p_s @ p_t, p_st) <= 1e-12
 
     def test_batch_matches_single_calls(self, rng):
-        # Norms from 0 to 30 give each matrix its own scaling exponent.
-        stack = np.array([random_matrix(rng, x) for x in np.linspace(0.0, 30.0, 12)])
-        batch = expm(stack)
-        assert batch.shape == stack.shape
-        for a, e in zip(stack, batch):
-            assert max_rel_dev(e, expm(a)) <= 1e-15
+        # t ||A||_1 from 0 to 30, both signs, gives each row its own number
+        # of squarings; a row is its single call, bit for bit.
+        for norm1 in (0.5, 1.0, 7.0):
+            a = random_matrix(rng, norm1)
+            ts = np.linspace(-30.0, 30.0, 13) / norm1
+            batch = self.propagator(a, ts)
+            assert batch.shape == (13, 4, 4)
+            for t, e in zip(ts, batch):
+                assert np.array_equal(e, self.propagator(a, [t])[0])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):
         a = np.eye(4)
         a[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            expm(a)
-
-    @pytest.mark.parametrize("shape", [(4,), (3, 4), (2, 2, 2, 2)])
-    def test_rejects_non_square(self, shape):
-        with pytest.raises(ValueError, match="expected"):
-            expm(np.zeros(shape))
+            self.propagator(a, [1.0])
 
 
 def test_expm_matches_scipy(rng):
     linalg = pytest.importorskip("scipy.linalg")
     for norm1 in np.linspace(0.0, 50.0, 200):
         a = random_matrix(rng, norm1)
-        assert max_rel_dev(expm(a), linalg.expm(a)) <= 1e-11
+        got = AffineGenerator(a, 0.0).propagator([1.0])[0]
+        assert max_rel_dev(got, linalg.expm(a)) <= 1e-11
 
 
 class TestPropagator:
@@ -502,6 +515,23 @@ class TestPropagator:
             traj = dp45(spec, PsdState(y0[0], y0[1:]), ts[-1], opts, sample_times=ts)
             got = np.column_stack((traj.tau, traj.r))
             assert np.abs(got - want).max() <= 1e-9 * max(1.0, np.abs(want).max())
+
+    def test_matches_the_40_digit_expm(self, rng):
+        # Against mpmath.expm at 40 digits over random generators of four
+        # kinds and t ||A||_1 from 1e-3 to 30, up to five squarings.  The
+        # worst error here is 6.0e-15 of max|e^{At}| (the degree-13 Pade
+        # exponential of tests/conftest.py: 4.5e-15); over 1,200 such
+        # matrices it is 8.8e-15 (Pade: 1.9e-14), both at t ||A||_1 = 30.
+        kinds = [lambda: random_spec(rng, g=1.0), lambda: random_pseudolinear_spec(rng),
+                 lambda: random_gksl_spec(rng, zeta=None), lambda: random_nino_spec(rng)]
+        worst = 0.0
+        for i in range(12):
+            gen = assemble(kinds[i % 4]())
+            ts = np.array([1e-3, 0.3, 1.0, 2.5, 7.0, 30.0]) / np.abs(gen.A).sum(axis=0).max()
+            for t, got in zip(ts, gen.propagator(ts)):
+                want = np.array(mp_exact(gen.A, t).tolist(), dtype=float)
+                worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+        assert worst <= 1e-14
 
     def test_time_zero_is_identity(self):
         p = assemble(presets.threejump_nino(1.0, 0.5)).propagator([0.0, 1.0])

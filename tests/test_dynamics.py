@@ -126,9 +126,11 @@ class TestIntegrate:
             integrate(presets.linear_cptp(1.0), MIXED, t_end)
 
     def test_rejects_non_finite_sample_times(self):
-        with pytest.raises(ValueError, match="sample_times must be finite"):
-            integrate(presets.linear_cptp(1.0), MIXED, 1.0,
-                      sample_times=[0.5, math.nan])
+        # A NaN among repeated times, and an infinity at either end, too.
+        for bad in ([0.5, math.nan], [math.nan, 0.5, 0.5, math.nan], [0.5, math.inf],
+                    [-math.inf, 0.5]):
+            with pytest.raises(ValueError, match="sample_times must be finite"):
+                integrate(presets.linear_cptp(1.0), MIXED, 1.0, sample_times=bad)
 
     def test_nan_error_norm_is_rejected(self, monkeypatch):
         # The dp45 oracle: a velocity that turns NaN after its first
@@ -423,13 +425,15 @@ def shifted_threejump(c):
 
 class TestBlowUp:
     """g = 1, L = -I from (tau0, 0): tau' = 2 (1 - tau) tau, and
-    s(t) = 1 + tau0 (e^{-2t} - 1) vanishes at t* = ln(tau0 / (tau0 - 1)) / 2."""
+    s(t) = 1 + tau0 (e^{-2t} - 1) vanishes at t* = ln(tau0 / (tau0 - 1)) / 2,
+    taken as log1p(1 / (tau0 - 1)) / 2: the log of tau0 / (tau0 - 1), near 1,
+    loses digits (at tau0 = 100 it is 6.5e-15 above the root)."""
 
     SPEC = ChannelSpec(HermitianPauliVector([-1.0, 0.0, 0.0, 0.0]), g=1.0)
 
     @staticmethod
     def t_star(tau0):
-        return math.log(tau0 / (tau0 - 1.0)) / 2.0
+        return math.log1p(1.0 / (tau0 - 1.0)) / 2.0
 
     @pytest.mark.parametrize("sample_times", [None, [0.0, 0.2, 0.4, 0.6, 1.0, 1.1]])
     def test_names_the_blow_up_time(self, sample_times):
@@ -496,10 +500,12 @@ class TestBlowUp:
 
     @pytest.mark.parametrize("tau0, rel", [(1.5, 1e-15), (100.0, 4e-15)])
     def test_t_star_matches_the_bisection_from_the_bracket_start(self, tau0, rel):
-        # tau0 = 100 puts t* in the first scan step, far below its end, so
-        # the bracket outlasts one stack of halvings.  There s = 1 + (Y_tau
-        # - 100) cancels two digits: the oracle lands 1.9e-15 from the true
-        # root (0.0050251679267507206, to 20 digits), the stack 5e-16.
+        # tau0 = 100 puts t* in the first scan step, far below its end.
+        # There s = 1 + (Y_tau - 100) cancels two digits, so a root is only
+        # as good as Y_tau = 99 near it: against the true root
+        # (0.0050251679267507206, to 20 digits) the oracle lands 1.8e-15
+        # low and the scan 4.6e-15 low, a third of a unit in the last place
+        # of Y_tau.
         gen = blochamp.assemble(self.SPEC)
         y0 = np.array([tau0, 0.0, 0.0, 0.0])
         n = dynamics._grid_steps(gen, 1.1)
@@ -525,21 +531,25 @@ class TestBlowUp:
 
 
 class TestExpmCalls:
-    """Each expm call, a batched stack included, counts once: a sample on a
-    grid time copies the grid state, a sample off it is advanced by a
-    Taylor polynomial, which calls no expm, and a bisection takes its
-    midpoints from one stack of half steps."""
+    """Each build of the Taylor powers behind every e^{At}
+    (``AffineGenerator._taylor``) counts once.  A run makes one for its scan
+    step e^{hA}; a run with a sample off the grid one more, to advance its
+    samples; and a run that ends at an event one more, to bisect it.  A
+    sample on a grid time copies the grid state.  So a final-state run
+    makes 1, a sampled run 2, a surface stop or a blow-up 2, and a gate
+    plan 2 per stage."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
-        shapes = []
+        built = []
+        taylor = AffineGenerator._taylor
 
-        def counted(a):
-            shapes.append(np.shape(a))
-            return blochamp.channels.expm(a)
+        def counted(gen):
+            built.append(gen)
+            return taylor(gen)
 
-        monkeypatch.setattr(dynamics, "expm", counted)
-        return shapes
+        monkeypatch.setattr(AffineGenerator, "_taylor", counted)
+        return built
 
     def test_final_state_run(self, calls):
         traj = integrate(presets.threejump_nino(1.1, 0.4), PsdState(1.0, [0.01, 0, 0]),
@@ -551,13 +561,13 @@ class TestExpmCalls:
         traj = integrate(presets.threejump_nino(1.1, 0.4), PsdState(1.0, [0.01, 0, 0]),
                          3.0, sample_times=np.linspace(0.0, 3.0, 201))
         assert traj.stop_reason == "t_end" and len(traj) == 201
-        assert len(calls) == 1
+        assert len(calls) == 2
 
     def test_final_state_surface_stop(self, calls):
         traj = integrate(presets.threejump_nino(1.1, 0.4), PsdState(1.0, [0.01, 0, 0]),
                          20.0, IntegratorOpts(stop_on_surface=True), sample_times=[20.0])
         assert traj.stop_reason == "surface" and abs(traj.cone_margin[-1]) <= 1e-12
-        assert len(calls) <= 2
+        assert len(calls) == 2
 
     def test_blow_up(self, calls):
         # The blow-up operation of the benchmark's ensemble: a = 1, tau0 = 1.5.
@@ -567,17 +577,16 @@ class TestExpmCalls:
             integrate(spec, PsdState(1.5, [0, 0, 0]), 2.0 * t_star,
                       sample_times=[2.0 * t_star])
         assert info.value.t == pytest.approx(t_star, rel=1e-12)
-        assert len(calls) <= 2
+        assert len(calls) == 2
 
     @pytest.mark.parametrize("gate, params, stages", [
         ("linear_cptp", {"m": 1.0}, 1), ("one_jump", {"m": 1.0}, 1),
         ("three_jump", {"M": 1.0, "gamma": 0.5}, 2),
         ("linear_non_cp", {"M": 1.0, "gamma": 0.5}, 2)])
     def test_gate_plan(self, calls, gate, params, stages):
-        # One scan per stage: its powers, and one or two stacks of halvings
-        # (two for the pre-amplification root, early in the first grid step).
+        # One scan per stage, and one bisection of its radius root.
         blochamp.plan_amplification(gate, params, 0.99)
-        assert len(calls) <= 3 * stages
+        assert len(calls) == 2 * stages
 
 
 class TestAdvance:

@@ -27,14 +27,15 @@ from blochamp import (  # noqa: E402
     presets,
     reconstruct,
 )
-from blochamp.channels import expm  # noqa: E402
 from blochamp.errors import IntegrationError  # noqa: E402
 from conftest import (  # noqa: E402
     coords_of,
     dp45,
+    expm,
     first_event,
     matrix_rhs,
     merged_integrate,
+    mp_event,
     random_cone_state,
     random_gksl_spec,
     random_nino_spec,
@@ -225,7 +226,7 @@ def test_halving_roots_match_the_bisection_from_the_bracket_start(seed, g):
     # The scan's one event, t* without a radius and t* or the surface root
     # on the pure surface, against the oracle that bisects the same grid
     # step on the same predicate with each midpoint from the bracket start
-    # by its own expm.
+    # by its own Pade exponential (conftest.expm).
     spec, gen, y0 = _family(seed, g)
     t_end = 4.0 / gen.scale
     n = dynamics._grid_steps(gen, t_end)
@@ -239,7 +240,8 @@ def test_halving_roots_match_the_bisection_from_the_bracket_start(seed, g):
         t_lo, _, t_hi, diverges = first_event(gen, t, y, t_end / n, rho)
         assert (scan.event == "blow_up") == diverges
         if diverges:
-            # s cancels the roundoff of up to 53 chained products.
+            # Near t*, s = 1 + g (Y_tau - tau) cancels digits of either
+            # exponential's roundoff.
             assert abs(scan.t_stop - t_hi) <= 4e-15 * t_hi
             continue
         assert dynamics._margin(scan.y_stop) >= 0.0
@@ -258,6 +260,65 @@ def test_halving_roots_match_the_bisection_from_the_bracket_start(seed, g):
             # different halvings: the margin is that small at both roots.
             assert abs(dynamics._margin(want)) <= tol
             assert abs(dynamics._margin(oracle(t_lo))) <= tol
+
+
+# Seeds of _family at g = 1 whose runs to t = 4 / scale blow up or reach the
+# pure surface: the first 160, and the two worst conditioned events of the
+# first 500, 412 (the surface met at a shallow angle, kappa_t = 89) and 416
+# (the surface met as s falls to 0.005, kappa_s = 187).
+_TRUTH_SEEDS = (*range(160), 412, 416)
+
+
+@pytest.fixture(scope="module")
+def truth_events():
+    """The scan's blow-ups and surface stops on the _TRUTH_SEEDS, each with
+    its 40-digit truth (``mp_event``) and condition numbers: kappa_t =
+    |Y| / (|f'| t*), the relative change of the root per relative change of
+    Y, f being the event function, and kappa_s = 1 + |g| |Y| / s, that of
+    the state Y / s at a radius root, where s > 0.  Returns (event, scan, truth, kappa_t,
+    kappa_s) rows."""
+    rows = []
+    for seed in _TRUTH_SEEDS:
+        _, gen, y0 = _family(seed, 1.0)
+        t_end = 4.0 / gen.scale
+        n = dynamics._grid_steps(gen, t_end)
+        for rho, event in ((None, "blow_up"), (1.0, "radius")):
+            scan = dynamics._scan(gen, y0, t_end, n, rho)
+            if scan.event != event:
+                continue
+            root, big_y, state = mp_event(gen, y0, scan.t_stop, rho)
+            dy = gen.A @ big_y
+            slope = gen.g * dy[0] if rho is None else (
+                rho * dy[0] - big_y[1:] @ dy[1:] / np.linalg.norm(big_y[1:]))
+            size = np.abs(big_y).max()
+            s = 1.0 + gen.g * (big_y[0] - y0[0])  # 0 at t*, up to roundoff
+            rows.append((event, scan, (root, state), size / abs(slope * root),
+                         None if rho is None else 1.0 + abs(gen.g) * size / s))
+    assert len(rows) >= 80
+    return rows
+
+
+def test_event_times_match_the_40_digit_truth(truth_events):
+    # Within 1e-14 of t* for a root with kappa_t <= 10, and 1e-15 kappa_t of
+    # it beyond.  The worst of the 89 events is a third of that bound (seed
+    # 412: 2.9e-14 at kappa_t = 89), the median 1.8e-16.  Midpoints reached
+    # through a chain of half steps failed it on 3 events, by up to 1.47
+    # times the bound, with a median of 6.4e-16.
+    for _, scan, (root, _), kappa_t, _ in truth_events:
+        assert abs(scan.t_stop - root) <= 1e-15 * max(10.0, kappa_t) * root
+
+
+def test_radius_root_states_match_the_40_digit_truth(truth_events):
+    # The exact state at the scan's own root time, within 2e-15 of its
+    # largest component for kappa_s <= 2, and 1e-15 kappa_s beyond.  The
+    # worst of the 66 surface stops is 0.24 of that bound, the median
+    # 1.8e-16; seed 416 is 1.9e-14 off at kappa_s = 187.  Midpoints reached
+    # through a chain of half steps failed it on 3 events, by up to 1.49
+    # times the bound, with a median of 8.2e-16 (seed 416: 1.8e-13).
+    for event, scan, (_, state), _, kappa_s in truth_events:
+        if event == "radius":
+            size = np.abs(state).max()
+            assert np.abs(scan.y_stop - state).max() <= 1e-15 * max(2.0, kappa_s) * size
 
 
 @PROPERTY
