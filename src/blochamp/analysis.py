@@ -273,9 +273,10 @@ def plan_amplification(gate: str, params: Mapping[str, float],
     exact solution: ``dynamics._scan`` bisects the grid step that crosses
     it and keeps no grid state.  A stage scans up to t_max (inf sets no
     budget), and no further than ``IntegratorOpts.max_steps`` grid steps; a
-    stage whose root lies beyond that, whose state diverges first, or whose
-    rates are too small for max_steps to bound t_max = inf, is refused with
-    TargetUnreachable.
+    stage whose root lies beyond that, whose scan ends at another event
+    first (its state diverges or overflows), or whose rates are too small
+    for max_steps to bound t_max = inf, is refused with TargetUnreachable
+    naming it.
     """
     if gate not in GATES:
         raise InvalidParams(f"unknown gate {gate!r}; choose from {tuple(GATES)}")
@@ -321,6 +322,11 @@ def plan_amplification(gate: str, params: Mapping[str, float],
             raise TargetUnreachable(
                 f"gate {gate}: the state diverges at t* = {scan.t_stop:.6g} before "
                 f"the {role} stage reaches |r| = {rho:.15g}")
+        if scan.event != "radius":
+            raise TargetUnreachable(
+                f"gate {gate}: the {role} stage's scan ends with the event "
+                f"{scan.event!r} at t = {scan.t_stop:.6g}, before it reaches "
+                f"|r| = {rho:.15g}")
         done.append(GateStage(spec, scan.t_stop))
         y = scan.y_stop
     return GatePlan(gate=gate, pre_amp=done[0] if len(done) == 2 else None,

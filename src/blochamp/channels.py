@@ -24,6 +24,7 @@ duality map onto linear channels.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -166,7 +167,7 @@ class AffineGenerator:
             raise ValueError("times must be finite")
         if not np.isfinite(self.A).all():
             raise ValueError("the generator's entries must be finite")
-        rate, powers = self._taylor()
+        rate, powers = self._taylor
         frac, exp = np.frexp(np.abs(ts) * rate)
         s = np.maximum(exp - (frac == 0.5), 0)  # |t| w <= 2^s, exactly
         coef = np.cumprod((np.ldexp(ts, -s) * rate)[:, None] / _ORDERS, axis=-1)
@@ -177,6 +178,7 @@ class AffineGenerator:
             step[more] = step[more] @ step[more]
         return step
 
+    @functools.cached_property
     def _taylor(self) -> tuple[float, np.ndarray]:
         """w = ||A||_1 (1 for A = 0) and the powers (A / w)^k, k = 1, ..., 20,
         a (20, 4, 4) stack: the terms of every e^{At} of the package."""

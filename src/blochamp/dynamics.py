@@ -8,11 +8,11 @@ polynomial in A / ||A||_1.  ``integrate`` reads the solution on a uniform
 grid from ``_scan``, powers of one step e^{hA}, or at caller-supplied
 times advanced from that grid by one propagator call (``_advance``); every
 command and ``verify`` read their trajectories from it.  ``_scan`` also
-finds the first time the state diverges or its Bloch vector reaches a
-given radius, which ends a surface-stopping run and each stage of a gate
-plan; ``_bisect`` reads each midpoint straight from the bracket start
-through the same polynomial's terms.  Trajectories carry purity, entropy,
-tr(X Omega) and the cone margin tau - |r|.
+finds the first grid state off the cone, and the first time the state
+diverges or its Bloch vector reaches a given radius, which ends a
+surface-stopping run and each stage of a gate plan; ``_bisect`` reads each
+midpoint straight from the bracket start through the same polynomial.
+Trajectories carry purity, entropy, tr(X Omega) and the cone margin tau - |r|.
 """
 
 from __future__ import annotations
@@ -49,9 +49,10 @@ GRID_STEPS = 200
 class IntegratorOpts:
     """Settings of an ``integrate`` run.
 
-    ``max_steps`` caps the grid and must be at least 1.  A sampled or
-    final-state run keeps only the grid states it returns, so the cap bounds
-    time, not memory: about 0.6 s per 1e6 steps on a 2-core x86-64 machine.
+    ``max_steps`` caps the grid and must be at least 1.  Only a sampled or
+    final-state run keeps no more grid states than it returns, so for it the
+    cap bounds time, not memory: about 0.6 s per 1e6 steps on a 2-core
+    x86-64 machine.
     ``allow_off_cone`` disables the cone and apex halting checks (used for
     instability probes and for propagating operator-basis elements);
     ``stop_on_surface`` ends the run cleanly when the state reaches the pure
@@ -188,38 +189,38 @@ def _check_cone(ts, ys: np.ndarray, initial: bool = False) -> None:
 _FACTORIALS = np.cumprod(_ORDERS.astype(float))
 
 
-def _bisect(gen, t, z, h, z_h, inside):
+def _bisect(gen, t, z, h, inside):
     """Bisect [0, h] for the first dt at which ``inside`` fails on Y' = A Y.
 
-    z is Y at t, where ``inside`` holds, and z_h is Y at t + h, where it
-    fails.  The bracket [lo, hi] halves until hi - lo <= 4e-16 (t + hi), at
-    most 200 times.  Y at each midpoint dt comes straight from the bracket
-    start, z + sum_k (dt w)^k P[k], w = ||A||_1 and P[k] = (A / w)^k z / k!,
-    the terms of ``AffineGenerator.propagator``'s Taylor polynomial applied
-    to z once per bisection: with dt w <= h w <= 1 no squaring is needed,
-    and no midpoint carries the roundoff of the one before it.  Returns
-    lo, Y there, hi and Y there.
+    z is Y at t, where ``inside`` holds; it fails at t + h.  The bracket
+    [lo, hi] halves until hi - lo <= 4e-16 (t + hi), at most 200 times.
+    ``inside`` reads the increment d = Y(t + dt) - z = sum_k (dt w)^k P[k],
+    w = ||A||_1 and P[k] = (A / w)^k z / k!, the terms of
+    ``AffineGenerator.propagator`` applied to z once: with dt w <= 1 nothing
+    is squared, and each midpoint comes straight from the bracket start.
+    Returns lo, d there, hi and d there (None while hi = h).
     """
-    rate, powers = gen._taylor()
+    rate, powers = gen._taylor
     terms = (powers @ z) / _FACTORIALS[:, None]
-    lo, z_lo, hi = 0.0, z, h
+    lo, d_lo, hi, d_hi = 0.0, np.zeros_like(z), h, None
     for _ in range(200):
         if hi - lo <= 4e-16 * (t + hi):
             break
         mid = 0.5 * (lo + hi)
-        z_mid = z + np.power(mid * rate, _ORDERS) @ terms
-        if inside(z_mid):
-            lo, z_lo = mid, z_mid
+        d = np.power(mid * rate, _ORDERS) @ terms
+        if inside(d):
+            lo, d_lo = mid, d
         else:
-            hi, z_h = mid, z_mid
-    return lo, z_lo, hi, z_h
+            hi, d_hi = mid, d
+    return lo, d_lo, hi, d_hi
 
 
 # The scan renormalizes its state at the start of every block of this many
 # steps.  A step changes the state's 1-norm by a factor between 1/e and e
 # (h ||A||_1 <= 1), so within a block it stays within e^64 ~ 6e27 of its
-# rescaled size.
+# rescaled size.  It tests the cone once per chunk of 64 blocks.
 _RESCALE_STEPS = 64
+_CHUNK = 64 * _RESCALE_STEPS
 
 # The scan ends before the first grid state y = Y / s with a component of
 # size 2^511 or more: beyond it |r|^2, which the cone test and the
@@ -232,7 +233,7 @@ _S_FLOOR = 8.0 * math.exp(_RESCALE_STEPS) / _OVERFLOW
 
 class _Scan(NamedTuple):
     steps: int                 # to t_end, or to the last grid time before the event
-    y: np.ndarray              # every grid state to there, or the one kept per target
+    y: np.ndarray              # every grid state after t = 0 to there, or one per target
     dt: np.ndarray             # each kept target's time less its grid state's
     event: str | None          # "blow_up", "radius", "off_cone", "overflow" or None
     t_stop: float | None       # t*, the radius root, the grid time off the cone
@@ -251,43 +252,43 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
     """The exact solution on the grid np.linspace(0, t_end, n + 1) up to its first event.
 
     y(t) = Y(t) / s(t) with Y = e^{At} y0 and s = 1 + g (Y_tau - tau0); n
-    comes from ``_grid_steps``, so one step e^{hA} changes Y's 1-norm by a
-    factor between 1/e and e.  The pair (Y, 1 - g tau0) is rescaled by a
-    common positive factor, which leaves Y / s unchanged, and then advanced
-    by the powers e^{hA}, ..., e^{64 hA} of one ``propagator`` step, one
-    block of grid times at a time.
-    The event is the first grid step that ends with s <= 0 (the state
-    diverges) or, with a radius rho, with rho tau < |r| on the state
-    y = Y / s (the Bloch vector r / tau passes rho).  The scan ends at the
-    last grid time before the event and bisects that step once, on s > 0
-    and rho tau >= |r| together, so the radius root's state, the bracket's
-    lower end, has rho tau - |r| >= 0 as ``_margin`` computes it.  The sign
-    of s at the bracket's upper end tells t*, that end, from a radius root.
-    A grid step that ends with s > 0 but a state of size _OVERFLOW or more
-    ends the scan at the grid time before it, the event "overflow": a
-    linear run (g = 0) whose state grows without bound ends there, before
-    its rescaled s underflows to 0 and reads as a blow-up.  With ``cone``,
-    a grid state before any of these that ``_off_cone`` flags ends the scan
-    instead, unbisected; ``integrate`` checks an unsampled run's rows after
-    the scan, in one pass that costs less.
-
-    Without ``targets`` the scan keeps every grid state to its end.  With
-    sorted targets in (0, t_end (1 + TIME_WINDOW)] it keeps for each only
-    the grid state at the last grid time at or before it, and in ``dt`` the
-    target's time less that one, up to a blow-up's last grid time or before
-    another event; its memory does not grow with n.
+    comes from ``_grid_steps``, so h ||A||_1 <= 1.  Each block of 64 grid
+    steps rescales the pair (Y, 1 - g tau0), which leaves Y / s unchanged,
+    and advances it by the powers e^{hA}, ..., e^{64 hA} of one
+    ``propagator`` step.  A block's event is its first grid step that ends
+    with s <= 0 (the state diverges), given a radius rho with rho tau < |r|
+    on y = Y / s, or with s > 0 and a state of size _OVERFLOW or more
+    ("overflow", which ends a growing linear run before its rescaled s
+    underflows to 0).  The blocks' states fill a chunk of up to _CHUNK, which
+    also ends with the grid or at a block event.  With ``cone`` one
+    ``_off_cone`` call tests the chunk, and its first flagged state is the
+    event "off_cone", before any later one.  The chunk's states before the
+    event are kept: all of them without ``targets``; with sorted targets in
+    (0, t_end (1 + TIME_WINDOW)] the grid state at the last grid time at or
+    before each, and in ``dt`` the target's time less that one, up to a
+    blow-up's last grid time or before another event, so memory does not
+    grow with n.  The scan ends at the last grid time before the event.  It
+    bisects a divergence or radius crossing once (``_bisect``), on s > 0 and
+    rho tau >= |r| together, s formed from its value there plus the
+    increment's: the radius root's state, at the bracket's lower end, has
+    rho tau - |r| >= 0 as ``_margin`` computes it, and the sign of s at the
+    upper end tells t*, that end, from a radius root.
     """
     g = gen.g
     h = t_end / n
     powers = _powers(gen.propagator([h])[0], min(n, _RESCALE_STEPS))
     # (y, c) is (Y, 1 - g tau0) up to a common positive factor, and z the
-    # state y / s at the last grid time t scanned.
+    # state y / s at the last grid time t kept.
     y, c, z, t = y0, 1.0 - g * y0[0], y0, 0.0
     tq = np.asarray(() if targets is None else targets, dtype=float)
-    kept, dts = ([y0[None]] if targets is None else []), []
-    i = k = 0  # the targets before tq[i] are kept, and k grid steps scanned
+    kept, dts = [], []
+    # The targets before tq[i] are kept, k grid steps scanned, and the
+    # chunk holds the states after the k0-th.
+    i = k = k0 = 0
     event = t_stop = y_stop = None
     while k < n:
+        if k == k0:
+            chunk = np.empty((min(_CHUNK, n - k), 4))
         m = max(abs(c), float(np.abs(y).max()))
         y, c = y / m, c / m
         ys = powers[:n - k] @ y
@@ -296,49 +297,59 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
         big = s <= _S_FLOOR
         if big.any():
             big &= np.abs(ys).max(axis=1) * (1.0 / _OVERFLOW) >= s
-        zs = ys / np.where(big, 1.0, s)[:, None]
+        zs = np.divide(ys, np.where(big, 1.0, s)[:, None],
+                       out=chunk[k - k0:k - k0 + len(ys)])
         out = big if rho is None else big | (
             rho * zs[:, 0] < np.sqrt((zs[:, 1:] ** 2).sum(axis=1)))
-        stop = out | _off_cone(zs) if cone else out
-        hit = np.flatnonzero(stop)
+        hit = np.flatnonzero(out)
         j = int(hit[0]) if hit.size else len(ys)
-        if j:
-            t_j = t_end if k + j == n else (k + j) * h
+        y = ys[j - 1] if j else y
+        k += j
+        if k < k0 + len(chunk) and not hit.size:
+            continue
+        # The chunk ends: one cone test, then keep its states before the event.
+        zs = chunk[:k - k0]
+        bad = np.flatnonzero(_off_cone(zs)) if cone else ()
+        if len(bad):
+            k = k0 + int(bad[0])
+            event, y_stop, zs = "off_cone", zs[k - k0], zs[:k - k0]
+            t_stop = t_end if k + 1 == n else (k + 1) * h
+        if len(zs):
+            t_j = t_end if k == n else k * h
             if targets is None:
-                kept.append(zs[:j])
+                kept.append(zs)
             elif i < tq.size and tq[i] < t_j:
                 e = int(np.searchsorted(tq, t_j))
-                times = np.append((k + np.arange(j)) * h, t_j)  # np.linspace's t to t_j
+                times = np.append((k0 + np.arange(len(zs))) * h, t_j)  # np.linspace's t
                 at = np.searchsorted(times, tq[i:e], side="right") - 1
-                kept.append(np.concatenate((z[None], zs[:j]))[at])
+                kept.append(np.concatenate((z[None], zs))[at])
                 dts.append(tq[i:e] - times[at])
                 i = e
-            y, z, t = ys[j - 1], zs[j - 1], t_j
-        k += j
+            z, t = zs[-1], t_j
+        k0 = k
+        if event is not None:
+            break
         if not hit.size:
             continue
         if big[j] and s[j] > 0.0:
             event, t_stop, y_stop = "overflow", t, z
             break
-        if not out[j]:
-            event, y_stop = "off_cone", zs[j]
-            t_stop = t_end if k + 1 == n else (k + 1) * h
-            break
+        s_y = c + g * y[0]
 
-        def inside(v):
-            s_v = c + g * v[0]
-            return s_v > 0.0 and (rho is None or _margin(v / s_v, rho) >= 0.0)
+        def inside(d):
+            s_d = s_y + g * d[0]
+            return s_d > 0.0 and (rho is None or _margin((y + d) / s_d, rho) >= 0.0)
 
-        lo, z_lo, hi, z_hi = _bisect(gen, t, y, h, ys[j], inside)
-        if c + g * z_hi[0] <= 0.0:
+        lo, d_lo, hi, d_hi = _bisect(gen, t, y, h, inside)
+        if (s[j] if d_hi is None else s_y + g * d_hi[0]) <= 0.0:
             event, t_stop, y_stop = "blow_up", t + hi, z
         else:
-            event, t_stop, y_stop = "radius", t + lo, z_lo / (c + g * z_lo[0])
+            event, t_stop, y_stop = "radius", t + lo, (y + d_lo) / (s_y + g * d_lo[0])
         break
     # The targets from the last grid time on, up to the event, keep its state.
     e = (np.searchsorted(tq, t, side="right") if event in ("blow_up", "overflow")
          else tq.size if event is None else np.searchsorted(tq, t_stop))
-    kept.append(np.broadcast_to(z, (e - i, 4)))
+    kept.append(z[None].repeat(e - i, axis=0))
     dts.append(tq[i:e] - t)
     return _Scan(k, np.concatenate(kept), np.concatenate(dts), event, t_stop, y_stop)
 
@@ -411,16 +422,17 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
     state at or before each, and one propagator call, the Taylor
     polynomial unsquared within a grid step, advances each to its time
     (``_advance``), so memory does not grow with n.
-    Unless ``allow_off_cone`` is set, the first row, or grid state between
-    samples, that is below the apex cutoff or outside the cone beyond
-    tolerance halts the run with ApexReached or ConeViolation.  The scan's
-    other events end the run early: a nonlinear run (g != 0) whose state
-    diverges at a time t* <= t_end raises BlowUp unless it halts first, a
-    state that grows past 2^511, where |r|^2 no longer fits in a double,
-    raises StepFailure with the last grid state before it, and a
-    ``stop_on_surface`` run ends with the state where it first reaches the
-    pure surface |r| = tau, which the scan bisects, and drops later
-    samples.  ``stats`` counts the grid steps scanned as accepted steps.
+    Unless ``allow_off_cone`` is set, the first state below the apex cutoff
+    or outside the cone beyond tolerance halts the run with ApexReached or
+    ConeViolation: the scan tests every grid state, and only the advanced
+    sample states get a test of their own.  The scan's other events end
+    the run early: a nonlinear run (g != 0) whose state diverges at a time
+    t* <= t_end raises BlowUp unless it halts first, a state that grows
+    past 2^511, where |r|^2 no longer fits in a double, raises StepFailure
+    with the last grid state before it, and a ``stop_on_surface`` run ends
+    with the state where it first reaches the pure surface |r| = tau,
+    which the scan bisects, and drops later samples.  ``stats`` counts the
+    grid steps scanned as accepted steps.
     """
     if not (isinstance(min_steps, (int, np.integer)) and min_steps >= 1):
         raise ValueError(f"min_steps must be an integer >= 1, got {min_steps!r}")
@@ -436,7 +448,7 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
         raise StepFailure(f"the grid needs {n} steps, more than max_steps = "
                           f"{opts.max_steps}", 0.0, y0[0], y0[1:])
     scan = _scan(gen, y0, t_end, n, 1.0 if opts.stop_on_surface else None,
-                 targets, targets is not None and not opts.allow_off_cone)
+                 targets, not opts.allow_off_cone)
     h = t_end / n
     ys = scan.y
     if targets is None:
@@ -444,14 +456,15 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
         if scan.steps == n:
             ts[-1] = t_end
     else:
+        ts = np.append(0.0, targets[:len(ys)])
         moved = scan.dt > 0.0
         if moved.any():
-            ys[moved] = _advance(gen, ys[moved], scan.dt[moved])
-        ts, ys = np.append(0.0, targets[:len(ys)]), np.vstack((y0, ys))
-    if not opts.allow_off_cone:  # the rows come before a grid state off the cone
-        _check_cone(ts, ys)
-        if scan.event == "off_cone":
-            _check_cone([scan.t_stop], scan.y_stop[None])
+            ys[moved] = advanced = _advance(gen, ys[moved], scan.dt[moved])
+            if not opts.allow_off_cone:  # the scan tested the grid states
+                _check_cone(ts[1:][moved], advanced)
+    if scan.event == "off_cone":  # after the rows, which come before it
+        _check_cone([scan.t_stop], scan.y_stop[None])
+    ys = np.concatenate((y0[None], ys))
     if scan.event == "blow_up":
         raise _blow_up_error(scan.t_stop, scan.steps * h, scan.y_stop)
     if scan.event == "overflow":

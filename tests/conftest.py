@@ -263,24 +263,29 @@ def bisect_surface(step_to, t, y, h_hi):
 
 def first_event(gen, t, y, h, rho=None):
     """Oracle for the event bisection of dynamics._scan: bisect, from the
-    state y at t, the first dt in [0, h] at which s = 1 + g (tau(z) - tau) > 0
-    and, given rho, rho tau >= |r| on z / s fail together, z = e^{A dt} y by
-    its own expm.  Returns the lower end's time and state z / s, and the
-    upper end's time and whether s <= 0 there (a blow-up)."""
-    def s_of(z):
-        return 1.0 + gen.g * (z[0] - y[0])
+    state y at t, the first dt in [0, h] at which s = 1 + g d_tau > 0 and,
+    given rho, rho tau >= |r| on (y + d) / s fail together.  The increment
+    d = e^{A dt} y - y is the last column's top of the expm of
+    [[A dt, A y dt], [0, 0]], so s cancels no digits of y.  Returns the
+    lower end's time and state (y + d) / s, and the upper end's time and
+    whether s <= 0 there (a blow-up)."""
+    aug = np.zeros((5, 5))
+    aug[:4, :4], aug[:4, 4] = gen.A, gen.A @ y
+
+    def s_of(d):
+        return 1.0 + gen.g * d[0]
 
     def step_to(dt):
-        return expm(gen.A * dt) @ y
+        return expm(aug * dt)[:4, 4]
 
-    def inside(z):
-        s = s_of(z)
-        return s > 0.0 and (rho is None or dynamics._margin(z / s, rho) >= 0.0)
+    def inside(d):
+        s = s_of(d)
+        return s > 0.0 and (rho is None or dynamics._margin((y + d) / s, rho) >= 0.0)
 
-    lo, z_lo, hi = bisect(
-        step_to, y, h, inside,
-        lambda lo, y_lo, hi: hi - lo <= 4e-16 * (t + hi))
-    return t + lo, z_lo / s_of(z_lo), t + hi, s_of(step_to(hi)) <= 0.0
+    lo, d_lo, hi = bisect(
+        step_to, np.zeros(4), h, inside,
+        lambda lo, d_lo, hi: hi - lo <= 4e-16 * (t + hi))
+    return t + lo, (y + d_lo) / s_of(d_lo), t + hi, s_of(step_to(hi)) <= 0.0
 
 
 def blow_up_time(gen, t, y, h):
@@ -373,15 +378,18 @@ def keep_all_scan(gen, y0, t_end, n, rho=None):
             y = ys[j - 1]
         k += j
         if hit.size:
-            def inside(v):
-                s_v = c + g * v[0]
-                return s_v > 0.0 and (rho is None or dynamics._margin(v / s_v, rho) >= 0.0)
+            s_y = c + g * y[0]
 
-            lo, z_lo, hi, z_hi = dynamics._bisect(gen, k * h, y, h, ys[j], inside)
-            if c + g * z_hi[0] <= 0.0:
+            def inside(d):
+                s_d = s_y + g * d[0]
+                return s_d > 0.0 and (rho is None or
+                                      dynamics._margin((y + d) / s_d, rho) >= 0.0)
+
+            lo, d_lo, hi, d_hi = dynamics._bisect(gen, k * h, y, h, inside)
+            if (s[j] if d_hi is None else s_y + g * d_hi[0]) <= 0.0:
                 t_stop = k * h + hi
             else:
-                t_stop, y_stop = k * h + lo, z_lo / (c + g * z_lo[0])
+                t_stop, y_stop = k * h + lo, (y + d_lo) / (s_y + g * d_lo[0])
             break
     times = np.arange(k + 1, dtype=float) * h
     if k == n:

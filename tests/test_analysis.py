@@ -539,6 +539,27 @@ class TestGatePlanning:
                 r"the main stage reaches \|r\| = 0\.99$")):
             plan_amplification("linear_cptp", {"m": 1.0}, 0.5 * (1.0 + 0.99 ** 2))
 
+    def test_overflow_first_is_unreachable(self, monkeypatch):
+        # L = +I and g = 0 keep r = 0 while tau = e^{2t} passes 2^511 at
+        # t = 511 ln(2) / 2 = 177.1: the scan ends at the grid time before.
+        monkeypatch.setitem(presets.PRESETS, "linear_cptp", lambda m: ChannelSpec(
+            HermitianPauliVector([1.0, 0.0, 0.0, 0.0]), g=0.0))
+        with pytest.raises(TargetUnreachable, match=(
+                r"gate linear_cptp: the main stage's scan ends with the event "
+                r"'overflow' at t = 177, before it reaches \|r\| = 0\.99$")):
+            plan_amplification("linear_cptp", {"m": 1.0}, 0.5 * (1.0 + 0.99 ** 2))
+
+    def test_every_other_event_is_unreachable(self, monkeypatch):
+        # Only a radius root ends a stage; any other event is named.
+        def scan(gen, y, t_end, n, rho, **kwargs):
+            return dynamics._Scan(3, np.empty((0, 4)), np.empty(0), "off_cone", 0.25, y)
+
+        monkeypatch.setattr(dynamics, "_scan", scan)
+        with pytest.raises(TargetUnreachable, match=(
+                r"gate three_jump: the pre_amplification stage's scan ends with the "
+                r"event 'off_cone' at t = 0\.25, before it reaches \|r\| = 0\.001$")):
+            plan_amplification("three_jump", {"M": 1.0, "gamma": 0.5}, 0.99)
+
     def test_equal_rates_rejected(self):
         with pytest.raises(InvalidParams):
             plan_amplification("three_jump", {"M": 1.0, "gamma": 1.0}, 0.9)

@@ -29,7 +29,7 @@ from blochamp import (
 )
 from blochamp.cli import run_cli
 from blochamp.dynamics import CSV_HEADER, StepStats
-from blochamp import dynamics, presets, shift_transform
+from blochamp import channels, dynamics, presets, shift_transform
 import conftest
 from conftest import csv_oracle, dp45
 
@@ -498,14 +498,15 @@ class TestBlowUp:
         assert traj.t[-1] == pytest.approx(t_s, rel=1e-6)
         assert traj.t[-2] == t_last
 
-    @pytest.mark.parametrize("tau0, rel", [(1.5, 1e-15), (100.0, 4e-15)])
+    @pytest.mark.parametrize("tau0, rel", [(1.5, 1e-15), (100.0, 2e-15), (1000.0, 2e-15)])
     def test_t_star_matches_the_bisection_from_the_bracket_start(self, tau0, rel):
-        # tau0 = 100 puts t* in the first scan step, far below its end.
-        # There s = 1 + (Y_tau - 100) cancels two digits, so a root is only
-        # as good as Y_tau = 99 near it: against the true root
-        # (0.0050251679267507206, to 20 digits) the oracle lands 1.8e-15
-        # low and the scan 4.6e-15 low, a third of a unit in the last place
-        # of Y_tau.
+        # tau0 = 100 and 1000 put t* in the first scan step, far below its
+        # end.  There s = 1 + (Y_tau - tau0) would cancel two and three
+        # digits of Y_tau; the scan and the oracle both form s from the
+        # bracket start's s plus the increment's, so against the true root
+        # (0.0050251679267507206 at tau0 = 100, to 20 digits) the oracle
+        # lands 2.5e-16 high and the scan 9.4e-16 high, and at tau0 = 1000
+        # the scan 8.6e-16 high.
         gen = blochamp.assemble(self.SPEC)
         y0 = np.array([tau0, 0.0, 0.0, 0.0])
         n = dynamics._grid_steps(gen, 1.1)
@@ -514,10 +515,11 @@ class TestBlowUp:
             scan = dynamics._scan(gen, y0, 1.1, n, rho)
             # At t* the scan stops with the state at its last grid time.
             t_last = scan.steps * h
-            assert scan.event == "blow_up" and np.array_equal(scan.y_stop, scan.y[-1])
-            want = conftest.blow_up_time(gen, t_last, scan.y_stop, h)
+            y_last = np.vstack((y0, scan.y))[scan.steps]
+            assert scan.event == "blow_up" and np.array_equal(scan.y_stop, y_last)
+            want = conftest.blow_up_time(gen, t_last, y_last, h)
             assert abs(scan.t_stop - want) <= rel * want
-            assert abs(scan.t_stop - self.t_star(tau0)) <= 1e-14 * scan.t_stop
+            assert abs(scan.t_stop - self.t_star(tau0)) <= rel * scan.t_stop
             assert t_last < scan.t_stop <= t_last + h
 
     def test_blow_up_first_raises(self):
@@ -531,24 +533,23 @@ class TestBlowUp:
 
 
 class TestExpmCalls:
-    """Each build of the Taylor powers behind every e^{At}
-    (``AffineGenerator._taylor``) counts once.  A run makes one for its scan
-    step e^{hA}; a run with a sample off the grid one more, to advance its
-    samples; and a run that ends at an event one more, to bisect it.  A
-    sample on a grid time copies the grid state.  So a final-state run
-    makes 1, a sampled run 2, a surface stop or a blow-up 2, and a gate
-    plan 2 per stage."""
+    """The Taylor powers behind every e^{At} (``AffineGenerator._taylor``,
+    the one caller of ``channels._powers``) are built once per generator:
+    the scan step e^{hA}, the samples advanced from the grid and an
+    event's bisection all read the same build.  So a final-state run, a
+    sampled run, a surface stop and a blow-up each make one, and a gate
+    plan one per stage, whose channel is its own generator."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
         built = []
-        taylor = AffineGenerator._taylor
+        powers = channels._powers
 
-        def counted(gen):
-            built.append(gen)
-            return taylor(gen)
+        def counted(step, k):
+            built.append(k)
+            return powers(step, k)
 
-        monkeypatch.setattr(AffineGenerator, "_taylor", counted)
+        monkeypatch.setattr(channels, "_powers", counted)
         return built
 
     def test_final_state_run(self, calls):
@@ -561,13 +562,13 @@ class TestExpmCalls:
         traj = integrate(presets.threejump_nino(1.1, 0.4), PsdState(1.0, [0.01, 0, 0]),
                          3.0, sample_times=np.linspace(0.0, 3.0, 201))
         assert traj.stop_reason == "t_end" and len(traj) == 201
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_final_state_surface_stop(self, calls):
         traj = integrate(presets.threejump_nino(1.1, 0.4), PsdState(1.0, [0.01, 0, 0]),
                          20.0, IntegratorOpts(stop_on_surface=True), sample_times=[20.0])
         assert traj.stop_reason == "surface" and abs(traj.cone_margin[-1]) <= 1e-12
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_blow_up(self, calls):
         # The blow-up operation of the benchmark's ensemble: a = 1, tau0 = 1.5.
@@ -577,7 +578,7 @@ class TestExpmCalls:
             integrate(spec, PsdState(1.5, [0, 0, 0]), 2.0 * t_star,
                       sample_times=[2.0 * t_star])
         assert info.value.t == pytest.approx(t_star, rel=1e-12)
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     @pytest.mark.parametrize("gate, params, stages", [
         ("linear_cptp", {"m": 1.0}, 1), ("one_jump", {"m": 1.0}, 1),
@@ -586,7 +587,7 @@ class TestExpmCalls:
     def test_gate_plan(self, calls, gate, params, stages):
         # One scan per stage, and one bisection of its radius root.
         blochamp.plan_amplification(gate, params, 0.99)
-        assert len(calls) == 2 * stages
+        assert len(calls) == stages
 
 
 class TestAdvance:
@@ -686,6 +687,28 @@ class TestFlatMemory:
             with pytest.raises(ConeViolation) as info:
                 integrate(presets.linear_noncp(1.0, 0.5), PsdState(1.0, [0.69, 0.69, 0.0]),
                           1e5, sample_times=[1e5])
+            errors.append(info.value)
+
+        assert self.traced_peak(run) < 1e6
+        assert errors[0].t == 0.5
+
+    @pytest.mark.parametrize("sample_times", [None, [1e5]])
+    def test_bounded_run_halted_off_the_cone(self, sample_times):
+        # A linear non-CP channel whose fixed line passes through x = 2:
+        # from tau = 1, r = 0 it leaves the ball at t = ln(2) / 2, and both
+        # runs halt at the first grid state past it, t = 0.5, without
+        # scanning on to t_end; the unsampled run keeps the grid only to
+        # there.
+        spec = channels.spec_from_dict({
+            "ell": [-0.5, 1.0, 0.0, 0.0], "g": 0.0,
+            "jumps": [{"xi_re": [0, 0, 1, 0], "xi_im": [0, 0, 0, 1], "zeta": 1},
+                      {"xi_re": [0, 0, 0, 1], "xi_im": [0, 0, 0, 0], "zeta": -1}]})
+        errors = []
+
+        def run():
+            with pytest.raises(ConeViolation) as info:
+                integrate(spec, PsdState(1.0, [0.0, 0.0, 0.0]), 1e5, min_steps=200,
+                          sample_times=sample_times)
             errors.append(info.value)
 
         assert self.traced_peak(run) < 1e6
