@@ -270,13 +270,13 @@ def plan_amplification(gate: str, params: Mapping[str, float],
     linear_non_cp) are preceded by a short linear_cptp stage that nudges the
     state to |r| = epsilon before the exponential growth takes over.  Each
     stage ends at the first root of rho tau - |r|, rho its radius, on its
-    exact solution: ``dynamics._scan`` bisects the grid step that crosses
-    it and keeps no grid state.  A stage scans up to t_max (inf sets no
-    budget), and no further than ``IntegratorOpts.max_steps`` grid steps; a
-    stage whose root lies beyond that, whose scan ends at another event
-    first (its state diverges or overflows), or whose rates are too small
-    for max_steps to bound t_max = inf, is refused with TargetUnreachable
-    naming it.
+    exact solution: ``dynamics._scan`` searches the grid step that crosses
+    it (``dynamics._event_root``) and keeps no grid state.  A stage scans
+    up to t_max (inf sets no budget), and no further than
+    ``IntegratorOpts.max_steps`` grid steps; a stage whose root lies beyond
+    that, whose scan ends at another event first (its state diverges or
+    overflows), or whose rates are too small for max_steps to bound
+    t_max = inf, is refused with TargetUnreachable naming it.
     """
     if gate not in GATES:
         raise InvalidParams(f"unknown gate {gate!r}; choose from {tuple(GATES)}")
@@ -308,7 +308,7 @@ def plan_amplification(gate: str, params: Mapping[str, float],
     done = []
     for role, spec, rho in stages:
         gen = assemble(spec)
-        horizon = min(t_max, dynamics.IntegratorOpts.max_steps / dynamics._rate(gen))
+        horizon = min(t_max, dynamics.IntegratorOpts.max_steps / gen._norm1)
         if horizon == math.inf:
             raise TargetUnreachable(f"gate {gate}: the {role} stage's rates give no "
                                     "finite scan horizon; give a finite t_max")

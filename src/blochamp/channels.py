@@ -129,7 +129,7 @@ class AffineGenerator:
     @property
     def scale(self) -> float:
         """max(1, ||A||_1): every roundoff test on the generator scales with it."""
-        return max(1.0, _rate(self))
+        return max(1.0, self._norm1)
 
     @property
     def pseudo_linear(self) -> bool:
@@ -165,8 +165,6 @@ class AffineGenerator:
             raise ValueError("times must be a 1-d sequence")
         if not np.isfinite(ts).all():
             raise ValueError("times must be finite")
-        if not np.isfinite(self.A).all():
-            raise ValueError("the generator's entries must be finite")
         rate, powers = self._taylor
         frac, exp = np.frexp(np.abs(ts) * rate)
         s = np.maximum(exp - (frac == 0.5), 0)  # |t| w <= 2^s, exactly
@@ -179,10 +177,18 @@ class AffineGenerator:
         return step
 
     @functools.cached_property
+    def _norm1(self) -> float:
+        """||A||_1, the largest column sum of |A|: the scan's rate and ``scale``."""
+        return float(np.abs(self.A).sum(axis=0).max())
+
+    @functools.cached_property
     def _taylor(self) -> tuple[float, np.ndarray]:
         """w = ||A||_1 (1 for A = 0) and the powers (A / w)^k, k = 1, ..., 20,
-        a (20, 4, 4) stack: the terms of every e^{At} of the package."""
-        rate = _rate(self) or 1.0  # A = 0 leaves every state as it is
+        a (20, 4, 4) stack: the terms of every e^{At} of the package.
+        Raises ValueError, and caches nothing, for an A that is not finite."""
+        if not np.isfinite(self.A).all():
+            raise ValueError("the generator's entries must be finite")
+        rate = self._norm1 or 1.0  # A = 0 leaves every state as it is
         return rate, _powers(self.A / rate, _TAYLOR_DEGREE)
 
 
@@ -190,11 +196,6 @@ class AffineGenerator:
 # |t| ||A||_1 <= 1 its remainder is at most e / 21! ~ 5e-20 of e^{At}.
 _TAYLOR_DEGREE = 20
 _ORDERS = np.arange(1, _TAYLOR_DEGREE + 1)
-
-
-def _rate(gen: AffineGenerator) -> float:
-    """||A||_1, the largest column sum of |A|."""
-    return float(np.abs(gen.A).sum(axis=0).max())
 
 
 def _powers(step: np.ndarray, k: int) -> np.ndarray:

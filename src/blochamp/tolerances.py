@@ -5,14 +5,14 @@ measured against.  ``AffineGenerator.scale = max(1, ||A||_1)`` is the one
 scale of a channel's generator: a test for "zero up to roundoff" on A, its
 velocity or its eigenvalues multiplies by it, so rescaling every rate of a
 channel (which only rescales time) leaves each reported flag unchanged.
-Two numerical constants are part of their algorithms and stay with them:
-the degree of the Taylor polynomial behind every e^{At}
+Two sets of numerical constants are part of their algorithms and stay with
+them: the degree of the Taylor polynomial behind every e^{At}
 (``channels._TAYLOR_DEGREE``, whose remainder for |t| ||A||_1 <= 1 is below
-a double's roundoff; longer times are squared), and the stopping rule of
-the scan's one bisection (``dynamics._bisect``), which finds the blow-up
-time, the pure surface and each gate stage's radius with each midpoint
-read from the bracket start.  The verify criteria keep their own pinned
-tolerances.
+a double's roundoff; longer times are squared), and the stopping rule and
+the ITP constants of the scan's one root search (``dynamics._event_root``),
+which finds the blow-up time, the pure surface and each gate stage's radius
+with each point read from the bracket start.  The verify criteria keep
+their own pinned tolerances.
 """
 
 # --- States on the PSD cone (pauli, dynamics) ---------------------------

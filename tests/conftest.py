@@ -229,8 +229,9 @@ def _initial_step(y, k1, t_end, rtol, atol):
 
 
 def bisect(state_at, y, h, inside, done):
-    """Oracle for dynamics._bisect: each midpoint state comes from the
-    bracket start, ``state_at(mid)``, by a fresh step of its own.
+    """Bisection, the oracle for dynamics._event_root: each midpoint state
+    comes from the bracket start, ``state_at(mid)``, by a fresh step of its
+    own.
 
     ``inside`` holds at y (dt = 0) and fails at dt = h.  The bracket
     [lo, hi] halves until ``done(lo, y_lo, hi)``, at most 200 times.
@@ -262,7 +263,7 @@ def bisect_surface(step_to, t, y, h_hi):
 
 
 def first_event(gen, t, y, h, rho=None):
-    """Oracle for the event bisection of dynamics._scan: bisect, from the
+    """Oracle for the event root of dynamics._scan: bisect, from the
     state y at t, the first dt in [0, h] at which s = 1 + g d_tau > 0 and,
     given rho, rho tau >= |r| on (y + d) / s fail together.  The increment
     d = e^{A dt} y - y is the last column's top of the expm of
@@ -351,7 +352,7 @@ def mp_event(gen, y0, t, rho=None):
 
 def keep_all_scan(gen, y0, t_end, n, rho=None):
     """Oracle for dynamics._scan without targets or cone test: the same
-    blocks and one event bisection, keeping every grid state.  Returns the
+    blocks and one event root search, keeping every grid state.  Returns the
     grid times up to t_end or the last one before the event, the states
     there, the event's time (None without one) and the state at a radius
     root (None at t* or without an event)."""
@@ -380,12 +381,14 @@ def keep_all_scan(gen, y0, t_end, n, rho=None):
         if hit.size:
             s_y = c + g * y[0]
 
-            def inside(d):
+            def probe(d):
                 s_d = s_y + g * d[0]
-                return s_d > 0.0 and (rho is None or
-                                      dynamics._margin((y + d) / s_d, rho) >= 0.0)
+                if rho is None:
+                    return s_d > 0.0, s_d
+                return (s_d > 0.0 and dynamics._margin((y + d) / s_d, rho) >= 0.0,
+                        min(s_d, dynamics._margin(y + d, rho)))
 
-            lo, d_lo, hi, d_hi = dynamics._bisect(gen, k * h, y, h, inside)
+            lo, d_lo, hi, d_hi = dynamics._event_root(gen, k * h, y, h, probe)
             if (s[j] if d_hi is None else s_y + g * d_hi[0]) <= 0.0:
                 t_stop = k * h + hi
             else:

@@ -483,7 +483,7 @@ class TestGatePlanning:
         y, durations = np.array([1.0, 0.0, 0.0, 0.0]), []
         for spec, rho in stages + [(whole.main.spec, math.sqrt(0.98))]:
             gen = assemble(spec)
-            horizon = min(1e4, IntegratorOpts.max_steps / dynamics._rate(gen))
+            horizon = min(1e4, IntegratorOpts.max_steps / gen._norm1)
             n = dynamics._grid_steps(gen, horizon)
             t0 = 0.0
             for k in range(0, n, 7):

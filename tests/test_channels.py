@@ -491,6 +491,14 @@ class TestExpm:
         with pytest.raises(ValueError, match="finite"):
             self.propagator(a, [1.0])
 
+    def test_non_finite_generator_fails_every_call(self):
+        # The check lives with the Taylor powers, which a failed build does
+        # not cache: the second call raises as the first did.
+        gen = AffineGenerator(np.diag([1.0, math.inf, 0.0, 0.0]), 0.0)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="^the generator's entries must be finite$"):
+                gen.propagator([1.0])
+
 
 def test_expm_matches_scipy(rng):
     linalg = pytest.importorskip("scipy.linalg")

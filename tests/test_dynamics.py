@@ -505,7 +505,7 @@ class TestBlowUp:
         # digits of Y_tau; the scan and the oracle both form s from the
         # bracket start's s plus the increment's, so against the true root
         # (0.0050251679267507206 at tau0 = 100, to 20 digits) the oracle
-        # lands 2.5e-16 high and the scan 9.4e-16 high, and at tau0 = 1000
+        # lands 2.5e-16 high and the scan 1.1e-15 high, and at tau0 = 1000
         # the scan 8.6e-16 high.
         gen = blochamp.assemble(self.SPEC)
         y0 = np.array([tau0, 0.0, 0.0, 0.0])
@@ -536,7 +536,7 @@ class TestExpmCalls:
     """The Taylor powers behind every e^{At} (``AffineGenerator._taylor``,
     the one caller of ``channels._powers``) are built once per generator:
     the scan step e^{hA}, the samples advanced from the grid and an
-    event's bisection all read the same build.  So a final-state run, a
+    event's root search all read the same build.  So a final-state run, a
     sampled run, a surface stop and a blow-up each make one, and a gate
     plan one per stage, whose channel is its own generator."""
 
@@ -585,9 +585,75 @@ class TestExpmCalls:
         ("three_jump", {"M": 1.0, "gamma": 0.5}, 2),
         ("linear_non_cp", {"M": 1.0, "gamma": 0.5}, 2)])
     def test_gate_plan(self, calls, gate, params, stages):
-        # One scan per stage, and one bisection of its radius root.
+        # One scan per stage, and one search of its radius root.
         blochamp.plan_amplification(gate, params, 0.99)
         assert len(calls) == stages
+
+
+class TestEventRoot:
+    """``_event_root``, the ITP search of the grid step that holds a scan's
+    event: a handful of points on a well-conditioned root, and no more than
+    bisection's count plus n0 where the event function is roundoff."""
+
+    @pytest.fixture
+    def roots(self, monkeypatch):
+        """Each search the scan makes: its arguments, the points it probes
+        after the two reads of F at the bracket's ends, and its result."""
+        found = []
+        search = dynamics._event_root
+
+        def recording(gen, t, z, h, probe):
+            calls = []
+
+            def counted(d):
+                calls.append(d)
+                return probe(d)
+
+            out = search(gen, t, z, h, counted)
+            found.append({"gen": gen, "t": t, "z": z, "h": h, "probe": probe,
+                          "points": len(calls) - 2, "out": out})
+            return out
+
+        monkeypatch.setattr(dynamics, "_event_root", recording)
+        return found
+
+    def test_well_conditioned_roots_take_a_handful(self, roots):
+        # Bisection takes 47 to 62 points on these; ITP takes 8 to 10.
+        traj = integrate(presets.threejump_nino(1.1, 0.4), PsdState(1.0, [0.01, 0, 0]),
+                         20.0, IntegratorOpts(stop_on_surface=True), sample_times=[20.0])
+        assert traj.stop_reason == "surface"
+        with pytest.raises(BlowUp) as info:
+            integrate(TestBlowUp.SPEC, PsdState(1.5, [0, 0, 0]), 1.1)
+        assert type(info.value.t) is float
+        blochamp.plan_amplification("three_jump", {"M": 1.0, "gamma": 0.5}, 0.99)
+        points = [root["points"] for root in roots]  # the gate's two stages last
+        assert len(points) == 4 and max(points) <= 12, points
+
+    def test_flat_surface_stays_within_bisection(self, roots):
+        # The exact cone margin of this run is 2.5e-19 from t = 10.6021 to
+        # 10.6022 (40-digit mpmath.expm): its sign at every point is
+        # roundoff, and F is flat.  The bracket still ends with inside at lo
+        # and not at hi, in no more points than bisection takes on the same
+        # predicate plus n0.
+        traj = integrate(presets.pseudolinear_nino(1.0), PsdState(1.5, [0.5, 0.2, 0.1]),
+                         20.0, IntegratorOpts(stop_on_surface=True))
+        assert traj.stop_reason == "surface" and traj.cone_margin[-1] >= 0.0
+        [root] = roots
+        lo, d_lo, hi, d_hi = root["out"]
+        inside = root["probe"]
+        assert inside(d_lo)[0] and d_hi is not None and not inside(d_hi)[0]
+        assert hi - lo <= 4e-16 * (root["t"] + hi)
+        rate, powers = root["gen"]._taylor
+        terms = (powers @ root["z"]) / dynamics._FACTORIALS[:, None]
+        halvings = []
+
+        def increment(dt):
+            halvings.append(dt)
+            return np.power(dt * rate, dynamics._ORDERS) @ terms
+
+        conftest.bisect(increment, np.zeros(4), root["h"], lambda d: inside(d)[0],
+                        lambda lo, _, hi: hi - lo <= 4e-16 * (root["t"] + hi))
+        assert root["points"] <= len(halvings) + dynamics._ITP_N0
 
 
 class TestAdvance:
@@ -607,7 +673,7 @@ class TestAdvance:
     def test_scalar_dt_is_a_row_of_the_stack(self):
         gen = blochamp.assemble(presets.linear_noncp(1.0, 0.5))
         ys = np.array([[1.0, 0.3, -0.2, 0.1], [0.8, 0.1, 0.5, -0.3], [1.2, 0, 0, 0.9]])
-        dts = np.array([0.1, 0.7, 0.35]) / dynamics._rate(gen)
+        dts = np.array([0.1, 0.7, 0.35]) / gen._norm1
         stack = dynamics._advance(gen, ys, dts)
         for y, dt, row in zip(ys, dts, stack):
             got = dynamics._advance(gen, y, dt)
@@ -620,7 +686,7 @@ class TestAdvance:
         gen = blochamp.assemble(presets.linear_cptp(1.0))
         assert not gen.A[0].any()
         y = np.array([0.7, 0.1, -0.3, 0.2])
-        dts = np.array([0.3, 1.0]) / dynamics._rate(gen)
+        dts = np.array([0.3, 1.0]) / gen._norm1
         got = dynamics._advance(gen, np.array([y, y]), dts)
         assert got[:, 0].tobytes() == np.array([y[0], y[0]]).tobytes()
 
@@ -631,7 +697,7 @@ class TestAdvance:
             gen = AffineGenerator(blochamp.assemble(spec).A, 0.0)
             tau, r = conftest.random_cone_state(rng)
             y = np.concatenate(([tau], r))
-            dt = rng.uniform(0.0, 1.0) / dynamics._rate(gen)
+            dt = rng.uniform(0.0, 1.0) / gen._norm1
             want = linalg.expm(gen.A * dt) @ y
             got = dynamics._advance(gen, y, dt)
             assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
@@ -652,7 +718,7 @@ class TestFlatMemory:
 
     def test_long_sampled_run(self):
         spec = presets.linear_cptp(1.0)
-        t_end = 4e5 / dynamics._rate(blochamp.assemble(spec))
+        t_end = 4e5 / blochamp.assemble(spec)._norm1
         runs = []
         peak = self.traced_peak(lambda: runs.append(integrate(
             spec, PsdState(1.0, [0.1, 0.0, 0.0]), t_end,
@@ -807,6 +873,23 @@ class TestCsv:
         buf = io.StringIO()
         traj.write_csv(buf)
         assert buf.getvalue() == csv_oracle(traj)
+
+    def test_blocks_match_the_per_row_formatter(self, rng):
+        # One % operation per block of rows gives the bytes of one % per
+        # row, on both sides of each block boundary.
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308]
+        n = 2 * dynamics._CSV_BLOCK + 3
+        cols = rng.normal(size=(n, 9))
+        cols.flat[rng.choice(cols.size, 900, replace=False)] = np.resize(special, 900)
+        cols[dynamics._CSV_BLOCK - 1:dynamics._CSV_BLOCK + 1, :6] = special
+        traj = Trajectory(t=cols[:, 0], tau=cols[:, 1], r=cols[:, 2:5], purity=cols[:, 5],
+                          entropy=cols[:, 6], tr_x_omega=cols[:, 7], cone_margin=cols[:, 8],
+                          stats=StepStats(0, 0, 0.0), stop_reason="t_end",
+                          spec=presets.linear_cptp(1.0))
+        buf = io.StringIO()
+        traj.write_csv(buf)
+        rows = "".join(dynamics._CSV_ROW % tuple(row) for row in cols.tolist())
+        assert buf.getvalue().encode() == (CSV_HEADER + "\n" + rows).encode()
 
     def test_off_cone_run_with_nan_entropy(self):
         traj = integrate(presets.onejump_nino(1.0),

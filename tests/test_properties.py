@@ -24,6 +24,7 @@ from blochamp import (  # noqa: E402
     dualize,
     dynamics,
     integrate,
+    plan_amplification,
     presets,
     reconstruct,
 )
@@ -224,9 +225,9 @@ def test_propagator_dp45_and_operator_rhs_agree(seed, g):
 @example(136, 1.0)
 def test_halving_roots_match_the_bisection_from_the_bracket_start(seed, g):
     # The scan's one event, t* without a radius and t* or the surface root
-    # on the pure surface, against the oracle that bisects the same grid
-    # step on the same predicate with each midpoint from the bracket start
-    # by its own Pade exponential (conftest.expm).
+    # on the pure surface, found by ITP, against the oracle that bisects
+    # the same grid step on the same predicate with each midpoint from the
+    # bracket start by its own Pade exponential (conftest.expm).
     spec, gen, y0 = _family(seed, g)
     t_end = 4.0 / gen.scale
     n = dynamics._grid_steps(gen, t_end)
@@ -242,7 +243,7 @@ def test_halving_roots_match_the_bisection_from_the_bracket_start(seed, g):
         if diverges:
             # Both form s near t* from its value at the bracket start plus
             # the increment's, so neither cancels digits of Y_tau: on the
-            # first 600 seeds the two agree to 3.8e-16.
+            # first 600 seeds the two agree to 4.1e-16.
             assert abs(scan.t_stop - t_hi) <= 1e-15 * t_hi
             continue
         assert dynamics._margin(scan.y_stop) >= 0.0
@@ -257,8 +258,8 @@ def test_halving_roots_match_the_bisection_from_the_bracket_start(seed, g):
         tol = 1e-14 * max(1.0, size / np.abs(y).max()) * size
         assert np.abs(scan.y_stop - want).max() <= tol
         if abs(scan.t_stop - t_lo) > 1e-15 * t_lo:
-            # A margin within roundoff of 0 at a midpoint sent the two down
-            # different halvings: the margin is that small at both roots.
+            # A margin within roundoff of 0 near the root sent the two to
+            # different ends: the margin is that small at both roots.
             assert abs(dynamics._margin(want)) <= tol
             assert abs(dynamics._margin(oracle(t_lo))) <= tol
 
@@ -270,14 +271,62 @@ def test_halving_roots_match_the_bisection_from_the_bracket_start(seed, g):
 _TRUTH_SEEDS = (*range(160), 412, 416)
 
 
+def _truth_row(gen, y0, scan, rho):
+    """The scan's event from y0 with its 40-digit truth (``mp_event``) and
+    condition numbers: kappa_t = |Y| / (|f'| t*), the relative change of the
+    root per relative change of Y, f being the event function, and kappa_s
+    = 1 + |g| |Y| / s, that of the state Y / s at a radius root, where
+    s > 0.  Returns (event, scan, truth, kappa_t, kappa_s)."""
+    root, big_y, state = mp_event(gen, y0, scan.t_stop, rho)
+    dy = gen.A @ big_y
+    slope = gen.g * dy[0] if rho is None else (
+        rho * dy[0] - big_y[1:] @ dy[1:] / np.linalg.norm(big_y[1:]))
+    size = np.abs(big_y).max()
+    s = 1.0 + gen.g * (big_y[0] - y0[0])  # 0 at t*, up to roundoff
+    return (scan.event, scan, (root, state), size / abs(slope * root),
+            None if rho is None else 1.0 + abs(gen.g) * size / s)
+
+
+def _amplifiable(rng):
+    """y0 = (1, r) of a surface stop of the benchmark's ensemble: r uniform
+    in the ball |r| <= 0.9 with 0.2 <= |x + y| <= 0.4, which the growing
+    coordinate of threejump_nino and linear_noncp carries to the surface."""
+    while True:
+        v = rng.normal(size=3)
+        r = v / np.linalg.norm(v) * 0.9 * rng.random() ** (1.0 / 3.0)
+        if 0.2 <= abs(r[0] + r[1]) <= 0.4:
+            return np.concatenate(([1.0], r))
+
+
+def _gate_main_stages():
+    """(gen, y0, scan, rho) of the main stage of each gate plan at purity
+    0.9 and 0.99: the last ``dynamics._scan`` call of plan_amplification."""
+    stages, seen, real = [], [], dynamics._scan
+
+    def scan(gen, y0, *args, **kwargs):
+        out = real(gen, y0, *args, **kwargs)
+        seen.append((gen, y0, out, args[2]))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_scan", scan)
+        for gate, params in (("linear_cptp", {"m": 1.0}), ("one_jump", {"m": 1.0}),
+                             ("three_jump", {"M": 1.0, "gamma": 0.5}),
+                             ("linear_non_cp", {"M": 1.1, "gamma": 0.4})):
+            for purity in (0.9, 0.99):
+                plan_amplification(gate, params, purity)
+                stages.append(seen[-1])
+    return stages
+
+
 @pytest.fixture(scope="module")
 def truth_events():
-    """The scan's blow-ups and surface stops on the _TRUTH_SEEDS, each with
-    its 40-digit truth (``mp_event``) and condition numbers: kappa_t =
-    |Y| / (|f'| t*), the relative change of the root per relative change of
-    Y, f being the event function, and kappa_s = 1 + |g| |Y| / s, that of
-    the state Y / s at a radius root, where s > 0.  Returns (event, scan, truth, kappa_t,
-    kappa_s) rows."""
+    """The scan's events with their 40-digit truth, as ``_truth_row`` rows:
+    the blow-ups and surface stops of _family on the _TRUTH_SEEDS; the
+    surface stops of threejump_nino and linear_noncp from ``_amplifiable``
+    states, with M = 1.1 and gamma = 0.35 M, each up to 5% off, and t_end =
+    10, as the benchmark's ensemble runs them; and the main stage of each
+    gate plan at purity 0.9 and 0.99."""
     rows = []
     for seed in _TRUTH_SEEDS:
         _, gen, y0 = _family(seed, 1.0)
@@ -285,26 +334,32 @@ def truth_events():
         n = dynamics._grid_steps(gen, t_end)
         for rho, event in ((None, "blow_up"), (1.0, "radius")):
             scan = dynamics._scan(gen, y0, t_end, n, rho)
-            if scan.event != event:
-                continue
-            root, big_y, state = mp_event(gen, y0, scan.t_stop, rho)
-            dy = gen.A @ big_y
-            slope = gen.g * dy[0] if rho is None else (
-                rho * dy[0] - big_y[1:] @ dy[1:] / np.linalg.norm(big_y[1:]))
-            size = np.abs(big_y).max()
-            s = 1.0 + gen.g * (big_y[0] - y0[0])  # 0 at t*, up to roundoff
-            rows.append((event, scan, (root, state), size / abs(slope * root),
-                         None if rho is None else 1.0 + abs(gen.g) * size / s))
+            if scan.event == event:
+                rows.append(_truth_row(gen, y0, scan, rho))
     assert len(rows) >= 80
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        big_m = 1.1 * rng.uniform(0.95, 1.05)
+        gamma = 0.35 * big_m * rng.uniform(0.95, 1.05)
+        build = (presets.threejump_nino, presets.linear_noncp)[seed % 2]
+        gen, y0 = assemble(build(big_m, gamma)), _amplifiable(rng)
+        scan = dynamics._scan(gen, y0, 10.0, dynamics._grid_steps(gen, 10.0), 1.0)
+        assert scan.event == "radius"
+        rows.append(_truth_row(gen, y0, scan, 1.0))
+    for gen, y0, scan, rho in _gate_main_stages():
+        assert scan.event == "radius"
+        rows.append(_truth_row(gen, y0, scan, rho))
     return rows
 
 
 def test_event_times_match_the_40_digit_truth(truth_events):
     # Within 1e-14 of t* for a root with kappa_t <= 10, and 1e-15 kappa_t of
-    # it beyond.  The worst of the 89 events is a third of that bound (seed
-    # 412: 2.9e-14 at kappa_t = 89), the median 1.8e-16.  Midpoints reached
-    # through a chain of half steps failed it on 3 events, by up to 1.47
-    # times the bound, with a median of 6.4e-16.
+    # it beyond.  The worst of the 89 events of _family is a third of that
+    # bound (seed 412: 2.9e-14 at kappa_t = 89), the median 1.8e-16; the 20
+    # ensemble surface stops are within 1.1e-15, and the 8 gate stages
+    # within 0.19 of the bound.  Midpoints reached through a chain of half
+    # steps failed it on 3 events, by up to 1.47 times the bound, with a
+    # median of 6.4e-16.
     for _, scan, (root, _), kappa_t, _ in truth_events:
         assert abs(scan.t_stop - root) <= 1e-15 * max(10.0, kappa_t) * root
 
@@ -312,10 +367,11 @@ def test_event_times_match_the_40_digit_truth(truth_events):
 def test_radius_root_states_match_the_40_digit_truth(truth_events):
     # The exact state at the scan's own root time, within 2e-15 of its
     # largest component for kappa_s <= 2, and 1e-15 kappa_s beyond.  The
-    # worst of the 66 surface stops is 0.24 of that bound, the median
-    # 1.8e-16; seed 416 is 1.9e-14 off at kappa_s = 187.  Midpoints reached
-    # through a chain of half steps failed it on 3 events, by up to 1.49
-    # times the bound, with a median of 8.2e-16 (seed 416: 1.8e-13).
+    # worst of the 66 surface stops of _family is 0.30 of that bound, the
+    # median 1.8e-16; the ensemble's stops are within 0.50 of it and the
+    # gate stages within 0.67 (1.3e-15).  Midpoints reached through a chain
+    # of half steps failed it on 3 events, by up to 1.49 times the bound,
+    # with a median of 8.2e-16 (seed 416: 1.8e-13).
     for event, scan, (_, state), _, kappa_s in truth_events:
         if event == "radius":
             size = np.abs(state).max()
@@ -333,7 +389,7 @@ def test_advance_matches_expm(kind, seed, frac, other):
     # row is the same, bit for bit, alone or in a stack.
     gen = AffineGenerator(assemble(_spec(kind, seed)).A, 0.0)
     y = _state(seed)
-    dt = frac / dynamics._rate(gen)
+    dt = frac / gen._norm1
     want = expm(gen.A * dt) @ y
     got = dynamics._advance(gen, y, dt)
     assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
