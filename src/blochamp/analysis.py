@@ -11,8 +11,8 @@ Complete positivity of a linear channel at finite time is certified from
 its propagator e^{At}, which maps the four operator-basis elements into the
 Choi matrix; a negative eigenvalue flags a positive but non-CP map.
 
-Each stage of a gate plan ends where the scan of ``dynamics`` first finds
-its Bloch vector at the stage's radius.
+Each stage of a gate plan is one ``dynamics.radius_root`` call: the first
+time its Bloch vector reaches the stage's radius.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import numpy as np
 
 from . import dynamics, presets
 from .channels import ChannelSpec, assemble
-from .errors import InvalidParams, TargetUnreachable
+from .errors import IntegrationError, InvalidParams, TargetUnreachable
 from .pauli import SIGMA, SIGMA_X, SIGMA_Y, PsdState
 from .tolerances import (LINE_SIGN_TOL, MARGINAL_TOL, RANK_TOL, SPEED_ZERO,
                          SPLIT_TOL)
@@ -270,13 +270,11 @@ def plan_amplification(gate: str, params: Mapping[str, float],
     linear_non_cp) are preceded by a short linear_cptp stage that nudges the
     state to |r| = epsilon before the exponential growth takes over.  Each
     stage ends at the first root of rho tau - |r|, rho its radius, on its
-    exact solution: ``dynamics._scan`` searches the grid step that crosses
-    it (``dynamics._event_root``) and keeps no grid state.  A stage scans
-    up to t_max (inf sets no budget), and no further than
-    ``IntegratorOpts.max_steps`` grid steps; a stage whose root lies beyond
-    that, whose scan ends at another event first (its state diverges or
-    overflows), or whose rates are too small for max_steps to bound
-    t_max = inf, is refused with TargetUnreachable naming it.
+    exact solution, which ``dynamics.radius_root`` scans for up to t_max
+    (inf sets no budget) and no further than ``max_steps`` grid steps.  A
+    stage with no root there, or whose state diverges or overflows first, is
+    refused with TargetUnreachable naming the gate, the stage and the
+    radius, chained to the BlowUp or StepFailure that says why.
     """
     if gate not in GATES:
         raise InvalidParams(f"unknown gate {gate!r}; choose from {tuple(GATES)}")
@@ -307,28 +305,12 @@ def plan_amplification(gate: str, params: Mapping[str, float],
     y = np.array([1.0, 0.0, 0.0, 0.0])
     done = []
     for role, spec, rho in stages:
-        gen = assemble(spec)
-        horizon = min(t_max, dynamics.IntegratorOpts.max_steps / gen._norm1)
-        if horizon == math.inf:
-            raise TargetUnreachable(f"gate {gate}: the {role} stage's rates give no "
-                                    "finite scan horizon; give a finite t_max")
-        scan = dynamics._scan(gen, y, horizon, dynamics._grid_steps(gen, horizon), rho,
-                              targets=())
-        if scan.event is None:
-            raise TargetUnreachable(
-                f"gate {gate}: the {role} stage does not reach |r| = {rho:.15g} "
-                f"by t = {horizon:.6g} (t_max = {t_max:g})")
-        if scan.event == "blow_up":
-            raise TargetUnreachable(
-                f"gate {gate}: the state diverges at t* = {scan.t_stop:.6g} before "
-                f"the {role} stage reaches |r| = {rho:.15g}")
-        if scan.event != "radius":
-            raise TargetUnreachable(
-                f"gate {gate}: the {role} stage's scan ends with the event "
-                f"{scan.event!r} at t = {scan.t_stop:.6g}, before it reaches "
-                f"|r| = {rho:.15g}")
-        done.append(GateStage(spec, scan.t_stop))
-        y = scan.y_stop
+        try:
+            t_stop, y = dynamics.radius_root(spec, y, rho, t_max)
+        except IntegrationError as exc:
+            raise TargetUnreachable(f"gate {gate}: the {role} stage does not reach "
+                                    f"|r| = {rho:.15g}: {exc}") from exc
+        done.append(GateStage(spec, t_stop))
     return GatePlan(gate=gate, pre_amp=done[0] if len(done) == 2 else None,
                     main=done[-1], target_purity=target_purity, epsilon=epsilon,
                     t_gate=done[-1].duration,

@@ -159,6 +159,7 @@ class AffineGenerator:
         With |t| w / 2^s <= 1 the remainder is at most e / 21! ~ 5e-20, below
         a double's roundoff; no eigendecomposition is taken, so defective
         matrices are as accurate as any other, and e^{A 0} is exactly I.
+        A time whose e^{At} does not fit in a double raises ValueError.
         """
         ts = np.asarray(ts, dtype=float)
         if ts.ndim != 1:
@@ -171,9 +172,15 @@ class AffineGenerator:
         coef = np.cumprod((np.ldexp(ts, -s) * rate)[:, None] / _ORDERS, axis=-1)
         step = np.eye(4) + (coef[:, None, :] @ powers.reshape(_TAYLOR_DEGREE, 16)
                             ).reshape(-1, 4, 4)
-        for k in range(int(s.max(initial=0))):
-            more = s > k
-            step[more] = step[more] @ step[more]
+        if not s.any():  # |e^{At}| <= e: no squaring, no overflow
+            return step
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(int(s.max())):
+                more = s > k
+                step[more] = step[more] @ step[more]
+        bad = ts[~np.isfinite(step).all(axis=(1, 2))]
+        if bad.size:
+            raise ValueError(f"e^(At) at t = {bad[0]:.17g} does not fit in a double")
         return step
 
     @functools.cached_property

@@ -9,6 +9,7 @@ randomness is the seeded test-state generation inside ``verify``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import re
@@ -165,16 +166,8 @@ def _cmd_stability(args) -> int:
     traj = integrate(spec, _initial_from_args(args), args.t, _opts_from_args(args),
                      min_steps=GRID_STEPS)
     dev = np.abs(traj.tau - 1.0)
-    cls = classify(spec)
     _print_json({
-        "classification": {
-            "cp": cls.cp,
-            "linear": cls.linear,
-            "taxonomy_class": cls.taxonomy_class,
-            "pseudo_linear": cls.pseudo_linear,
-            "unital": cls.unital,
-            "trace_preserving": cls.trace_preserving,
-        },
+        "classification": dataclasses.asdict(classify(spec)),
         "tau0": args.tau0,
         "initial_trace_deviation": float(dev[0]),
         "final_trace_deviation": float(dev[-1]),

@@ -10,9 +10,9 @@ times advanced from that grid by one propagator call (``_advance``); every
 command and ``verify`` read their trajectories from it.  ``_scan`` also
 finds the first grid state off the cone, and the first time the state
 diverges or its Bloch vector reaches a given radius, which ends a
-surface-stopping run and each stage of a gate plan; ``_event_root`` finds
-that time by ITP, each point read straight from the bracket start through
-the same polynomial.
+surface-stopping run and each stage of a gate plan (``radius_root``);
+``_event_root`` finds that time by ITP, each point read straight from the
+bracket start through the same polynomial.
 Trajectories carry purity, entropy, tr(X Omega) and the cone margin tau - |r|.
 """
 
@@ -33,7 +33,7 @@ from .tolerances import (APEX_TAU, CONE_RATIO_TOL, EIG_ROUNDOFF, SURFACE_TOL,
 
 __all__ = [
     "IntegratorOpts", "StepStats", "Trajectory", "rhs", "integrate",
-    "CSV_HEADER", "GRID_STEPS",
+    "radius_root", "CSV_HEADER", "GRID_STEPS",
 ]
 
 CSV_HEADER = "t,tau,x,y,z,purity,entropy,trXOmega,coneMargin"
@@ -419,6 +419,44 @@ def _blow_up_error(t_star: float, t: float, y: np.ndarray) -> BlowUp:
                   f"is at t = {t:.17g}", t_star, y[0], y[1:])
 
 
+def _raise_event(scan: _Scan, h: float) -> None:
+    """Raise the error of a scan, grid step h, that ends off the cone, at a
+    blow-up or at an overflow."""
+    if scan.event == "off_cone":
+        _check_cone([scan.t_stop], scan.y_stop[None])
+    if scan.event == "blow_up":
+        raise _blow_up_error(scan.t_stop, scan.steps * h, scan.y_stop)
+    if scan.event == "overflow":
+        raise StepFailure(f"the state overflows after t = {scan.t_stop:.17g}: at the "
+                          "next grid time a component passes 2^511, where |r|^2 no "
+                          "longer fits in a double; the state given is at t = "
+                          f"{scan.t_stop:.17g}", scan.t_stop, scan.y_stop[0],
+                          scan.y_stop[1:])
+
+
+def radius_root(spec: ChannelSpec, y0: np.ndarray, rho: float,
+                t_max: float) -> tuple[float, np.ndarray]:
+    """The first time t at which the exact solution from y0 = (tau, r) has
+    |r| = rho tau, and its state there: one stage of a gate plan.
+
+    One ``_scan`` with no cone test and no kept grid state runs to the
+    horizon min(t_max, max_steps / ||A||_1), max_steps ``IntegratorOpts``'s
+    default.  A state that diverges or overflows first raises ``integrate``'s
+    BlowUp or StepFailure; no root by the horizon, or no finite horizon,
+    raises StepFailure.
+    """
+    gen = assemble(spec)
+    horizon = min(t_max, IntegratorOpts.max_steps / gen._norm1)
+    if horizon == math.inf:
+        raise StepFailure("the rates give no finite scan horizon; give a finite t_max")
+    n = _grid_steps(gen, horizon)
+    scan = _scan(gen, y0, horizon, n, rho, targets=())
+    _raise_event(scan, horizon / n)
+    if scan.event != "radius":
+        raise StepFailure(f"no radius root by t = {horizon:.6g} (t_max = {t_max:g})")
+    return scan.t_stop, scan.y_stop
+
+
 def _initial_vector(initial: PsdState, t_end: float, opts: IntegratorOpts) -> np.ndarray:
     """y0 = (tau, r) of a run's initial state, after the checks every run makes."""
     if not 0.0 < t_end < math.inf:
@@ -531,16 +569,7 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
             rows[moved] = advanced = _advance(gen, rows[moved], scan.dt[moved])
             if not opts.allow_off_cone:  # the scan tested the grid states
                 _check_cone(ts[1:m + 1][moved], advanced)
-    if scan.event == "off_cone":  # after the rows, which come before it
-        _check_cone([scan.t_stop], scan.y_stop[None])
-    if scan.event == "blow_up":
-        raise _blow_up_error(scan.t_stop, scan.steps * h, scan.y_stop)
-    if scan.event == "overflow":
-        raise StepFailure(f"the state overflows after t = {scan.t_stop:.17g}: at the "
-                          "next grid time a component passes 2^511, where |r|^2 no "
-                          "longer fits in a double; the state given is at t = "
-                          f"{scan.t_stop:.17g}", scan.t_stop, scan.y_stop[0],
-                          scan.y_stop[1:])
+    _raise_event(scan, h)  # after the rows, which come before it
     if scan.event == "radius":
         ts[-1], ys[-1] = scan.t_stop, scan.y_stop
         return _build_trajectory(spec, gen, ts, ys, StepStats(scan.steps + 1, 0, 0.0),

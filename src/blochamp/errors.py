@@ -34,7 +34,8 @@ class ApexReached(IntegrationError):
 
 
 class StepFailure(IntegrationError):
-    """A run needs more steps than ``max_steps`` allows, or its state overflows.
+    """A run needs more steps than ``max_steps`` allows, its state overflows,
+    or a gate stage's scan (``dynamics.radius_root``) ends with no root.
 
     On an overflow, ``t``, ``tau`` and ``r`` are the state at the last grid
     time before its size passes 2^511, where |r|^2 no longer fits in a

@@ -10,9 +10,10 @@ them: the degree of the Taylor polynomial behind every e^{At}
 (``channels._TAYLOR_DEGREE``, whose remainder for |t| ||A||_1 <= 1 is below
 a double's roundoff; longer times are squared), and the stopping rule and
 the ITP constants of the scan's one root search (``dynamics._event_root``),
-which finds the blow-up time, the pure surface and each gate stage's radius
-with each point read from the bracket start.  The verify criteria keep
-their own pinned tolerances.
+which finds the blow-up time, the pure surface and, in the one
+``dynamics.radius_root`` call of each gate stage, the stage's radius, each
+point read from the bracket start.  The verify criteria keep their own
+pinned tolerances.
 """
 
 # --- States on the PSD cone (pauli, dynamics) ---------------------------

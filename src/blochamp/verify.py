@@ -373,37 +373,23 @@ def _c_pseudolinear_duality(seed: int) -> tuple[bool, str]:
     return chk.result()
 
 
-CRITERIA: dict[str, tuple] = {
-    "jump-generators": (_c_jump_generators,
-                        "canonical jump operators reproduce their exact "
-                        "coordinate blocks"),
-    "cptp-gate-closed-form": (_c_cptp_gate_closed_form,
-                              "linear gate matches its exponential solution"),
-    "onejump-gate-closed-form": (_c_onejump_gate_closed_form,
-                                 "one-jump gate matches its rational solution"),
-    "slowdown-exponents": (_c_slowdown_exponents,
-                           "deceleration exponents and gate-end speed"),
-    "threejump-noncp-equivalence": (_c_threejump_noncp_equivalence,
-                                    "nonlinear gate equals its linear dual "
-                                    "pointwise"),
-    "xi-growth-rates": (_c_xi_growth_rates,
-                        "rotated-coordinate growth and decay rates"),
-    "fixed-point-structure": (_c_fixed_point_structure,
-                              "fixed points, lines and stability labels"),
-    "unital-instability": (_c_unital_instability,
-                           "zero initial velocity with an unstable center"),
-    "cp-certification": (_c_cp_certification,
-                         "Choi spectra separate CP from non-CP"),
-    "trace-positivity-purity": (_c_trace_positivity_purity,
-                                "trace plane, cone and purity monotonicity"),
-    "pseudolinear-duality": (_c_pseudolinear_duality,
-                             "pseudo-linear gate is invisible on the "
-                             "unit-trace plane"),
+CRITERIA = {
+    "jump-generators": _c_jump_generators,
+    "cptp-gate-closed-form": _c_cptp_gate_closed_form,
+    "onejump-gate-closed-form": _c_onejump_gate_closed_form,
+    "slowdown-exponents": _c_slowdown_exponents,
+    "threejump-noncp-equivalence": _c_threejump_noncp_equivalence,
+    "xi-growth-rates": _c_xi_growth_rates,
+    "fixed-point-structure": _c_fixed_point_structure,
+    "unital-instability": _c_unital_instability,
+    "cp-certification": _c_cp_certification,
+    "trace-positivity-purity": _c_trace_positivity_purity,
+    "pseudolinear-duality": _c_pseudolinear_duality,
 }
 
 
 def run_criterion(cid: str, seed: int = DEFAULT_SEED) -> CriterionResult:
-    func, _ = CRITERIA[cid]
+    func = CRITERIA[cid]
     t0 = time.perf_counter()
     try:
         ok, detail = func(seed)

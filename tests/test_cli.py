@@ -1,15 +1,16 @@
 import json
 import math
 import shlex
-from dataclasses import replace
+import warnings
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import blochamp
-from blochamp import (ChannelSpec, HermitianPauliVector, IntegratorOpts, PsdState,
-                      assemble, cli, presets, save_spec)
+from blochamp import (ChannelClass, ChannelSpec, HermitianPauliVector, IntegratorOpts,
+                      PsdState, assemble, cli, presets, save_spec)
 from blochamp.cli import build_parser, run_cli
 from blochamp.dynamics import CSV_HEADER
 from conftest import dp45, random_gksl_spec, random_nino_spec, random_pseudolinear_spec
@@ -164,6 +165,7 @@ class TestReports:
         assert rep["plane_attracting"]
         assert rep["final_trace_deviation"] < rep["initial_trace_deviation"]
         assert rep["classification"]["pseudo_linear"]
+        assert list(rep["classification"]) == [f.name for f in fields(ChannelClass)]
 
     def test_choi_flags_noncp(self, capsys):
         code, out, _ = run(capsys, "choi", "--preset", "linear_noncp",
@@ -201,6 +203,18 @@ class TestReports:
         rep = json.loads(out)
         assert rep["min_eigenvalue"] < -100.0 and sum(rep["eigenvalues"]) > 3e17
         assert rep["completely_positive"]
+
+    def test_choi_overflow_is_named(self, capsys):
+        # e^{At} of linear_noncp grows as e^{t/2}: at t = 1300 it still fits
+        # in a double, at t = 2000 it does not, and no numpy warning shows.
+        with warnings.catch_warnings(record=True) as seen:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, "choi", "--preset", "linear_noncp", "--t", "2000")
+            assert code == 1 and out == "" and not seen
+            assert err == "error: e^(At) at t = 2000 does not fit in a double\n"
+            code, out, _ = run(capsys, "choi", "--preset", "linear_noncp", "--t", "1300")
+        assert code == 0 and not seen
+        assert json.loads(out)["min_eigenvalue"] == pytest.approx(-9.781e281, rel=1e-3)
 
     def test_choi_rejects_nonlinear(self, capsys):
         code, _, err = run(capsys, "choi", "--preset", "onejump_nino",
@@ -498,8 +512,8 @@ class TestSimulateSamples:
 
     @pytest.mark.parametrize("argv, spec, t_end", LONG_RUNS)
     def test_long_runs_print_finite_numbers(self, capsys, argv, spec, t_end):
-        with np.errstate(over="ignore", invalid="ignore"):
-            assert not np.isfinite(assemble(spec).propagator([t_end])).all()
+        with pytest.raises(ValueError, match="does not fit in a double"):
+            assemble(spec).propagator([t_end])
         code, out, err = run(capsys, "simulate", *argv, "--x0", "0.3", "--samples", "101")
         assert code == 0, err
         got = csv_table(out)
