@@ -17,6 +17,7 @@ time its Bloch vector reaches the stage's radius.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -24,7 +25,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import dynamics, presets
-from .channels import ChannelSpec, assemble
+from .channels import ChannelSpec, assemble, classify
 from .errors import IntegrationError, InvalidParams, TargetUnreachable
 from .pauli import SIGMA, SIGMA_X, SIGMA_Y, PsdState
 from .tolerances import (LINE_SIGN_TOL, MARGINAL_TOL, RANK_TOL, SPEED_ZERO,
@@ -77,7 +78,8 @@ def _stability_label(eigvals: np.ndarray, tol: float) -> str:
 
 
 def _sorted_eigvals(m: np.ndarray) -> np.ndarray:
-    ev = np.linalg.eigvals(m)
+    """The eigenvalues of m, complex even when all are real, by real part first."""
+    ev = np.linalg.eigvals(m).astype(complex)
     order = np.lexsort((ev.imag, ev.real))
     return ev[order]
 
@@ -142,7 +144,7 @@ def find_fixed_points(spec: ChannelSpec) -> FixedPointReport:
 def _null_space(a: np.ndarray, lam: float) -> np.ndarray:
     """Orthonormal columns spanning the null space of a - lam I, by SVD."""
     _, s, vt = np.linalg.svd(a - lam * np.eye(len(a)))
-    return vt[s <= RANK_TOL * max(1.0, s[0])].T
+    return vt[s <= RANK_TOL * s[0]].T
 
 
 def slowdown_exponent(spec: ChannelSpec, fp: Sequence[float],
@@ -255,6 +257,11 @@ class GatePlan:
     achieved: PsdState
 
 
+@functools.cache
+def _nudge() -> ChannelSpec:  # moves a resting center to |r| = epsilon
+    return presets.linear_cptp(1.0)
+
+
 # Gate name -> the preset that runs its main stage.
 GATES = {"linear_cptp": "linear_cptp", "one_jump": "onejump_nino",
          "three_jump": "threejump_nino", "linear_non_cp": "linear_noncp"}
@@ -265,10 +272,11 @@ def plan_amplification(gate: str, params: Mapping[str, float],
                        t_max: float = 1e4) -> GatePlan:
     """Plan an amplification gate reaching the requested purity.
 
-    Single-stage gates (linear_cptp, one_jump) start from the maximally
-    mixed state directly; the unstable-center gates (three_jump,
-    linear_non_cp) are preceded by a short linear_cptp stage that nudges the
-    state to |r| = epsilon before the exponential growth takes over.  Each
+    The main stage is the gate's preset (``GATES``) built from ``params`` by
+    ``presets.expand_preset``, and the stages come from that channel.  One
+    that leaves the maximally mixed state at rest (``classify``'s unital)
+    must have an unstable center, as ``find_fixed_points`` labels it, and a
+    linear_cptp(1) stage first nudges the state to |r| = epsilon.  Each
     stage ends at the first root of rho tau - |r|, rho its radius, on its
     exact solution, which ``dynamics.radius_root`` scans for up to t_max
     (inf sets no budget) and no further than ``max_steps`` grid steps.  A
@@ -286,21 +294,21 @@ def plan_amplification(gate: str, params: Mapping[str, float],
         raise InvalidParams(
             f"t_max must be positive (inf for no budget), got {t_max!r}")
     r_target = math.sqrt(2.0 * target_purity - 1.0)
-    builder = presets.PRESETS[GATES[gate]]
-
-    if gate in ("linear_cptp", "one_jump"):
-        stages = [("main", builder(float(params.get("m", 1.0))), r_target)]
-    else:
-        big_m = float(params.get("M", 1.0))
-        gamma = float(params.get("gamma", 0.0))
-        if big_m <= gamma:
+    spec = presets.expand_preset(presets.Preset(GATES[gate], dict(params)))
+    stages = [("main", spec, r_target)]
+    if classify(spec).unital:
+        # At rest, the center is an eigenvector of A, with eigenvalue A[0, 0],
+        # and A[1:, 0] = 0: the Jacobian there is eig(A[1:, 1:]) - A[0, 0].
+        gen = assemble(spec)
+        growth = float(np.linalg.eigvals(gen.G_linear).real.max() - gen.A[0, 0])
+        if not growth > MARGINAL_TOL * gen.scale:
             raise InvalidParams(
-                f"amplification requires M > gamma (got M={big_m}, gamma={gamma}): "
-                "otherwise the center of the ball is not unstable")
+                f"gate {gate}: the maximally mixed state is at rest but not unstable "
+                f"(largest Jacobian real part {growth:.6g}), so the gate cannot "
+                "amplify from it")
         if epsilon >= r_target:
             raise InvalidParams("epsilon must be smaller than the target radius")
-        stages = [("pre_amplification", presets.linear_cptp(1.0), epsilon),
-                  ("main", builder(big_m, gamma), r_target)]
+        stages.insert(0, ("pre_amplification", _nudge(), epsilon))
 
     y = np.array([1.0, 0.0, 0.0, 0.0])
     done = []

@@ -126,10 +126,10 @@ class AffineGenerator:
         """All terms linear in r: jump/damping part plus precession."""
         return self.A[1:, 1:]
 
-    @property
+    @functools.cached_property
     def scale(self) -> float:
-        """max(1, ||A||_1): every roundoff test on the generator scales with it."""
-        return max(1.0, self._norm1)
+        """||A||_1, the scan's rate: every roundoff test on the generator scales with it."""
+        return float(np.abs(self.A).sum(axis=0).max())
 
     @property
     def pseudo_linear(self) -> bool:
@@ -184,18 +184,13 @@ class AffineGenerator:
         return step
 
     @functools.cached_property
-    def _norm1(self) -> float:
-        """||A||_1, the largest column sum of |A|: the scan's rate and ``scale``."""
-        return float(np.abs(self.A).sum(axis=0).max())
-
-    @functools.cached_property
     def _taylor(self) -> tuple[float, np.ndarray]:
         """w = ||A||_1 (1 for A = 0) and the powers (A / w)^k, k = 1, ..., 20,
         a (20, 4, 4) stack: the terms of every e^{At} of the package.
         Raises ValueError, and caches nothing, for an A that is not finite."""
         if not np.isfinite(self.A).all():
             raise ValueError("the generator's entries must be finite")
-        rate = self._norm1 or 1.0  # A = 0 leaves every state as it is
+        rate = self.scale or 1.0  # A = 0 leaves every state as it is
         return rate, _powers(self.A / rate, _TAYLOR_DEGREE)
 
 

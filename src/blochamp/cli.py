@@ -132,32 +132,23 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
+def _jsonable(obj):
+    """A report as JSON values: a dataclass becomes a dict of its fields, an
+    array or a tuple a list, and a complex number {"re", "im"}."""
+    if dataclasses.is_dataclass(obj):
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
+    if isinstance(obj, np.ndarray):
+        obj = obj.tolist()
+    if isinstance(obj, (list, tuple)):
+        return [_jsonable(v) for v in obj]
+    if isinstance(obj, complex):
+        return {"re": obj.real, "im": obj.imag}
+    return obj
+
+
 def _cmd_fixed_points(args) -> int:
-    spec = _build_channel(args)
-    rep = analysis.find_fixed_points(spec)
-    _print_json({
-        "restricted_to_tau_plane": rep.restricted_to_tau_plane,
-        "points": [
-            {
-                "r": [float(v) for v in p.r],
-                "jacobian_eigenvalues": [
-                    {"re": float(e.real), "im": float(e.imag)}
-                    for e in p.jacobian_eigenvalues
-                ],
-                "stability": p.stability,
-                "residual": float(p.residual),
-            }
-            for p in rep.points
-        ],
-        "fixed_lines": [
-            {
-                "point": [float(v) for v in line.point],
-                "direction": [float(v) for v in line.direction],
-                "marginal": line.marginal,
-            }
-            for line in rep.fixed_lines
-        ],
-    })
+    rep = _jsonable(analysis.find_fixed_points(_build_channel(args)))
+    _print_json({"restricted_to_tau_plane": rep.pop("restricted_to_tau_plane"), **rep})
     return 0
 
 
@@ -165,9 +156,9 @@ def _cmd_stability(args) -> int:
     spec = _build_channel(args)
     traj = integrate(spec, _initial_from_args(args), args.t, _opts_from_args(args),
                      min_steps=GRID_STEPS)
-    dev = np.abs(traj.tau - 1.0)
+    dev = np.abs(traj.tau - (1.0 / spec.g if spec.g else 1.0))  # from g tau = 1
     _print_json({
-        "classification": dataclasses.asdict(classify(spec)),
+        "classification": _jsonable(classify(spec)),
         "tau0": args.tau0,
         "initial_trace_deviation": float(dev[0]),
         "final_trace_deviation": float(dev[-1]),
@@ -306,8 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_channel_args(p)
     p.set_defaults(func=_cmd_fixed_points)
 
-    p = sub.add_parser("stability", help="probe the unit-trace plane with a "
-                                         "perturbed initial trace")
+    p = sub.add_parser("stability", help="probe the plane g*tau = 1 (tau = 1 "
+                                         "if g = 0) with a perturbed trace")
     _add_channel_args(p)
     _add_initial_state_args(p)
     _add_integrator_args(p)

@@ -46,9 +46,9 @@ _CSV_ROW = ",".join(["%.17g"] * len(CSV_HEADER.split(","))) + "\n"
 _CSV_BLOCK = 64
 
 # The fewest grid steps of ``stability`` and of ``verify``'s unsampled runs,
-# and ``simulate``'s default row count less one.  At t = 5 it is no coarser
-# than the 77 to 169 steps that Dormand-Prince 4(5) at rtol 1e-10 takes on
-# the six presets.
+# and ``simulate``'s default row count less one.  Every grid state is exact,
+# so it sets no accuracy, only the times at which ``stability`` reads its
+# tr(X Omega) extremes and tests its deviation for monotone decay.
 GRID_STEPS = 200
 
 
@@ -290,7 +290,7 @@ class _Scan(NamedTuple):
 
 def _grid_steps(gen: AffineGenerator, t_end: float, min_steps: int = 1) -> int:
     """Steps of the scan's grid on [0, t_end]: h ||A||_1 <= 1, at least min_steps."""
-    return max(min_steps, math.ceil(t_end * gen._norm1))
+    return max(min_steps, math.ceil(t_end * gen.scale))
 
 
 def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
@@ -446,7 +446,7 @@ def radius_root(spec: ChannelSpec, y0: np.ndarray, rho: float,
     raises StepFailure.
     """
     gen = assemble(spec)
-    horizon = min(t_max, IntegratorOpts.max_steps / gen._norm1)
+    horizon = min(t_max, IntegratorOpts.max_steps / gen.scale if gen.scale else math.inf)
     if horizon == math.inf:
         raise StepFailure("the rates give no finite scan horizon; give a finite t_max")
     n = _grid_steps(gen, horizon)

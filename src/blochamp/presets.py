@@ -12,6 +12,7 @@ Six presets cover the amplification gate families:
 
 from __future__ import annotations
 
+import functools
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -180,11 +181,15 @@ def preset_names() -> tuple[str, ...]:
     return tuple(PRESETS)
 
 
+@functools.cache
+def _param_names(builder) -> tuple[str, ...]:
+    return tuple(inspect.signature(builder).parameters)
+
+
 def preset_params(names=None) -> tuple[str, ...]:
     """Parameter names the named presets (default: all) take, first seen first."""
     builders = PRESETS.values() if names is None else [PRESETS[n] for n in names]
-    return tuple(dict.fromkeys(
-        p for b in builders for p in inspect.signature(b).parameters))
+    return tuple(dict.fromkeys(p for b in builders for p in _param_names(b)))
 
 
 @dataclass(frozen=True)
@@ -202,10 +207,9 @@ def expand_preset(p: Preset) -> ChannelSpec:
     except KeyError:
         raise InvalidParams(
             f"unknown preset {p.name!r}; choose from {', '.join(PRESETS)}") from None
-    allowed = set(inspect.signature(builder).parameters)
-    unknown = set(p.params) - allowed
+    unknown = set(p.params).difference(_param_names(builder))
     if unknown:
         raise InvalidParams(
             f"preset {p.name!r} does not take parameter(s) {sorted(unknown)}; "
-            f"allowed: {sorted(allowed)}")
+            f"allowed: {sorted(_param_names(builder))}")
     return builder(**p.params)

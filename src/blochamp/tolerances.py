@@ -1,10 +1,10 @@
 """Every threshold that decides a reported fact or raises an error.
 
 Each name is stated once, with the decision it makes and the scale it is
-measured against.  ``AffineGenerator.scale = max(1, ||A||_1)`` is the one
-scale of a channel's generator: a test for "zero up to roundoff" on A, its
-velocity or its eigenvalues multiplies by it, so rescaling every rate of a
-channel (which only rescales time) leaves each reported flag unchanged.
+measured against.  ``AffineGenerator.scale = ||A||_1``, with no floor, is
+the one scale of a channel's generator: a test for "zero up to roundoff" on
+A, its velocity or its eigenvalues multiplies by it, so rescaling every rate
+of a channel (which only rescales time) leaves each flag and label unchanged.
 Two sets of numerical constants are part of their algorithms and stay with
 them: the degree of the Taylor polynomial behind every e^{At}
 (``channels._TAYLOR_DEGREE``, whose remainder for |t| ||A||_1 <= 1 is below
@@ -44,7 +44,7 @@ HERMITIAN_TOL = 1e-12
 # proportional to I (pseudo_linear) and a zero velocity at the maximally
 # mixed state (unital).  Absolute for dualize's g = 1, g being a pure number.
 ROUNDOFF = 1e-12
-# Relative to max(1, largest singular value of A - lambda I): its null space.
+# Relative to the largest singular value of A - lambda I: its null space.
 # Absolute on the unit null vectors: whether they have tau != 0.
 RANK_TOL = 1e-10
 # A defective A splits a k-fold eigenvalue, and tilts its eigenvectors, by
@@ -53,7 +53,7 @@ RANK_TOL = 1e-10
 # space is one already found.
 SPLIT_TOL = 1e-5
 # Relative to AffineGenerator.scale: Jacobian real parts within this of 0 are
-# marginal, neither stable nor unstable.
+# marginal, neither stable nor unstable (a gate plan's center must be unstable).
 MARGINAL_TOL = 1e-6
 # Absolute on a unit fixed-line direction: its first component above this is
 # made positive, so the reported sign does not follow roundoff.

@@ -1,4 +1,5 @@
 import ast
+import itertools
 import math
 from dataclasses import replace
 from pathlib import Path
@@ -17,6 +18,7 @@ from blochamp import (
     TargetUnreachable,
     choi_spectra,
     choi_spectrum,
+    classify,
     dualize,
     find_fixed_points,
     plan_amplification,
@@ -120,6 +122,17 @@ class TestFixedPoints:
         ea = np.sort(a.points[0].jacobian_eigenvalues.real)
         eb = np.sort(b.points[0].jacobian_eigenvalues.real)
         assert np.abs(ea - eb).max() <= 1e-10
+
+    @pytest.mark.parametrize("k", [1e-100, 1e-13, 1e-6, 1e-2, 1e4, 1e6])
+    def test_labels_survive_rescaled_rates(self, k):
+        # Multiplying every rate by k only runs the flow k times faster.
+        for spec in [presets.PRESETS[name]() for name in presets.preset_names()] + [
+                presets.threejump_nino(1.0, 1.0), presets.linear_cptp(1e-4)]:
+            rep, fast = find_fixed_points(spec), find_fixed_points(scaled_spec(spec, k))
+            assert [p.stability for p in fast.points] == [p.stability for p in rep.points]
+            assert ([line.marginal for line in fast.fixed_lines]
+                    == [line.marginal for line in rep.fixed_lines])
+        assert find_fixed_points(presets.linear_cptp(1e-4)).points[0].stability == "stable"
 
     def test_nearly_equal_rates_keep_their_point(self):
         # Two distinct eigenvalues of A 1e-7 apart are not one split
@@ -488,7 +501,7 @@ class TestGatePlanning:
         y, durations = np.array([1.0, 0.0, 0.0, 0.0]), []
         for spec, rho in stages + [(whole.main.spec, math.sqrt(0.98))]:
             gen = assemble(spec)
-            horizon = min(1e4, IntegratorOpts.max_steps / gen._norm1)
+            horizon = min(1e4, IntegratorOpts.max_steps / gen.scale)
             n = dynamics._grid_steps(gen, horizon)
             t0 = 0.0
             for k in range(0, n, 7):
@@ -535,6 +548,14 @@ class TestGatePlanning:
             plan_amplification("linear_cptp", {"m": 1e-160}, 0.9, t_max=math.inf)
         assert type(info.value.__cause__) is StepFailure
 
+    def test_zero_rates_have_no_root(self):
+        # A = 0 leaves every state where it is, and ||A||_1 = 0 bounds no horizon.
+        still, y0 = ChannelSpec(HermitianPauliVector(np.zeros(4))), np.array([1.0, 0, 0, 0])
+        with pytest.raises(StepFailure, match=r"^no radius root by t = 10 "):
+            dynamics.radius_root(still, y0, 0.5, 10.0)
+        with pytest.raises(StepFailure, match="no finite scan horizon"):
+            dynamics.radius_root(still, y0, 0.5, math.inf)
+
     def test_blow_up_first_is_unreachable(self, monkeypatch):
         # L = -I and g = 2 keep r = 0 while s = 2 e^{-2t} - 1 reaches 0 at
         # t* = ln(2) / 2.
@@ -558,8 +579,42 @@ class TestGatePlanning:
         assert type(info.value.__cause__) is StepFailure
 
     def test_equal_rates_rejected(self):
-        with pytest.raises(InvalidParams):
-            plan_amplification("three_jump", {"M": 1.0, "gamma": 1.0}, 0.9)
+        # M = gamma leaves the center marginal, and M < gamma makes it stable.
+        for gate, gamma in itertools.product(["three_jump", "linear_non_cp"], [1.0, 1.5]):
+            with pytest.raises(InvalidParams, match=(
+                    rf"^gate {gate}: the maximally mixed state is at rest but not "
+                    r"unstable \(largest Jacobian real part ")):
+                plan_amplification(gate, {"M": 1.0, "gamma": gamma}, 0.9)
+
+    @pytest.mark.parametrize("gate, params, foreign", [
+        ("linear_cptp", {"M": 3.0}, "M"), ("one_jump", {"M": 3.0}, "M"),
+        ("three_jump", {"m": 1.0}, "m"), ("linear_non_cp", {"M": 1.0, "m": 1.0}, "m")])
+    def test_foreign_parameter_rejected(self, gate, params, foreign):
+        with pytest.raises(InvalidParams,
+                           match=rf"does not take parameter\(s\) \['{foreign}'\]"):
+            plan_amplification(gate, params, 0.9)
+
+    @pytest.mark.parametrize("gate", ["three_jump", "linear_non_cp"])
+    def test_omitted_gamma_is_the_presets(self, gate):
+        plan = plan_amplification(gate, {"M": 1.1}, 0.9)
+        given = plan_amplification(gate, {"M": 1.1, "gamma": 0.5}, 0.9)
+        assert np.array_equal(assemble(plan.main.spec).A, assemble(given.main.spec).A)
+        assert plan.pre_amp.duration == given.pre_amp.duration
+        assert plan.t_gate == given.t_gate
+
+    @pytest.mark.parametrize("gate, two_stage", [
+        ("linear_cptp", False), ("one_jump", False),
+        ("three_jump", True), ("linear_non_cp", True)])
+    def test_stage_count_follows_the_channel(self, gate, two_stage, monkeypatch):
+        plan = plan_amplification(gate, {}, 0.9)
+        assert (plan.pre_amp is not None) == two_stage == classify(plan.main.spec).unital
+        # Swap the gate's channel for one of the other kind: the stages follow.
+        name = analysis.GATES[gate]
+        other = presets.linear_cptp(1.0) if two_stage else presets.threejump_nino(1.0, 0.5)
+        monkeypatch.setitem(presets.PRESETS, name, lambda: other)
+        swapped = plan_amplification(gate, {}, 0.9)
+        assert (swapped.pre_amp is None) == two_stage
+        assert swapped.main.spec is other
 
     def test_onejump_unreachable_target(self):
         with pytest.raises(TargetUnreachable):

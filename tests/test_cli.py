@@ -1,6 +1,9 @@
 import json
 import math
+import os
 import shlex
+import subprocess
+import sys
 import warnings
 from dataclasses import fields, replace
 from pathlib import Path
@@ -167,6 +170,28 @@ class TestReports:
         assert rep["classification"]["pseudo_linear"]
         assert list(rep["classification"]) == [f.name for f in fields(ChannelClass)]
 
+    def test_fixed_points_json_keeps_its_shape(self, capsys):
+        # Every eigenvalue prints as {"re", "im"}, also when all are real.
+        for argv in (["--preset", "linear_cptp"],
+                     ["--preset", "threejump_nino", "--gamma", "1"]):
+            code, out, _ = run(capsys, "fixed-points", *argv)
+            rep = json.loads(out)
+            assert code == 0 and rep["points"] + rep["fixed_lines"]
+            assert list(rep) == ["restricted_to_tau_plane", "points", "fixed_lines"]
+            for p in rep["points"]:
+                assert list(p) == ["r", "jacobian_eigenvalues", "stability", "residual"]
+                assert all(list(e) == ["re", "im"] for e in p["jacobian_eigenvalues"])
+            for line in rep["fixed_lines"]:
+                assert list(line) == ["point", "direction", "marginal"]
+
+    def test_slow_channels_keep_flags_and_labels(self, capsys):
+        code, out, _ = run(capsys, "stability", "--preset", "linear_cptp",
+                           "--m", "1e-7", "--t", "1")
+        assert code == 0 and json.loads(out)["classification"]["unital"] is False
+        code, out, _ = run(capsys, "fixed-points", "--preset", "linear_cptp", "--m", "1e-4")
+        assert code == 0
+        assert [p["stability"] for p in json.loads(out)["points"]] == ["stable"]
+
     def test_choi_flags_noncp(self, capsys):
         code, out, _ = run(capsys, "choi", "--preset", "linear_noncp",
                            "--M", "1", "--gamma", "0.5", "--t", "0.05")
@@ -230,6 +255,17 @@ class TestReports:
         assert len(rep["stages"]) == 2
         assert rep["achieved"]["purity"] == pytest.approx(0.99005, abs=1e-6)
 
+    def test_gate_plan_takes_the_presets_parameters(self, capsys):
+        code, _, err = run(capsys, "gate-plan", "--gate", "one_jump", "--M", "3",
+                           "--target-purity", "0.9")
+        assert code == 1 and "['M']" in err
+        argv = ["gate-plan", "--gate", "three_jump", "--M", "1", "--target-purity", "0.9"]
+        code, default, _ = run(capsys, *argv)
+        assert code == 0 and default == run(capsys, *argv, "--gamma", "0.5")[1]
+        code, _, err = run(capsys, "gate-plan", "--gate", "linear_non_cp", "--M", "1",
+                           "--gamma", "1", "--target-purity", "0.9")
+        assert code == 1 and "not unstable" in err
+
 
 # A g = 0 channel whose Omega does not vanish: its trace grows from every state.
 GROWING = {"ell": [1, 0.3, 0, 0], "g": 0,
@@ -265,7 +301,7 @@ class TestStability:
         extremum depends on where the samples fall)."""
         dp = dp45(spec, traj.state(0), float(traj.t[-1]), opts, sample_times=traj.t)
         assert np.array_equal(dp.t, traj.t)
-        dev = np.abs(dp.tau - 1.0)
+        dev = np.abs(dp.tau - (1.0 / spec.g if spec.g else 1.0))
         return {
             "final_trace_deviation": float(dev[-1]),
             "tr_x_omega_min": float(dp.tr_x_omega.min()),
@@ -311,6 +347,19 @@ class TestStability:
                 assert t_star == pytest.approx(exc.t, rel=1e-12)
                 continue
             self.check_against_dp45(capsys, monkeypatch, spec, argv, opts)
+
+    def test_deviation_is_measured_from_the_plane(self, capsys, monkeypatch, tmp_path):
+        # g = 0.5 keeps the plane tau = 2: the deviation is |tau - 2|.
+        spec = replace(presets.nojump_nino(0.2, 1.0), g=0.5)
+        path = tmp_path / "half.json"
+        save_spec(spec, path)
+        rep, traj = self.report(capsys, monkeypatch, "--spec", str(path), "--t", "3")
+        ys = assemble(spec).propagator(traj.t) @ [1.05, 0.0, 0.0, 0.0]
+        dev = np.abs(ys[:, 0] / (1.0 + 0.5 * (ys[:, 0] - 1.05)) - 2.0)
+        assert rep["initial_trace_deviation"] == 0.95
+        assert rep["final_trace_deviation"] == pytest.approx(dev[-1], rel=0, abs=1e-14)
+        assert rep["deviation_monotone_decaying"] == bool(np.all(np.diff(dev) <= 1e-12))
+        assert rep["plane_attracting"] and dev[-1] < 3e-3
 
     def test_stop_on_surface_at_dp45_surface_time(self, capsys, monkeypatch):
         argv = ["--preset", "threejump_nino", "--tau0", "1", "--x0", "0.3", "--t", "10",
@@ -663,3 +712,39 @@ def test_usage_error_exit_code(capsys):
 
 def test_unknown_command_exit_code(capsys):
     assert run_cli(["frobnicate"]) == 2
+
+
+def test_commands_load_no_heavy_modules():
+    # The benchmark's set-up time is the import plus the first command of
+    # each kind: numpy.ma alone, which np.unique loads, costs about 10 ms.
+    script = """
+import contextlib, io, sys
+import numpy
+if "numpy.ma" in sys.modules:
+    sys.exit(3)
+import blochamp, blochamp.cli
+argvs = [
+    ["simulate", "--preset", "linear_cptp", "--t", "2", "--samples", "5"],
+    ["simulate", "--preset", "threejump_nino", "--x0", "0.01", "--t", "20",
+     "--stop-on-surface"],
+    ["fixed-points", "--preset", "threejump_nino", "--gamma", "1"],
+    ["stability", "--preset", "pseudolinear_nino", "--t", "5"],
+    ["slowdown", "--preset", "onejump_nino"],
+    ["choi", "--preset", "linear_noncp", "--t", "1", "--scan", "4"],
+    ["gate-plan", "--gate", "three_jump", "--target-purity", "0.99"],
+    ["sweep", "--preset", "threejump_nino", "--param", "gamma", "--values", "0,0.5",
+     "--x0", "0.001", "--t", "5"],
+    ["verify", "--suite", "paper"],
+]
+with contextlib.redirect_stdout(io.StringIO()):
+    for argv in argvs:
+        assert blochamp.cli.run_cli(argv) == 0, argv
+print([m for m in ("numpy.ma", "scipy", "mpmath") if m in sys.modules])
+"""
+    src = str(Path(blochamp.__file__).resolve().parents[1])
+    out = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    if out.returncode == 3:
+        pytest.skip("importing numpy alone loads numpy.ma")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "[]\n"

@@ -673,7 +673,7 @@ class TestAdvance:
     def test_scalar_dt_is_a_row_of_the_stack(self):
         gen = blochamp.assemble(presets.linear_noncp(1.0, 0.5))
         ys = np.array([[1.0, 0.3, -0.2, 0.1], [0.8, 0.1, 0.5, -0.3], [1.2, 0, 0, 0.9]])
-        dts = np.array([0.1, 0.7, 0.35]) / gen._norm1
+        dts = np.array([0.1, 0.7, 0.35]) / gen.scale
         stack = dynamics._advance(gen, ys, dts)
         for y, dt, row in zip(ys, dts, stack):
             got = dynamics._advance(gen, y, dt)
@@ -686,7 +686,7 @@ class TestAdvance:
         gen = blochamp.assemble(presets.linear_cptp(1.0))
         assert not gen.A[0].any()
         y = np.array([0.7, 0.1, -0.3, 0.2])
-        dts = np.array([0.3, 1.0]) / gen._norm1
+        dts = np.array([0.3, 1.0]) / gen.scale
         got = dynamics._advance(gen, np.array([y, y]), dts)
         assert got[:, 0].tobytes() == np.array([y[0], y[0]]).tobytes()
 
@@ -697,7 +697,7 @@ class TestAdvance:
             gen = AffineGenerator(blochamp.assemble(spec).A, 0.0)
             tau, r = conftest.random_cone_state(rng)
             y = np.concatenate(([tau], r))
-            dt = rng.uniform(0.0, 1.0) / gen._norm1
+            dt = rng.uniform(0.0, 1.0) / gen.scale
             want = linalg.expm(gen.A * dt) @ y
             got = dynamics._advance(gen, y, dt)
             assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
@@ -718,7 +718,7 @@ class TestFlatMemory:
 
     def test_long_sampled_run(self):
         spec = presets.linear_cptp(1.0)
-        t_end = 4e5 / blochamp.assemble(spec)._norm1
+        t_end = 4e5 / blochamp.assemble(spec).scale
         runs = []
         peak = self.traced_peak(lambda: runs.append(integrate(
             spec, PsdState(1.0, [0.1, 0.0, 0.0]), t_end,

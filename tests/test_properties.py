@@ -23,6 +23,7 @@ from blochamp import (  # noqa: E402
     classify,
     dualize,
     dynamics,
+    find_fixed_points,
     integrate,
     plan_amplification,
     presets,
@@ -84,7 +85,7 @@ def _clear_of_blow_up(gen, y0, t_end):
 
 @PROPERTY
 @given(st.sampled_from(["preset", "nino", "pseudolinear", "gksl", "noncp_gksl"]),
-       SEEDS, st.floats(-2.0, 6.0))
+       SEEDS, st.floats(-100.0, 6.0))
 @example("preset", 0, 5.0)        # linear_cptp lost pseudo_linear
 @example("preset", 4, 6.0)        # threejump_nino lost unital
 @example("gksl", 0, 4.0)          # lost pseudo_linear
@@ -93,6 +94,21 @@ def test_classify_flags_ignore_rate_scale(kind, seed, log_k):
     # Multiplying every rate by k runs the same flow k times faster.
     spec = _spec(kind, seed)
     assert classify(scaled_spec(spec, 10.0 ** log_k)) == classify(spec)
+
+
+def _labels(rep):
+    return ([p.stability for p in rep.points], [line.marginal for line in rep.fixed_lines])
+
+
+@PROPERTY
+@given(st.sampled_from(["preset", "nino", "pseudolinear", "gksl", "noncp_gksl"]),
+       SEEDS, st.floats(-100.0, 6.0))
+def test_fixed_point_labels_ignore_rate_scale(kind, seed, log_k):
+    # The same flow run k times faster has the same fixed points, labels,
+    # fixed lines and marginal flags.
+    spec = _spec(kind, seed)
+    rep = find_fixed_points(spec)
+    assert _labels(find_fixed_points(scaled_spec(spec, 10.0 ** log_k))) == _labels(rep)
 
 
 @PROPERTY
@@ -389,7 +405,7 @@ def test_advance_matches_expm(kind, seed, frac, other):
     # row is the same, bit for bit, alone or in a stack.
     gen = AffineGenerator(assemble(_spec(kind, seed)).A, 0.0)
     y = _state(seed)
-    dt = frac / gen._norm1
+    dt = frac / gen.scale
     want = expm(gen.A * dt) @ y
     got = dynamics._advance(gen, y, dt)
     assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
