@@ -263,8 +263,8 @@ def _nudge() -> ChannelSpec:  # moves a resting center to |r| = epsilon
 
 
 # Gate name -> the preset that runs its main stage.
-GATES = {"linear_cptp": "linear_cptp", "one_jump": "onejump_nino",
-         "three_jump": "threejump_nino", "linear_non_cp": "linear_noncp"}
+GATES = dict(linear_cptp="linear_cptp", one_jump="onejump_nino",
+             three_jump="threejump_nino", linear_non_cp="linear_noncp")
 
 
 def plan_amplification(gate: str, params: Mapping[str, float],
