@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -154,8 +155,10 @@ class AffineGenerator:
         Higham, SIAM J. Sci. Comput. 33(2), 2011), at t / 2^s, s the least
         integer >= 0 with |t| w / 2^s <= 1, squared s times.  The powers
         (A / w)^k are made once (``_taylor``) and each time weighs them by
-        (t w / 2^s)^k / k!, its own (1, 20) @ (20, 16) product, so a row is
-        a function of its own time, bit for bit, whatever else ts holds.
+        the running products (t w / 2^s)^k / k!, its own (1, 20) @ (20, 16)
+        product, so a row is a function of its own time, bit for bit,
+        whatever else ts holds.  A single time, the scan's step, takes s and
+        t w / 2^s in scalars, the same numbers the stack's arrays hold.
         With |t| w / 2^s <= 1 the remainder is at most e / 21! ~ 5e-20, below
         a double's roundoff; no eigendecomposition is taken, so defective
         matrices are as accurate as any other, and e^{A 0} is exactly I.
@@ -164,18 +167,28 @@ class AffineGenerator:
         ts = np.asarray(ts, dtype=float)
         if ts.ndim != 1:
             raise ValueError("times must be a 1-d sequence")
-        if not np.isfinite(ts).all():
+        if not (math.isfinite(ts[0]) if ts.size == 1
+                else np.count_nonzero(np.isfinite(ts)) == ts.size):
             raise ValueError("times must be finite")
         rate, powers = self._taylor
-        frac, exp = np.frexp(np.abs(ts) * rate)
-        s = np.maximum(exp - (frac == 0.5), 0)  # |t| w <= 2^s, exactly
-        coef = np.cumprod((np.ldexp(ts, -s) * rate)[:, None] / _ORDERS, axis=-1)
-        step = np.eye(4) + (coef[:, None, :] @ powers.reshape(_TAYLOR_DEGREE, 16)
-                            ).reshape(-1, 4, 4)
-        if not s.any():  # |e^{At}| <= e: no squaring, no overflow
+        if ts.size == 1:  # one time, the scan's step: the else branch's numbers
+            t = float(ts[0])
+            frac, exp = math.frexp(abs(t) * rate)
+            top = max(exp - (frac == 0.5), 0)
+            s = np.array([top])
+            coef = np.multiply.accumulate(math.ldexp(t, -top) * rate / _ORDERS)[None]
+        else:
+            frac, exp = np.frexp(np.abs(ts) * rate)
+            s = np.maximum(exp - (frac == 0.5), 0)  # |t| w <= 2^s, exactly
+            top = int(s.max(initial=0))
+            coef = np.multiply.accumulate((np.ldexp(ts, -s) * rate)[:, None] / _ORDERS,
+                                          axis=-1)
+        step = _EYE + (coef[:, None, :] @ powers.reshape(_TAYLOR_DEGREE, 16)
+                       ).reshape(-1, 4, 4)
+        if not top:  # |e^{At}| <= e: no squaring, no overflow
             return step
         with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(int(s.max())):
+            for k in range(top):
                 more = s > k
                 step[more] = step[more] @ step[more]
         bad = ts[~np.isfinite(step).all(axis=(1, 2))]
@@ -188,7 +201,7 @@ class AffineGenerator:
         """w = ||A||_1 (1 for A = 0) and the powers (A / w)^k, k = 1, ..., 20,
         a (20, 4, 4) stack: the terms of every e^{At} of the package.
         Raises ValueError, and caches nothing, for an A that is not finite."""
-        if not np.isfinite(self.A).all():
+        if np.count_nonzero(np.isfinite(self.A)) < 16:
             raise ValueError("the generator's entries must be finite")
         rate = self.scale or 1.0  # A = 0 leaves every state as it is
         return rate, _powers(self.A / rate, _TAYLOR_DEGREE)
@@ -198,6 +211,8 @@ class AffineGenerator:
 # |t| ||A||_1 <= 1 its remainder is at most e / 21! ~ 5e-20 of e^{At}.
 _TAYLOR_DEGREE = 20
 _ORDERS = np.arange(1, _TAYLOR_DEGREE + 1)
+_EYE = np.eye(4)
+_EYE.setflags(write=False)
 
 
 def _powers(step: np.ndarray, k: int) -> np.ndarray:

@@ -12,6 +12,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import os
 import re
 import sys
 
@@ -365,6 +366,19 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _discard_stdout() -> None:
+    """Point the file descriptor under sys.stdout at the null device."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not a file: nothing to point
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def run_cli(argv=None) -> int:
     parser = _parser()
     try:
@@ -372,7 +386,14 @@ def run_cli(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader stopped reading (``| head``), which ends a run, not fails
+        # it; the output it left unread goes to the null device at exit.
+        _discard_stdout()
+        return 0
     except (BlochampError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -104,6 +104,9 @@ class StepStats:
     max_error: float
 
 
+_FLOAT = np.dtype(float)
+
+
 @dataclass(frozen=True, eq=False)
 class Trajectory:
     """Columnar record of one integration run; immutable after construction."""
@@ -121,9 +124,11 @@ class Trajectory:
 
     def __post_init__(self):
         for name in ("t", "tau", "purity", "entropy", "tr_x_omega", "cone_margin"):
-            arr = np.asarray(getattr(self, name), dtype=float)
+            arr = getattr(self, name)
+            if type(arr) is not np.ndarray or arr.dtype is not _FLOAT:
+                arr = np.asarray(arr, dtype=float)
+                object.__setattr__(self, name, arr)
             arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
         r = np.asarray(self.r, dtype=float).reshape(-1, 3)
         r.setflags(write=False)
         object.__setattr__(self, "r", r)
@@ -314,11 +319,13 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
     (0, t_end (1 + TIME_WINDOW)] the grid state at the last grid time at or
     before each, and in ``dt`` the target's time less that one, up to a
     blow-up's last grid time or before another event, so memory does not
-    grow with n.  The scan ends at the last grid time before the event.  It
-    searches the grid step of a divergence or radius crossing once
-    (``_event_root``), on s > 0 and rho tau >= |r| together, s formed from
-    its value there plus the increment's; its points are picked by the
-    event function min(s, rho Y_tau - |Y_r|).  The radius root's state, at
+    grow with n.  Kept states that one array holds, one chunk's or a single
+    target's, are returned as a view of it, not copied.  The scan ends at
+    the last grid time before the event.  It searches the grid step of a
+    divergence or radius crossing once (``_event_root``), on s > 0 and
+    rho tau >= |r| together, s formed from its value there plus the
+    increment's; its points are picked by the event function
+    min(s, rho Y_tau - |Y_r|).  The radius root's state, at
     the bracket's lower end, has rho tau - |r| >= 0 as ``_margin`` computes
     it, and the sign of s at the upper end tells t*, that end, from a radius
     root.
@@ -344,13 +351,14 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
         s = c + g * ys[:, 0]
         # s <= 0, or the state Y / s too large: no state to divide out.
         big = s <= _S_FLOOR
-        if big.any():
+        denom = s
+        if np.count_nonzero(big):
             big &= np.abs(ys).max(axis=1) * (1.0 / _OVERFLOW) >= s
-        zs = np.divide(ys, np.where(big, 1.0, s)[:, None],
-                       out=chunk[k - k0:k - k0 + len(ys)])
+            denom = np.where(big, 1.0, s)
+        zs = np.divide(ys, denom[:, None], out=chunk[k - k0:k - k0 + len(ys)])
         out = big if rho is None else big | (
             rho * zs[:, 0] < np.sqrt((zs[:, 1:] ** 2).sum(axis=1)))
-        hit = np.flatnonzero(out)
+        hit = out.nonzero()[0]
         j = int(hit[0]) if hit.size else len(ys)
         y = ys[j - 1] if j else y
         k += j
@@ -358,7 +366,7 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
             continue
         # The chunk ends: one cone test, then keep its states before the event.
         zs = chunk[:k - k0]
-        bad = np.flatnonzero(_off_cone(zs)) if cone else ()
+        bad = _off_cone(zs).nonzero()[0] if cone else ()
         if len(bad):
             k = k0 + int(bad[0])
             event, y_stop, zs = "off_cone", zs[k - k0], zs[:k - k0]
@@ -368,10 +376,10 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
             if targets is None:
                 kept.append(zs)
             elif i < tq.size and tq[i] < t_j:
-                e = int(np.searchsorted(tq, t_j))
+                e = int(tq.searchsorted(t_j))
                 times = np.arange(k0, k + 1, dtype=float) * h  # np.linspace's t
                 times[-1] = t_j
-                at = np.searchsorted(times, tq[i:e], side="right") - 1
+                at = times.searchsorted(tq[i:e], side="right") - 1
                 kept.append(np.concatenate((z[None], zs))[at])
                 dts.append(tq[i:e] - times[at])
                 i = e
@@ -403,13 +411,20 @@ def _scan(gen: AffineGenerator, y0: np.ndarray, t_end: float, n: int,
             event, t_stop, y_stop = "radius", t + lo, (y + d_lo) / (s_y + g * d_lo[0])
         break
     # The targets from the last grid time on, up to the event, keep its state.
-    e = (np.searchsorted(tq, t, side="right") if event in ("blow_up", "overflow")
-         else tq.size if event is None else np.searchsorted(tq, t_stop))
-    kept.append(z[None].repeat(e - i, axis=0))
-    dts.append(tq[i:e] - t)
-    if len(kept) == 1:  # every target at or after the last grid time
-        return _Scan(k, kept[0], dts[0], event, t_stop, y_stop)
-    return _Scan(k, np.concatenate(kept), np.concatenate(dts), event, t_stop, y_stop)
+    e = (tq.searchsorted(t, side="right") if event in ("blow_up", "overflow")
+         else tq.size if event is None else tq.searchsorted(t_stop))
+    if e > i:
+        kept.append(z[None] if e - i == 1 else z[None].repeat(e - i, axis=0))
+        dts.append(tq[i:e] - t)
+    return _Scan(k, _joined(kept, (0, 4)), _joined(dts, (0,)), event, t_stop, y_stop)
+
+
+def _joined(parts: list, empty: tuple) -> np.ndarray:
+    """The arrays of parts end to end, without a copy for one, or an empty
+    array of shape empty for none."""
+    if len(parts) == 1:
+        return parts[0]
+    return np.concatenate(parts) if parts else np.empty(empty)
 
 
 def _blow_up_error(t_star: float, t: float, y: np.ndarray) -> BlowUp:
@@ -478,14 +493,19 @@ def _sample_targets(sample_times: Sequence[float], t_end: float) -> np.ndarray:
     """
     # Sorted, any NaN last, so the two ends show every bad time.  Not
     # np.unique: it imports numpy.ma on first use, 10 ms and 0.8 MB.
-    ts = np.sort(np.asarray(sample_times, dtype=float).ravel())
-    if ts.size and not (math.isfinite(ts[0]) and math.isfinite(ts[-1])):
-        raise ValueError("sample_times must be finite")
-    if ts.size and (ts[0] < 0.0 or ts[-1] > t_end * (1.0 + TIME_WINDOW)):
-        raise ValueError("sample_times must lie within [0, t_end]")
-    keep = ts > 0.0
-    keep[1:] &= ts[1:] != ts[:-1]
-    ts = ts[keep]
+    ts = np.sort(np.asarray(sample_times, dtype=float), axis=None)
+    if ts.size:
+        first, last = float(ts[0]), float(ts[-1])
+        if not (math.isfinite(first) and math.isfinite(last)):
+            raise ValueError("sample_times must be finite")
+        if first < 0.0 or last > t_end * (1.0 + TIME_WINDOW):
+            raise ValueError("sample_times must lie within [0, t_end]")
+        if ts.size > 1:
+            keep = ts > 0.0
+            keep[1:] &= ts[1:] != ts[:-1]
+            ts = ts[keep]
+        elif first == 0.0:
+            ts = ts[:0]
     if not ts.size or ts[-1] < t_end * (1.0 - TIME_WINDOW):
         ts = np.append(ts, float(t_end))
     return ts
@@ -564,7 +584,7 @@ def integrate(spec: ChannelSpec, initial: PsdState, t_end: float,
     else:
         ts[0], ts[1:m + 1] = 0.0, targets[:m]
         moved = scan.dt > 0.0
-        if moved.any():
+        if np.count_nonzero(moved):
             rows = ys[1:m + 1]
             rows[moved] = advanced = _advance(gen, rows[moved], scan.dt[moved])
             if not opts.allow_off_cone:  # the scan tested the grid states
@@ -582,14 +602,18 @@ def _build_trajectory(spec, gen, rec_t, rec_y, stats, stop_reason) -> Trajectory
     tau, r = ys[:, 0], ys[:, 1:]
     rn = np.sqrt((r ** 2).sum(axis=1))
     trxo = ys @ -gen.A[0]  # tr(X Omega), Omega = -A[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(tau != 0.0, rn / tau, np.nan)
-        purity = 0.5 * (1.0 + ratio ** 2)
-        # The eigenvalues (1 +- |r| / tau) / 2 of X / tau, as two rows.
-        xlogx = _xlogx(0.5 * (1.0 + np.multiply.outer(_SIGNS, ratio)))
-        entropy = 0.0 - (xlogx[0] + xlogx[1])  # +0, not -0, when pure
+    ratio = np.empty(len(ys))
+    ratio.fill(np.nan)
+    np.divide(rn, tau, out=ratio, where=tau != 0.0)
+    purity = 0.5 * (1.0 + ratio ** 2)
+    # The eigenvalues (1 +- |r| / tau) / 2 of X / tau, as two rows.
+    v = np.multiply.outer(_SIGNS, ratio)
+    v += 1.0
+    v *= 0.5
+    xlogx = _xlogx(v)
+    entropy = 0.0 - (xlogx[0] + xlogx[1])  # +0, not -0, when pure
     return Trajectory(
-        t=np.asarray(rec_t), tau=tau, r=r, purity=purity, entropy=entropy,
+        t=rec_t, tau=tau, r=r, purity=purity, entropy=entropy,
         tr_x_omega=trxo, cone_margin=tau - rn, stats=stats,
         stop_reason=stop_reason, spec=spec,
     )
@@ -600,7 +624,8 @@ _SIGNS = np.array([1.0, -1.0])
 
 def _xlogx(v: np.ndarray) -> np.ndarray:
     # 0 log 0 -> 0; slightly negative eigenvalues from roundoff count as 0,
-    # genuinely negative ones (off-cone states) give nan.
-    pos = v > 0.0
-    out = np.where(pos, v * np.log(np.where(pos, v, 1.0)), 0.0)
-    return np.where(v < -EIG_ROUNDOFF, np.nan, out)
+    # genuinely negative ones (off-cone states) give nan, and nan gives 0.
+    w = np.where(v > 0.0, v, 1.0)
+    out = w * np.log(w)
+    out[v < -EIG_ROUNDOFF] = np.nan
+    return out

@@ -18,7 +18,7 @@ from blochamp import (
 )
 from blochamp.dynamics import CSV_HEADER, StepStats
 from blochamp.pauli import SIGMA
-from blochamp.tolerances import SURFACE_TOL
+from blochamp.tolerances import EIG_ROUNDOFF, SURFACE_TOL
 
 
 # The oracle for AffineGenerator.propagator, independent of its Taylor
@@ -717,3 +717,22 @@ def csv_oracle(traj):
                traj.purity[i], traj.entropy[i], traj.tr_x_omega[i], traj.cone_margin[i])
         lines.append(",".join(format(float(v), ".17g") for v in row))
     return "\n".join(lines) + "\n"
+
+
+def monitor_oracle(gen, ys):
+    """Oracle for the monitor columns of dynamics._build_trajectory: purity,
+    entropy, tr(X Omega) and the cone margin of the states ys (m, 4), each
+    array formed in full and masked under np.errstate.  A row with tau = 0
+    has purity nan and entropy +0; an eigenvalue below -EIG_ROUNDOFF (off
+    the cone) makes the entropy nan."""
+    tau, r = ys[:, 0], ys[:, 1:]
+    rn = np.sqrt((r ** 2).sum(axis=1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(tau != 0.0, rn / tau, np.nan)
+        purity = 0.5 * (1.0 + ratio ** 2)
+        v = 0.5 * (1.0 + np.multiply.outer([1.0, -1.0], ratio))
+        pos = v > 0.0
+        xlogx = np.where(pos, v * np.log(np.where(pos, v, 1.0)), 0.0)
+        xlogx = np.where(v < -EIG_ROUNDOFF, np.nan, xlogx)
+        entropy = 0.0 - (xlogx[0] + xlogx[1])
+    return purity, entropy, ys @ -gen.A[0], tau - rn

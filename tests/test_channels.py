@@ -478,14 +478,24 @@ class TestExpm:
 
     def test_batch_matches_single_calls(self, rng):
         # t ||A||_1 from 0 to 30, both signs, gives each row its own number
-        # of squarings; a row is its single call, bit for bit.
+        # of squarings; a row is its single call, bit for bit.  A single
+        # time takes its scalar path however it is given, and the edge times
+        # are t = +-0, a subnormal t, |t| = 1 / ||A||_1 and the next double
+        # beyond it, about where squaring starts, and 2 / ||A||_1.
         for norm1 in (0.5, 1.0, 7.0):
-            a = random_matrix(rng, norm1)
-            ts = np.linspace(-30.0, 30.0, 13) / norm1
-            batch = self.propagator(a, ts)
-            assert batch.shape == (13, 4, 4)
+            gen = AffineGenerator(random_matrix(rng, norm1), 0.0)
+            w = gen.scale
+            edges = [0.0, -0.0, 5e-324, 1.0 / w, np.nextafter(1.0 / w, 2.0), -1.0 / w,
+                     np.nextafter(-1.0 / w, -2.0), 2.0 / w]
+            ts = np.concatenate((np.linspace(-30.0, 30.0, 13) / norm1, edges))
+            batch = gen.propagator(ts)
+            assert batch.shape == (len(ts), 4, 4)
             for t, e in zip(ts, batch):
-                assert np.array_equal(e, self.propagator(a, [t])[0])
+                assert np.array_equal(e, gen.propagator([t])[0])
+                assert np.array_equal(e, gen.propagator([float(t)])[0])
+                assert np.array_equal(e, gen.propagator(np.ravel(np.float64(t)))[0])
+            frac, exp = np.frexp(np.abs(ts) * w)
+            assert set(np.maximum(exp - (frac == 0.5), 0).tolist()) >= {0, 1, 5}
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_non_finite(self, bad):

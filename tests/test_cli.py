@@ -52,6 +52,34 @@ class TestSimulate:
         assert content[0] == CSV_HEADER
         assert len(content) > 2
 
+    def test_csv_to_a_missing_directory_is_an_error(self, tmp_path, capsys):
+        code, out, err = run(capsys, "simulate", "--preset", "linear_cptp", "--t", "2",
+                             "--out", str(tmp_path / "no" / "such" / "f.csv"))
+        assert code == 1 and out == ""
+        assert err.startswith("error: [Errno 2] No such file or directory")
+
+    def test_reader_that_closes_the_pipe_is_not_an_error(self):
+        # `simulate ... --out - | head -1`: the reader closes its end after
+        # one line.  The 20,000 rows pass a pipe's buffer, so the writer
+        # meets the closed end; it exits 0 with nothing on stderr.
+        src = str(Path(blochamp.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "blochamp.cli", "simulate", "--preset", "linear_cptp",
+             "--t", "2", "--samples", "20000", "--out", "-"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src})
+        try:
+            assert proc.stdout.readline() == (CSV_HEADER + "\n").encode()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 0, err
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            proc.stderr.close()
+        assert err == b""
+
     def test_spec_file_input(self, tmp_path, capsys):
         spec_file = tmp_path / "spec.json"
         save_spec(presets.onejump_nino(1.0), spec_file)

@@ -899,3 +899,28 @@ class TestCsv:
         buf = io.StringIO()
         traj.write_csv(buf)
         assert buf.getvalue() == csv_oracle(traj)
+
+    def test_monitor_columns_match_the_masked_oracle(self, rng):
+        # The columns bit for bit, with no warning: rows with tau = 0 (purity
+        # nan, entropy +0), off the cone (entropy nan), on the surface, within
+        # EIG_ROUNDOFF outside it, at negative and subnormal tau, and random.
+        gen = channels.assemble(presets.threejump_nino(1.0, 0.5))
+        special = np.array([[0.0, 0.0, 0.0, 0.0], [-0.0, 0.0, 0.0, 0.0], [0.0, 0.3, 0.0, 0.0],
+                            [1.0, 1.05, 0.0, 0.0], [1.0, 0.6, 0.8, 0.0], [1.0, 1.0, 0.0, 0.0],
+                            [1.0, 1.0 + 1e-15, 0.0, 0.0], [-1.0, 0.2, 0.1, 0.0],
+                            [-1.0, 2.0, 0.0, 0.0], [5e-324, 0.0, 0.0, 0.0], [2.0, 0.0, 0.0, -2.0]])
+        ys = np.concatenate((special, rng.normal(size=(40, 4)),
+                             rng.uniform(0.0, 1.0, (40, 1)) * [1.0, 0.5, 0.5, 0.5]))
+        ts = np.arange(len(ys), dtype=float)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            traj = dynamics._build_trajectory(presets.threejump_nino(1.0, 0.5), gen, ts, ys,
+                                              StepStats(0, 0, 0.0), "t_end")
+        got = (traj.purity, traj.entropy, traj.tr_x_omega, traj.cone_margin)
+        for col, want in zip(got, conftest.monitor_oracle(gen, ys)):
+            assert col.tobytes() == want.tobytes()
+        assert traj.t.tobytes() == ts.tobytes()
+        assert np.column_stack((traj.tau, traj.r)).tobytes() == ys.tobytes()
+        assert np.isnan(traj.purity[:3]).all()
+        assert np.array_equal(np.copysign(1.0, traj.entropy[:3]), [1.0, 1.0, 1.0])
+        assert np.isnan(traj.entropy[[3, 8]]).all() and traj.entropy[5] == 0.0

@@ -398,17 +398,20 @@ def test_radius_root_states_match_the_40_digit_truth(truth_events):
 @given(st.sampled_from(["preset", "nino", "pseudolinear", "gksl", "noncp_gksl"]),
        SEEDS, st.floats(0.0, 1.0), st.floats(0.0, 1.0))
 @example("preset", 0, 1.0, 0.5)   # a whole grid step of linear_cptp
+@example("gksl", 1, 0.0, 0.5)     # dt = 0
 def test_advance_matches_expm(kind, seed, frac, other):
     # _advance's Taylor polynomial against the Pade exponential, for any dt
     # up to a grid step, 1 / ||A||_1.  g = 0 leaves the linear part, which
     # is what the polynomial replaces; the division by s is unchanged.  A
-    # row is the same, bit for bit, alone or in a stack.
+    # row is the same, bit for bit, alone (the propagator's one-time path,
+    # dt a float or a numpy scalar) or in a stack.
     gen = AffineGenerator(assemble(_spec(kind, seed)).A, 0.0)
     y = _state(seed)
     dt = frac / gen.scale
     want = expm(gen.A * dt) @ y
     got = dynamics._advance(gen, y, dt)
     assert np.abs(got - want).max() <= 2e-15 * np.abs(want).max()
+    assert np.array_equal(dynamics._advance(gen, y, np.float64(dt)), got)
     stack = dynamics._advance(gen, np.array([y, y[::-1]]), np.array([dt, other * dt]))
     assert np.array_equal(stack[0], got)
 
